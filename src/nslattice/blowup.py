@@ -16,8 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionError, PreconditionError
-from .lattice import DivisorClass, Family, SurfaceLattice, divisor_from_json, lattice_from_json
+from .errors import DimensionError, InputError, PreconditionError
+from .lattice import (
+    DivisorClass,
+    Family,
+    SurfaceLattice,
+    divisor_from_json,
+    json_bool,
+    json_object,
+    lattice_from_json,
+)
 
 NEGATIVE_RATIONAL = "negative_rational"
 GENUS_ONE = "genus_one"
@@ -41,7 +49,8 @@ class CurveWitness:
 
 
 def witness_from_json(doc: dict) -> CurveWitness:
-    return CurveWitness(divisor_from_json(doc), bool(doc.get("prime", True)))
+    doc = json_object(doc, "witness")
+    return CurveWitness(divisor_from_json(doc), json_bool(doc.get("prime", True), "prime"))
 
 
 @dataclass(frozen=True)
@@ -72,9 +81,11 @@ class SurfaceModel:
 
 
 def model_from_json(doc: dict) -> SurfaceModel:
-    lattice = lattice_from_json(doc["lattice"])
-    curves = tuple(witness_from_json(w) for w in doc.get("curves", ()))
-    return SurfaceModel(lattice, curves)
+    lattice = lattice_from_json(json_object(doc, "model").get("lattice"))
+    curves = doc.get("curves", [])
+    if not isinstance(curves, (list, tuple)):
+        raise InputError(f"curves must be a list of witnesses, got {curves!r}")
+    return SurfaceModel(lattice, tuple(map(witness_from_json, curves)))
 
 
 @dataclass(frozen=True)
@@ -93,11 +104,11 @@ class FixedComponentKind:
 
     def __post_init__(self) -> None:
         if self.kind == NEGATIVE_RATIONAL and (self.n is None or self.n < 1):
-            raise ValueError("negative_rational verdict requires n >= 1")
+            raise PreconditionError("negative_rational verdict requires n >= 1")
         if self.kind == GENUS_ONE and (self.self_int is None or self.self_int > 0):
-            raise ValueError("genus_one verdict requires self-intersection <= 0")
+            raise PreconditionError("genus_one verdict requires self-intersection <= 0")
         if self.kind == THEOREM_VIOLATION and not self.reason:
-            raise ValueError("theorem_violation verdict requires a reason")
+            raise PreconditionError("theorem_violation verdict requires a reason")
 
     @classmethod
     def negative_rational(cls, n: int) -> "FixedComponentKind":

@@ -4,7 +4,10 @@ One subcommand per invocation, one JSON document on standard output.
 Coefficients are comma-separated integers in the fixed basis order
 (use the ``--d=-2,-5`` form for vectors starting with a negative entry);
 larger inputs go through ``--json FILE``, whose keys fill in anything not
-given as a flag.  Exit codes: 0 success, 1 domain error, 2 usage error,
+given as a flag.  Payload values are read as exact JSON types: a float or
+string where an integer belongs, or anything but ``true``/``false`` where a
+boolean belongs, is a usage error, never coerced.  Exit codes: 0 success,
+1 domain error, 2 usage error (including a missing or malformed input),
 3 theorem-violation verdict under ``--strict``.
 """
 
@@ -14,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .blowup import (
     THEOREM_VIOLATION,
@@ -25,7 +29,7 @@ from .blowup import (
     model_from_json,
     nef_against_witnesses,
 )
-from .errors import NSLatticeError
+from .errors import InputError, NSLatticeError
 from .hirzebruch import (
     NefDecomposition,
     anticanonical_class,
@@ -35,13 +39,16 @@ from .hirzebruch import (
     nef_decompose,
 )
 from .lattice import (
-    DivisorClass,
     Family,
     basis_change_blf0_to_p2,
     basis_change_f1_to_p2,
     blowup_p2_lattice,
+    divisor_from_json,
     enumerate_negative_rational_classes,
-    make_lattice,
+    json_bool,
+    json_int,
+    json_object,
+    lattice_from_json,
 )
 from .selfcheck import SelfcheckConfig, run_selfcheck
 
@@ -52,119 +59,60 @@ EXIT_VIOLATION = 3
 
 CONFIG_ENV = "NSLATTICE_CONFIG"
 
+# argparse destinations that steer the run rather than feed the computation
+_CONTROL = {"command", "subcommand", "handler", "json", "pretty", "strict"}
 
-class UsageError(Exception):
-    """Malformed invocation or payload; maps to exit code 2."""
 
-
-def _load_payload(args: argparse.Namespace) -> dict:
-    path = getattr(args, "json", None)
-    if not path:
-        return {}
+def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read JSON payload: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed JSON payload: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError("JSON payload must be an object")
-    return doc
-
-
-def _get(args: argparse.Namespace, payload: dict, key: str):
-    value = getattr(args, key, None)
-    if value is None:
-        value = payload.get(key)
-    return value
-
-
-def _need_int(args: argparse.Namespace, payload: dict, key: str) -> int:
-    value = _get(args, payload, key)
-    if value is None:
-        raise UsageError(f"missing required input --{key.replace('_', '-')}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"--{key.replace('_', '-')} must be an integer") from exc
-
-
-def _coeffs(args: argparse.Namespace, payload: dict, key: str) -> DivisorClass:
-    value = _get(args, payload, key)
-    if value is None:
-        raise UsageError(f"missing required coefficient vector --{key}")
-    if isinstance(value, str):
-        try:
-            return DivisorClass(tuple(int(part) for part in value.split(",")))
-        except ValueError as exc:
-            raise UsageError(f"--{key} must be comma-separated integers") from exc
-    if isinstance(value, dict):
-        value = value.get("coeffs")
-    try:
-        return DivisorClass(tuple(int(c) for c in value))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"payload key '{key}' must be a list of integers") from exc
-
-
-def _resolve_lattice(args: argparse.Namespace, payload: dict):
-    doc = payload.get("lattice", payload)
-    family = getattr(args, "family", None) or doc.get("family")
-    if family is None:
-        raise UsageError("missing required input --family")
-    n = getattr(args, "n", None)
-    if n is None:
-        n = doc.get("n")
-    r = getattr(args, "r", None)
-    if r is None:
-        r = doc.get("r")
-    try:
-        fam = Family(family)
+        raise InputError(f"cannot read JSON payload: {exc}") from exc
     except ValueError as exc:
-        raise UsageError(f"unknown family '{family}'") from exc
-    if fam is Family.HIRZEBRUCH and n is None:
-        raise UsageError("family hirzebruch requires --n")
-    if fam is Family.BLOWUP_P2 and r is None:
-        raise UsageError("family blowup_p2 requires --r")
-    if fam is Family.BLOWUP_HIRZEBRUCH and (n is None or r is None):
-        raise UsageError("family blowup_hirzebruch requires --n and --r")
-    return make_lattice(fam, n=n, r=r)
+        raise InputError(f"malformed JSON payload {path}: {exc}") from exc
+    return json_object(doc, f"payload {path}")
 
 
-def _resolve_model(payload: dict):
-    if "lattice" not in payload:
-        raise UsageError("blowup commands need a model payload: --json FILE with a 'lattice' key")
-    return model_from_json(payload)
+def _vector(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
-def cmd_intersect(args, payload):
-    lattice = _resolve_lattice(args, payload)
-    d1 = _coeffs(args, payload, "d1")
-    d2 = _coeffs(args, payload, "d2")
-    return {"value": lattice.intersect(d1, d2)}, False
+def _inputs(args: argparse.Namespace) -> dict:
+    """The ``--json`` payload with every flag that was given laid over it."""
+    payload = _read_json(args.json) if args.json else {}
+    flags = {k: v for k, v in vars(args).items() if k not in _CONTROL and v is not None}
+    return {**payload, **flags}
 
 
-def cmd_genus(args, payload):
-    lattice = _resolve_lattice(args, payload)
-    d = _coeffs(args, payload, "d")
-    return {"value": lattice.arithmetic_genus(d)}, False
+def _class(inputs: dict, key: str = "d"):
+    return divisor_from_json(inputs.get(key), "--" + key)
 
 
-def cmd_chi(args, payload):
-    lattice = _resolve_lattice(args, payload)
-    d = _coeffs(args, payload, "d")
-    return {"value": lattice.euler_characteristic(d)}, False
+def _lattice(inputs: dict):
+    # a nested "lattice" document, as in a model file, under the top-level keys and flags
+    nested = inputs.get("lattice", {})
+    return lattice_from_json({**nested, **inputs} if isinstance(nested, dict) else nested)
 
 
-def cmd_h0_bound(args, payload):
-    lattice = _resolve_lattice(args, payload)
-    d = _coeffs(args, payload, "d")
-    return {"value": lattice.h0_lower_bound(d)}, False
+def cmd_intersect(inputs):
+    lattice = _lattice(inputs)
+    return {"value": lattice.intersect(_class(inputs, "d1"), _class(inputs, "d2"))}, False
 
 
-def cmd_basis_change(args, payload):
-    lattice = _resolve_lattice(args, payload)
-    d = _coeffs(args, payload, "d")
+def cmd_value(method, inputs):
+    lattice = _lattice(inputs)
+    return {"value": getattr(lattice, method)(_class(inputs))}, False
+
+
+def cmd_basis_change(inputs):
+    lattice = _lattice(inputs)
+    d = _class(inputs)
     if lattice.family is Family.HIRZEBRUCH:
         out = basis_change_f1_to_p2(lattice, d)
         name, target = "f1_to_p2", blowup_p2_lattice(1)
@@ -178,11 +126,10 @@ def cmd_basis_change(args, payload):
     }, False
 
 
-def cmd_enumerate(args, payload):
-    r = _need_int(args, payload, "r")
-    self_int = _need_int(args, payload, "self_int")
-    degree_bound = _get(args, payload, "degree_bound")
-    degree_bound = 7 if degree_bound is None else int(degree_bound)
+def cmd_enumerate(inputs):
+    r = json_int(inputs.get("r"), "--r")
+    self_int = json_int(inputs.get("self_int"), "--self-int")
+    degree_bound = json_int(inputs.get("degree_bound", 7), "--degree-bound")
     lattice = blowup_p2_lattice(r)
     classes = enumerate_negative_rational_classes(lattice, self_int, degree_bound)
     return {
@@ -194,20 +141,20 @@ def cmd_enumerate(args, payload):
     }, False
 
 
-def cmd_hirzebruch_effective(args, payload):
-    n = _need_int(args, payload, "n")
-    a = _need_int(args, payload, "a")
-    b = _need_int(args, payload, "b")
+def _hirzebruch_inputs(inputs: dict) -> tuple[int, int, int]:
+    return tuple(json_int(inputs.get(key), "--" + key) for key in "nab")
+
+
+def cmd_hirzebruch_effective(inputs):
+    n, a, b = _hirzebruch_inputs(inputs)
     witness = is_effective(n, a, b)
     doc = {"n": n, "a": a, "b": b, "effective": witness.effective}
     doc["multiplicities"] = list(witness.multiplicities) if witness else None
     return doc, False
 
 
-def cmd_hirzebruch_nef(args, payload):
-    n = _need_int(args, payload, "n")
-    a = _need_int(args, payload, "a")
-    b = _need_int(args, payload, "b")
+def cmd_hirzebruch_nef(inputs):
+    n, a, b = _hirzebruch_inputs(inputs)
     verdict = nef_decompose(n, a, b)
     doc = {"n": n, "a": a, "b": b}
     if isinstance(verdict, NefDecomposition):
@@ -217,85 +164,54 @@ def cmd_hirzebruch_nef(args, payload):
     return doc, False
 
 
-def cmd_hirzebruch_fixed_mobile(args, payload):
-    n = _need_int(args, payload, "n")
-    a = _need_int(args, payload, "a")
-    b = _need_int(args, payload, "b")
-    dec = fixed_mobile_decompose(n, a, b)
-    return {
-        "n": n,
-        "j": dec.j,
-        "fixed": {"a": dec.fixed.a, "b": dec.fixed.b},
-        "mobile": {"a": dec.mobile.a, "b": dec.mobile.b},
-    }, False
+def cmd_hirzebruch_fixed_mobile(inputs):
+    n, a, b = _hirzebruch_inputs(inputs)
+    return fixed_mobile_decompose(n, a, b).to_json_dict(), False
 
 
-def cmd_hirzebruch_anticanonical(args, payload):
-    n = _need_int(args, payload, "n")
+def cmd_hirzebruch_anticanonical(inputs):
+    n = json_int(inputs.get("n"), "--n")
     ac = anticanonical_class(n)
     dec = anticanonical_fixed_locus(n)
-    return {
-        "n": n,
-        "class": {"a": ac.a, "b": ac.b},
-        "j": dec.j,
-        "fixed": {"a": dec.fixed.a, "b": dec.fixed.b},
-        "mobile": {"a": dec.mobile.a, "b": dec.mobile.b},
-    }, False
+    return {"n": n, "class": {"a": ac.a, "b": ac.b}, **dec.to_json_dict()}, False
 
 
-def cmd_blowup_nef_test(args, payload):
-    model = _resolve_model(payload)
-    d = _coeffs(args, payload, "d")
-    return nef_against_witnesses(model, d).to_json_dict(), False
+def _witness(inputs: dict) -> CurveWitness:
+    return CurveWitness(_class(inputs), json_bool(inputs.get("prime", True), "prime"))
 
 
-def cmd_blowup_forced_fixed(args, payload):
-    model = _resolve_model(payload)
-    forced = forced_fixed_components(model)
+def cmd_blowup_nef_test(inputs):
+    return nef_against_witnesses(model_from_json(inputs), _class(inputs)).to_json_dict(), False
+
+
+def cmd_blowup_forced_fixed(inputs):
+    forced = forced_fixed_components(model_from_json(inputs))
     return {"forced_fixed_components": [w.to_json_dict() for w in forced]}, False
 
 
-def cmd_blowup_classify(args, payload):
-    model = _resolve_model(payload)
-    d = _coeffs(args, payload, "d")
-    prime = payload.get("prime", True)
-    verdict = classify_fixed_component(model, CurveWitness(d, bool(prime)))
+def cmd_blowup_classify(inputs):
+    verdict = classify_fixed_component(model_from_json(inputs), _witness(inputs))
     return verdict.to_json_dict(), verdict.kind == THEOREM_VIOLATION
 
 
-def cmd_blowup_consequences(args, payload):
-    model = _resolve_model(payload)
-    witness_complete = bool(payload.get("witness_complete", False))
-    report = anticanonical_consequence_check(model, witness_complete)
+def cmd_blowup_consequences(inputs):
+    witness_complete = json_bool(inputs.get("witness_complete", False), "witness_complete")
+    report = anticanonical_consequence_check(model_from_json(inputs), witness_complete)
     return report.to_json_dict(), report.verdict == THEOREM_VIOLATION
 
 
-def cmd_blowup_lemma_move(args, payload):
-    model = _resolve_model(payload)
-    d = _coeffs(args, payload, "d")
-    prime = payload.get("prime", True)
-    anticanonical = payload.get("anticanonical", True)
+def cmd_blowup_lemma_move(inputs):
+    anticanonical = json_bool(inputs.get("anticanonical", True), "anticanonical")
     report = lemma_move_check(
-        model, CurveWitness(d, bool(prime)), anticanonical=bool(anticanonical)
+        model_from_json(inputs), _witness(inputs), anticanonical=anticanonical
     )
     return report.to_json_dict(), report.verdict == THEOREM_VIOLATION
 
 
-def cmd_selfcheck(args, payload):
-    doc = payload
-    if not doc:
-        path = os.environ.get(CONFIG_ENV)
-        if path:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise UsageError(f"cannot read {CONFIG_ENV} file: {exc}") from exc
-    try:
-        cfg = SelfcheckConfig.from_json_dict(doc) if doc else SelfcheckConfig()
-    except NSLatticeError as exc:
-        raise UsageError(str(exc)) from exc
-    results = run_selfcheck(cfg)
+def cmd_selfcheck(inputs):
+    if not inputs and os.environ.get(CONFIG_ENV):
+        inputs = _read_json(os.environ[CONFIG_ENV])
+    results = run_selfcheck(SelfcheckConfig.from_json_dict(inputs))
     return {
         "passed": all(res.passed for res in results),
         "checks": [res.to_json_dict() for res in results],
@@ -325,19 +241,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("intersect", parents=[common], help="pairing of two classes")
     lattice_flags(p)
-    p.add_argument("--d1", help="comma-separated coefficients")
-    p.add_argument("--d2", help="comma-separated coefficients")
+    p.add_argument("--d1", type=_vector, help="comma-separated coefficients")
+    p.add_argument("--d2", type=_vector, help="comma-separated coefficients")
     p.set_defaults(handler=cmd_intersect)
 
     for name, handler, help_text in (
-        ("genus", cmd_genus, "arithmetic genus of a class"),
-        ("chi", cmd_chi, "Euler characteristic of a class"),
-        ("h0-bound", cmd_h0_bound, "Riemann-Roch lower bound for h^0"),
+        ("genus", partial(cmd_value, "arithmetic_genus"), "arithmetic genus of a class"),
+        ("chi", partial(cmd_value, "euler_characteristic"), "Euler characteristic of a class"),
+        ("h0-bound", partial(cmd_value, "h0_lower_bound"), "Riemann-Roch lower bound for h^0"),
         ("basis-change", cmd_basis_change, "rebase a class onto a plane-blowup basis"),
     ):
         p = sub.add_parser(name, parents=[common], help=help_text)
         lattice_flags(p)
-        p.add_argument("--d", help="comma-separated coefficients")
+        p.add_argument("--d", type=_vector, help="comma-separated coefficients")
         p.set_defaults(handler=handler)
 
     p = sub.add_parser(
@@ -374,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = bl_sub.add_parser(name, parents=[common])
         if needs_d:
-            p.add_argument("--d", help="comma-separated coefficients")
+            p.add_argument("--d", type=_vector, help="comma-separated coefficients")
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("selfcheck", parents=[common], help="run the brute-force oracle suite")
@@ -391,14 +307,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = _load_payload(args)
-        doc, violation = args.handler(args, payload)
-    except UsageError as exc:
-        print(f"nslattice: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        doc, violation = args.handler(_inputs(args))
     except NSLatticeError as exc:
         print(f"nslattice: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_USAGE if isinstance(exc, InputError) else EXIT_DOMAIN
     print(json.dumps(doc, indent=2 if args.pretty else None))
     if args.command == "selfcheck" and not doc["passed"]:
         return EXIT_DOMAIN

@@ -27,3 +27,7 @@ class NotEffectiveError(NSLatticeError):
 
 class PreconditionError(NSLatticeError):
     """A documented caller-side assertion does not hold."""
+
+
+class InputError(InvalidParameterError):
+    """An input value is missing or has the wrong JSON type; never coerced."""

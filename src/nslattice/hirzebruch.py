@@ -53,10 +53,6 @@ class HirzebruchClass:
         return {"n": self.n, "a": self.a, "b": self.b}
 
 
-def hirzebruch_class_from_json(doc: dict) -> HirzebruchClass:
-    return HirzebruchClass(doc["n"], doc["a"], doc["b"])
-
-
 @dataclass(frozen=True)
 class EffectiveWitness:
     """Membership verdict for the effective monoid N*C_n + N*F.
@@ -105,6 +101,14 @@ class FixedMobileDecomposition:
 
     def total(self) -> HirzebruchClass:
         return self.fixed + self.mobile
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.fixed.n,
+            "j": self.j,
+            "fixed": {"a": self.fixed.a, "b": self.fixed.b},
+            "mobile": {"a": self.mobile.a, "b": self.mobile.b},
+        }
 
 
 def effective_generators(n: int) -> tuple[HirzebruchClass, HirzebruchClass]:
@@ -155,11 +159,11 @@ def fixed_mobile_decompose(n: int, a: int, b: int) -> FixedMobileDecomposition:
     part (a - j)*C_n + b*F pairs nonnegatively with C_n.
     """
     cls = HirzebruchClass(n, a, b)
-    if not is_effective(n, a, b):
+    n, a, b = cls.n, cls.a, cls.b
+    if a < 0 or b < 0:
         raise NotEffectiveError(
             f"{a}*C{n} + {b}*F is not effective; its complete linear system is empty"
         )
-    n, a, b = cls.n, cls.a, cls.b
     if n == 0 or b >= a * n:
         j = 0
     else:
@@ -178,9 +182,6 @@ def fixed_mobile_decompose(n: int, a: int, b: int) -> FixedMobileDecomposition:
 
 def anticanonical_class(n: int) -> HirzebruchClass:
     """-K on F_n, namely 2*C_n + (n + 2)*F."""
-    n = operator.index(n)
-    if n < 0:
-        raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {n}")
     return HirzebruchClass(n, 2, n + 2)
 
 

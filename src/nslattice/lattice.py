@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionError,
     FamilyError,
+    InputError,
     InvalidParameterError,
     LatticeCorruptionError,
 )
@@ -43,7 +44,7 @@ class H0BoundAssumptionWarning(UserWarning):
     the blind assumption h^0(K - D) = 0 is not certified by the count itself."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DivisorClass:
     """Integer coefficient vector relative to a lattice basis.
 
@@ -53,11 +54,10 @@ class DivisorClass:
 
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        # operator.index rejects floats and other inexact types loudly
-        object.__setattr__(
-            self, "coeffs", tuple(operator.index(c) for c in self.coeffs)
-        )
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        # operator.index rejects floats and other inexact types loudly; written out
+        # so that each class costs one store, not __init__ plus __post_init__
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, coeffs)))
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -93,11 +93,45 @@ class DivisorClass:
         return {"coeffs": list(self.coeffs)}
 
 
-def divisor_from_json(doc: dict | Sequence[int]) -> DivisorClass:
+# The JSON readers below are the only way outside input enters the package.  A
+# value of the wrong JSON type is refused, never coerced; None means "absent".
+# Types are compared exactly because bool is a subclass of int.
+_INT = frozenset((int,))
+
+
+def _refuse(value, name: str, kind: str) -> InputError:
+    if value is None:
+        return InputError(f"missing required input {name}")
+    return InputError(f"{name} must be {kind}, got {value!r}")
+
+
+def json_int(value, name: str) -> int:
+    """``value`` if it is an integer; bool, float and str are refused."""
+    if type(value) is not int:
+        raise _refuse(value, name, "an integer")
+    return value
+
+
+def json_bool(value, name: str) -> bool:
+    """``value`` if it is JSON true or false; nothing else counts as a truth value."""
+    if type(value) is not bool:
+        raise _refuse(value, name, "true or false")
+    return value
+
+
+def json_object(value, name: str) -> dict:
+    """``value`` if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise _refuse(value, name, "a JSON object")
+    return value
+
+
+def divisor_from_json(doc: dict | Sequence[int], name: str = "coeffs") -> DivisorClass:
     """Read a class from ``{"coeffs": [...]}`` or a bare coefficient list."""
-    if isinstance(doc, dict):
-        doc = doc["coeffs"]
-    return DivisorClass(tuple(doc))
+    coeffs = doc.get("coeffs") if isinstance(doc, dict) else doc
+    if not isinstance(coeffs, (list, tuple)) or not _INT.issuperset(map(type, coeffs)):
+        raise _refuse(coeffs, name, "a list of integers")
+    return DivisorClass(coeffs)
 
 
 @dataclass(frozen=True)
@@ -292,23 +326,33 @@ def blowup_hirzebruch_lattice(n: int, r: int) -> SurfaceLattice:
 
 def make_lattice(family: Family | str, n: int | None = None, r: int | None = None) -> SurfaceLattice:
     """Build a lattice from a family descriptor; deterministic for equal inputs."""
-    fam = Family(family)
+    try:
+        fam = Family(family)
+    except ValueError:
+        names = ", ".join(f.value for f in Family)
+        raise InputError(f"lattice family must be one of {names}, got {family!r}") from None
     if fam is Family.HIRZEBRUCH:
         if n is None:
-            raise InvalidParameterError("hirzebruch lattice requires n")
+            raise InputError("hirzebruch lattice requires n")
         return hirzebruch_lattice(n)
     if fam is Family.BLOWUP_P2:
         if r is None:
-            raise InvalidParameterError("blowup_p2 lattice requires r")
+            raise InputError("blowup_p2 lattice requires r")
         return blowup_p2_lattice(r)
     if n is None or r is None:
-        raise InvalidParameterError("blowup_hirzebruch lattice requires n and r")
+        raise InputError("blowup_hirzebruch lattice requires n and r")
     return blowup_hirzebruch_lattice(n, r)
 
 
 def lattice_from_json(doc: dict) -> SurfaceLattice:
     """Read a lattice from ``{"family": ..., "n": ..., "r": ...}``."""
-    return make_lattice(doc["family"], n=doc.get("n"), r=doc.get("r"))
+    doc = json_object(doc, "lattice")
+    n, r = doc.get("n"), doc.get("r")
+    return make_lattice(
+        doc.get("family"),
+        n=None if n is None else json_int(n, "n"),
+        r=None if r is None else json_int(r, "r"),
+    )
 
 
 def basis_change_f1_to_p2(lattice: SurfaceLattice, d: DivisorClass) -> DivisorClass:

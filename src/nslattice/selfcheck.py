@@ -20,7 +20,7 @@ from .blowup import (
     classify_fixed_component,
     forced_fixed_components,
 )
-from .errors import NSLatticeError
+from .errors import InputError
 from .hirzebruch import (
     NefDecomposition,
     anticanonical_fixed_locus,
@@ -40,6 +40,8 @@ from .lattice import (
     determinant,
     enumerate_negative_rational_classes,
     hirzebruch_lattice,
+    json_int,
+    json_object,
     signature,
 )
 
@@ -66,11 +68,10 @@ class SelfcheckConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SelfcheckConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        unknown = set(json_object(doc, "selfcheck config")) - {f.name for f in fields(cls)}
         if unknown:
-            raise NSLatticeError(f"unknown selfcheck config keys: {sorted(unknown)}")
-        return replace(cls(), **{k: int(v) for k, v in doc.items()})
+            raise InputError(f"unknown selfcheck config keys: {sorted(unknown)}")
+        return replace(cls(), **{k: json_int(v, k) for k, v in doc.items()})
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -6,7 +6,9 @@ from nslattice import (
     CurveWitness,
     DimensionError,
     DivisorClass,
+    FixedComponentKind,
     GENUS_ONE,
+    NSLatticeError,
     NEGATIVE_RATIONAL,
     PreconditionError,
     SurfaceModel,
@@ -54,6 +56,18 @@ class TestWitnessValidation:
     def test_json_round_trip(self):
         model = hirzebruch_model(3)
         assert model_from_json(model.to_json_dict()) == model
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": NEGATIVE_RATIONAL, "n": 0},
+            {"kind": GENUS_ONE, "self_int": 1},
+            {"kind": THEOREM_VIOLATION},
+        ],
+    )
+    def test_inconsistent_verdict_tag_is_a_domain_error(self, fields):
+        with pytest.raises(NSLatticeError):
+            FixedComponentKind(**fields)
 
 
 class TestNefAgainstWitnesses:

@@ -8,6 +8,7 @@ import pytest
 
 from nslattice import divisor_from_json, lattice_from_json, model_from_json
 from nslattice.cli import main
+from oracles import MINUS_ONE_COUNTS_BOUND_7
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -388,3 +389,48 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"n": 3, "j": 1, "fixed": {"a": 1, "b": 0}, "mobile": {"a": 1, "b": 5}}\n'
+
+
+MALFORMED = {
+    "float-coefficient": (
+        ["intersect"],
+        {"family": "hirzebruch", "n": 2, "d1": [1.7, 0], "d2": [1, 0]},
+    ),
+    "string-boolean": (
+        ["blowup", "consequences"],
+        {**MODEL_B9, "witness_complete": "false"},
+    ),
+    "lattice-without-family": (
+        ["blowup", "forced-fixed"],
+        {"lattice": {"r": 2}, "curves": []},
+    ),
+    "string-rank": (
+        ["blowup", "forced-fixed"],
+        {"lattice": {"family": "blowup_p2", "r": "1"}, "curves": []},
+    ),
+    "float-witness": (
+        ["blowup", "forced-fixed"],
+        {"lattice": {"family": "blowup_p2", "r": 1}, "curves": [{"coeffs": [1.0, 0.0]}]},
+    ),
+    "float-selfcheck-seed": (["selfcheck"], {**SMALL_SELFCHECK, "seed": 1.5}),
+}
+
+
+@pytest.mark.parametrize("argv,payload", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_payload_is_usage_error(capsys, tmp_path, argv, payload):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, argv + ["--json", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("nslattice: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_enumerate_loop_reproduces_exceptional_counts(capsys):
+    counts = {}
+    for r in range(1, 9):
+        code, out, _ = run_cli(capsys, ["enumerate", "--r", str(r), "--self-int=-1"])
+        assert code == 0
+        counts[r] = json.loads(out)["count"]
+    assert counts == MINUS_ONE_COUNTS_BOUND_7
