@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from math import isqrt
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -49,7 +49,9 @@ class DivisorClass:
     """Integer coefficient vector relative to a lattice basis.
 
     The universal currency of all operations: a class is nothing but its
-    coefficients in the fixed basis order of the owning lattice.
+    coefficients in the fixed basis order of the owning lattice.  The
+    constructor checks every coefficient once; the arithmetic operators build
+    their results from coefficients that are already exact and skip the check.
     """
 
     coeffs: tuple[int, ...]
@@ -71,18 +73,18 @@ class DivisorClass:
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._match(other)
-        return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _exact_class(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._match(other)
-        return DivisorClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _exact_class(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coeffs))
+        return _exact_class(tuple(map(neg, self.coeffs)))
 
     def __mul__(self, k: int) -> "DivisorClass":
         k = operator.index(k)
-        return DivisorClass(tuple(k * a for a in self.coeffs))
+        return _exact_class(tuple([k * a for a in self.coeffs]))
 
     __rmul__ = __mul__
 
@@ -91,6 +93,16 @@ class DivisorClass:
 
     def to_json_dict(self) -> dict:
         return {"coeffs": list(self.coeffs)}
+
+
+def _exact_class(coeffs: tuple[int, ...]) -> DivisorClass:
+    """A class on a tuple of plain ints, without the constructor's check.
+
+    Only for coefficients computed inside the package from exact inputs.
+    """
+    d = object.__new__(DivisorClass)
+    object.__setattr__(d, "coeffs", coeffs)
+    return d
 
 
 # The JSON readers below are the only way outside input enters the package.  A
@@ -142,6 +154,16 @@ class SurfaceLattice:
     named by ``basis_labels``; ``canonical`` holds the coefficients of K.
     For the built-in families the form is unimodular of signature
     (1, rank - 1) and K.K equals 8, 9 - r and 8 - r respectively.
+
+    Construction splits the Gram matrix once as head (+) (-I): ``h`` is the
+    smallest index such that every basis vector from ``h`` on has square -1
+    and is orthogonal to all the others.  ``h`` is 1 on ``blowup_p2``, 2 on
+    the F_n families and ``rank`` for a form with no such tail.  Then
+
+        D1.D2 = -sum_i a_i b_i + sum_{i, j < h} a_i (G_ij + delta_ij) b_j,
+
+    which is exact for any symmetric integer Gram matrix and costs
+    O(h^2 + rank).  K.D is the dot product of D with the precomputed row K.G.
     """
 
     family: Family
@@ -151,47 +173,65 @@ class SurfaceLattice:
     gram: tuple[tuple[int, ...], ...]
     basis_labels: tuple[str, ...]
     canonical: DivisorClass
+    # derived from gram and canonical; they take no part in ==, repr or JSON
+    _head: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    _kg: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.gram) != self.rank or any(len(row) != self.rank for row in self.gram):
+        gram, rank, k = self.gram, self.rank, self.canonical.coeffs
+        if len(gram) != rank or any(len(row) != rank for row in gram):
             raise DimensionError("Gram matrix shape does not match the rank")
-        for i in range(self.rank):
-            for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise LatticeCorruptionError("Gram matrix is not symmetric")
-        if len(self.canonical.coeffs) != self.rank:
+        if tuple(zip(*gram)) != tuple(map(tuple, gram)):
+            raise LatticeCorruptionError("Gram matrix is not symmetric")
+        if len(k) != rank:
             raise DimensionError("canonical class length does not match the rank")
+        h = rank
+        while h and gram[h - 1][h - 1] == -1 and gram[h - 1].count(0) == rank - 1:
+            h -= 1
+        # G = (G + I) - I, and G + I vanishes outside the h x h head block
+        head = []
+        for i in range(h):
+            row = gram[i]
+            for j in range(h):
+                g = row[j] + (i == j)
+                if g:
+                    head.append((i, j, g))
+        kg = list(map(neg, k))
+        for i, j, g in head:
+            kg[j] += k[i] * g
+        object.__setattr__(self, "_head", tuple(head))
+        object.__setattr__(self, "_kg", tuple(kg))
 
-    @cached_property
-    def _pairs(self) -> tuple[tuple[int, int, int], ...]:
-        # nonzero Gram entries; the built-in forms are sparse, so the pairing
-        # below runs in O(rank) rather than O(rank^2)
-        return tuple(
-            (i, j, g)
-            for i, row in enumerate(self.gram)
-            for j, g in enumerate(row)
-            if g != 0
-        )
-
-    def _check(self, d: DivisorClass) -> None:
-        if len(d.coeffs) != self.rank:
+    def _check(self, d: DivisorClass) -> tuple[int, ...]:
+        c = d.coeffs
+        if len(c) != self.rank:
             raise DimensionError(
-                f"class of length {len(d.coeffs)} on a lattice of rank {self.rank}"
+                f"class of length {len(c)} on a lattice of rank {self.rank}"
             )
+        return c
+
+    def _pair(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+        total = -sum(map(mul, a, b))
+        for i, j, g in self._head:
+            total += a[i] * g * b[j]
+        return total
+
+    def _square_and_canonical(self, d: DivisorClass) -> tuple[int, int]:
+        """(D.D, K.D) with one length check."""
+        c = self._check(d)
+        return self._pair(c, c), sum(map(mul, self._kg, c))
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass) -> int:
         """Intersection number D1.D2, bilinear and symmetric."""
-        self._check(d1)
-        self._check(d2)
-        a, b = d1.coeffs, d2.coeffs
-        return sum(a[i] * g * b[j] for i, j, g in self._pairs)
+        return self._pair(self._check(d1), self._check(d2))
 
     def self_intersection(self, d: DivisorClass) -> int:
-        return self.intersect(d, d)
+        c = self._check(d)
+        return self._pair(c, c)
 
     def canonical_pairing(self, d: DivisorClass) -> int:
         """K.D for the distinguished canonical class K."""
-        return self.intersect(self.canonical, d)
+        return sum(map(mul, self._kg, self._check(d)))
 
     def arithmetic_genus(self, d: DivisorClass) -> int:
         """Adjunction genus p_a(D) = 1 + (D.D + K.D)/2.
@@ -200,7 +240,8 @@ class SurfaceLattice:
         the Gram data was edited into an inconsistent state and is reported
         as corruption rather than rounded away.
         """
-        total = self.self_intersection(d) + self.canonical_pairing(d)
+        dd, kd = self._square_and_canonical(d)
+        total = dd + kd
         if total % 2 != 0:
             raise LatticeCorruptionError(
                 f"D.D + K.D = {total} is odd; the lattice data is corrupt"
@@ -209,7 +250,8 @@ class SurfaceLattice:
 
     def euler_characteristic(self, d: DivisorClass) -> int:
         """chi(O(D)) = 1 + (D.D - K.D)/2 on a rational surface."""
-        total = self.self_intersection(d) - self.canonical_pairing(d)
+        dd, kd = self._square_and_canonical(d)
+        total = dd - kd
         if total % 2 != 0:
             raise LatticeCorruptionError(
                 f"D.D - K.D = {total} is odd; the lattice data is corrupt"
@@ -224,10 +266,11 @@ class SurfaceLattice:
         class alone, so both are left to the caller; with
         ``warn_unverified=True`` a warning is emitted when chi(K - D) > 0,
         i.e. when the Euler characteristic itself cannot rule out sections
-        of K - D.
+        of K - D.  By bilinearity chi(K - D) = 1 + (D.D - K.D)/2 = chi(D) for
+        any symmetric form, so no class K - D is built.
         """
         chi = self.euler_characteristic(d)
-        if warn_unverified and self.euler_characteristic(self.canonical - d) > 0:
+        if warn_unverified and chi > 0:
             warnings.warn(
                 "chi(K - D) > 0: the lower bound assumes h^0(K - D) = 0, "
                 "which this computation cannot certify",
@@ -237,10 +280,10 @@ class SurfaceLattice:
         return max(0, chi)
 
     def zero_class(self) -> DivisorClass:
-        return DivisorClass((0,) * self.rank)
+        return _exact_class((0,) * self.rank)
 
     def basis_class(self, index: int) -> DivisorClass:
-        return DivisorClass(tuple(1 if i == index else 0 for i in range(self.rank)))
+        return _exact_class(tuple(1 if i == index else 0 for i in range(self.rank)))
 
     def to_json_dict(self) -> dict:
         doc: dict = {"family": self.family.value}
@@ -249,6 +292,17 @@ class SurfaceLattice:
         if self.r is not None:
             doc["r"] = self.r
         return doc
+
+
+def _head_plus_minus_identity(
+    head: tuple[tuple[int, ...], ...], rank: int
+) -> tuple[tuple[int, ...], ...]:
+    """Gram rows of head (+) (-I) of the given rank, all cut from one zero tuple."""
+    h = len(head)
+    zero = (0,) * rank
+    return tuple(row + zero[h:] for row in head) + tuple(
+        zero[:i] + (-1,) + zero[i + 1 :] for i in range(h, rank)
+    )
 
 
 def hirzebruch_lattice(n: int) -> SurfaceLattice:
@@ -263,7 +317,7 @@ def hirzebruch_lattice(n: int) -> SurfaceLattice:
         rank=2,
         gram=((-n, 1), (1, 0)),
         basis_labels=(f"C{n}", "F"),
-        canonical=DivisorClass((-2, -(n + 2))),
+        canonical=_exact_class((-2, -(n + 2))),
     )
 
 
@@ -276,18 +330,14 @@ def blowup_p2_lattice(r: int) -> SurfaceLattice:
     if r < 0:
         raise InvalidParameterError(f"number of blown-up points must be >= 0, got {r}")
     rank = 1 + r
-    gram = tuple(
-        tuple((1 if i == 0 else -1) if i == j else 0 for j in range(rank))
-        for i in range(rank)
-    )
     return SurfaceLattice(
         family=Family.BLOWUP_P2,
         n=None,
         r=r,
         rank=rank,
-        gram=gram,
+        gram=_head_plus_minus_identity(((1,),), rank),
         basis_labels=("H",) + tuple(f"E{i}" for i in range(1, r + 1)),
-        canonical=DivisorClass((-3,) + (1,) * r),
+        canonical=_exact_class((-3,) + (1,) * r),
     )
 
 
@@ -303,24 +353,14 @@ def blowup_hirzebruch_lattice(n: int, r: int) -> SurfaceLattice:
     if r < 0:
         raise InvalidParameterError(f"number of blown-up points must be >= 0, got {r}")
     rank = 2 + r
-    head = ((-n, 1), (1, 0))
-    gram = tuple(
-        tuple(
-            head[i][j]
-            if i < 2 and j < 2
-            else (-1 if i == j else 0)
-            for j in range(rank)
-        )
-        for i in range(rank)
-    )
     return SurfaceLattice(
         family=Family.BLOWUP_HIRZEBRUCH,
         n=n,
         r=r,
         rank=rank,
-        gram=gram,
+        gram=_head_plus_minus_identity(((-n, 1), (1, 0)), rank),
         basis_labels=(f"C{n}", "F") + tuple(f"E{i}" for i in range(1, r + 1)),
-        canonical=DivisorClass((-2, -(n + 2)) + (1,) * r),
+        canonical=_exact_class((-2, -(n + 2)) + (1,) * r),
     )
 
 
@@ -363,10 +403,9 @@ def basis_change_f1_to_p2(lattice: SurfaceLattice, d: DivisorClass) -> DivisorCl
     """
     if lattice.family is not Family.HIRZEBRUCH or lattice.n != 1:
         raise FamilyError("source lattice must be the Hirzebruch lattice with n = 1")
-    lattice._check(d)
-    a, b = d.coeffs
+    a, b = lattice._check(d)
     # a*E_1 + b*(H - E_1) = b*H + (a - b)*E_1
-    return DivisorClass((b, a - b))
+    return _exact_class((b, a - b))
 
 
 def basis_change_blf0_to_p2(lattice: SurfaceLattice, d: DivisorClass) -> DivisorClass:
@@ -383,9 +422,8 @@ def basis_change_blf0_to_p2(lattice: SurfaceLattice, d: DivisorClass) -> Divisor
         raise FamilyError(
             "source lattice must be the blowup of the Hirzebruch surface with n = 0 at one point"
         )
-    lattice._check(d)
-    c, f, e = d.coeffs
-    return DivisorClass((c + f + e, -(f + e), -(c + e)))
+    c, f, e = lattice._check(d)
+    return _exact_class((c + f + e, -(f + e), -(c + e)))
 
 
 def _square_constrained_vectors(
@@ -439,7 +477,7 @@ def enumerate_negative_rational_classes(
         target_sum = 3 * d - 2 - self_int
         target_sq = d * d - self_int
         for ms in _square_constrained_vectors(r, target_sum, target_sq, degree_bound):
-            cls = DivisorClass((d,) + tuple(-m for m in ms))
+            cls = _exact_class((d,) + tuple(map(neg, ms)))
             # authoritative filter straight from the contract; the search
             # above cannot produce anything else, but the pairing decides
             if lattice.self_intersection(cls) != self_int:

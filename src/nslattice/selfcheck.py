@@ -33,6 +33,7 @@ from .hirzebruch import (
 from .lattice import (
     DivisorClass,
     SurfaceLattice,
+    _exact_class,
     basis_change_blf0_to_p2,
     basis_change_f1_to_p2,
     blowup_hirzebruch_lattice,
@@ -194,7 +195,10 @@ def _random_lattice(rng: random.Random, cfg: SelfcheckConfig, kind: int) -> Surf
 
 
 def _random_class(rng: random.Random, rank: int, bound: int) -> DivisorClass:
-    return DivisorClass(tuple(rng.randint(-bound, bound) for _ in range(rank)))
+    # one randint call per coefficient, in order, so the classes drawn never
+    # change; randint returns plain ints, so no coefficient check is needed
+    randint = rng.randint
+    return _exact_class(tuple([randint(-bound, bound) for _ in range(rank)]))
 
 
 def check_adjunction_parity(cfg: SelfcheckConfig) -> CheckResult:

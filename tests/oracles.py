@@ -161,3 +161,8 @@ def fraction_determinant(gram):
                 m[i][j] -= f * m[k][j]
     assert det.denominator == 1
     return int(det)
+
+
+def gram_pairing(gram, x, y):
+    """sum_i sum_j x_i G_ij y_j over every entry of the Gram matrix."""
+    return sum(x[i] * g * y[j] for i, row in enumerate(gram) for j, g in enumerate(row))
