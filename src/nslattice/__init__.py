@@ -66,9 +66,20 @@ from .blowup import (
     nef_against_witnesses,
     witness_from_json,
 )
-from .selfcheck import CheckResult, SelfcheckConfig, run_selfcheck
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: the selfcheck module is imported on first use, so that
+    # importing the package, and so every CLI call, does not pay for it
+    if name in ("selfcheck", "CheckResult", "SelfcheckConfig", "run_selfcheck"):
+        import importlib
+
+        selfcheck = importlib.import_module(f"{__name__}.selfcheck")
+        return selfcheck if name == "selfcheck" else getattr(selfcheck, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CheckResult",

@@ -50,7 +50,6 @@ from .lattice import (
     json_object,
     lattice_from_json,
 )
-from .selfcheck import SelfcheckConfig, run_selfcheck
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -209,6 +208,9 @@ def cmd_blowup_lemma_move(inputs):
 
 
 def cmd_selfcheck(inputs):
+    # imported here, so that no other subcommand pays for it
+    from .selfcheck import SelfcheckConfig, run_selfcheck
+
     if not inputs and os.environ.get(CONFIG_ENV):
         inputs = _read_json(os.environ[CONFIG_ENV])
     results = run_selfcheck(SelfcheckConfig.from_json_dict(inputs))

@@ -164,6 +164,13 @@ class SurfaceLattice:
 
     which is exact for any symmetric integer Gram matrix and costs
     O(h^2 + rank).  K.D is the dot product of D with the precomputed row K.G.
+
+    The pairing reads only the h x h head block, and each of its entries must
+    be an ``int``: a float or a bool raises ``LatticeCorruptionError``.  The
+    other entries need no check.  By the choice of ``h`` each of them equals
+    0, or -1 on the diagonal (an entry of any other value puts its row and
+    column into the head), and they are only compared, never read, so every
+    result stays an exact int.
     """
 
     family: Family
@@ -193,7 +200,12 @@ class SurfaceLattice:
         for i in range(h):
             row = gram[i]
             for j in range(h):
-                g = row[j] + (i == j)
+                g = row[j]
+                if type(g) is not int:
+                    raise LatticeCorruptionError(
+                        f"Gram entry ({i}, {j}) is {g!r}, not an integer"
+                    )
+                g += i == j
                 if g:
                     head.append((i, j, g))
         kg = list(map(neg, k))
@@ -283,6 +295,10 @@ class SurfaceLattice:
         return _exact_class((0,) * self.rank)
 
     def basis_class(self, index: int) -> DivisorClass:
+        if not 0 <= index < self.rank:
+            raise InvalidParameterError(
+                f"basis index {index} is out of range for rank {self.rank}"
+            )
         return _exact_class(tuple(1 if i == index else 0 for i in range(self.rank)))
 
     def to_json_dict(self) -> dict:

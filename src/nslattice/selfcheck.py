@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 from typing import Callable
 
 from .blowup import (
@@ -184,30 +185,65 @@ def check_anticanonical_sweep(cfg: SelfcheckConfig) -> CheckResult:
     )
 
 
-def _random_lattice(rng: random.Random, cfg: SelfcheckConfig, kind: int) -> SurfaceLattice:
-    if kind == 0:
-        return hirzebruch_lattice(rng.randint(0, cfg.family_n_max))
-    if kind == 1:
-        return blowup_p2_lattice(rng.randint(0, cfg.family_r_max))
-    return blowup_hirzebruch_lattice(
-        rng.randint(0, cfg.family_n_max), rng.randint(0, cfg.family_r_max)
+def _random_class(rng: random.Random, rank: int, bound: int) -> DivisorClass:
+    """The class of ``rank`` calls of ``rng.randint(-bound, bound)``, made cheaply.
+
+    On CPython ``randint(-b, b)`` is ``-b + _randbelow(2b + 1)``, and
+    ``_randbelow`` is ``Random._randbelow_with_getrandbits``: draw
+    ``m.bit_length()`` bits until the value is below m.  The loop below is
+    that function inlined, so it makes the same ``getrandbits`` calls in the
+    same order: the classes drawn and the generator state after them never
+    change.  The draws are plain ints, so no coefficient check is needed.
+    """
+    m = 2 * bound + 1
+    if m <= 0:
+        raise ValueError(f"empty range for a coefficient bound of {bound}")
+    getrandbits = rng.getrandbits
+    k = m.bit_length()
+    coeffs = []
+    for _ in range(rank):
+        x = getrandbits(k)
+        while x >= m:
+            x = getrandbits(k)
+        coeffs.append(x - bound)
+    return _exact_class(tuple(coeffs))
+
+
+def _family_tables(
+    cfg: SelfcheckConfig,
+) -> tuple[list[SurfaceLattice], list[SurfaceLattice], list[list[SurfaceLattice]]]:
+    """Every built-in lattice in the configured ranges, each built once:
+    F_n by n, Bl_r P^2 by r, and Bl_r F_n by n, then r."""
+    ns, rs = range(cfg.family_n_max + 1), range(cfg.family_r_max + 1)
+    return (
+        [hirzebruch_lattice(n) for n in ns],
+        [blowup_p2_lattice(r) for r in rs],
+        [[blowup_hirzebruch_lattice(n, r) for r in rs] for n in ns],
     )
 
 
-def _random_class(rng: random.Random, rank: int, bound: int) -> DivisorClass:
-    # one randint call per coefficient, in order, so the classes drawn never
-    # change; randint returns plain ints, so no coefficient check is needed
-    randint = rng.randint
-    return _exact_class(tuple([randint(-bound, bound) for _ in range(rank)]))
+def _family_sweep(cfg: SelfcheckConfig) -> list[SurfaceLattice]:
+    hirzebruch, plane, blown_up = _family_tables(cfg)
+    return [*hirzebruch, *plane, *chain.from_iterable(blown_up)]
 
 
 def check_adjunction_parity(cfg: SelfcheckConfig) -> CheckResult:
     """D.D + K.D is even for every class on every built-in lattice."""
     rng = random.Random(cfg.seed)
+    randint = rng.randint
+    n_max, r_max = cfg.family_n_max, cfg.family_r_max
+    hirzebruch, plane, blown_up = _family_tables(cfg)
+    # one lattice draw per class, by the randint calls that pick the
+    # factory's arguments: n before r on Bl_r F_n
+    draws = (
+        lambda: hirzebruch[randint(0, n_max)],
+        lambda: plane[randint(0, r_max)],
+        lambda: blown_up[randint(0, n_max)][randint(0, r_max)],
+    )
     failures = []
-    for kind in range(3):
+    for draw in draws:
         for _ in range(cfg.random_classes):
-            lat = _random_lattice(rng, cfg, kind)
+            lat = draw()
             d = _random_class(rng, lat.rank, cfg.random_coeff_bound)
             total = lat.self_intersection(d) + lat.canonical_pairing(d)
             if total % 2 != 0:
@@ -215,16 +251,6 @@ def check_adjunction_parity(cfg: SelfcheckConfig) -> CheckResult:
     return _result(
         "adjunction_parity", failures, f"{3 * cfg.random_classes} random classes checked"
     )
-
-
-def _family_sweep(cfg: SelfcheckConfig):
-    for n in range(cfg.family_n_max + 1):
-        yield hirzebruch_lattice(n)
-    for r in range(cfg.family_r_max + 1):
-        yield blowup_p2_lattice(r)
-    for n in range(cfg.family_n_max + 1):
-        for r in range(cfg.family_r_max + 1):
-            yield blowup_hirzebruch_lattice(n, r)
 
 
 def check_lattice_invariants(cfg: SelfcheckConfig) -> CheckResult:
@@ -370,13 +396,22 @@ def check_negative_curve_adjunction(cfg: SelfcheckConfig) -> CheckResult:
     """For p_a = 0 classes, self-int = -2 - K.D; K.D >= 1 then forces <= -3."""
     rng = random.Random(cfg.seed + 2)
     failures = []
-    pool = list(_family_sweep(cfg))
+    pool = _family_sweep(cfg)
+    size = len(pool)
+    if not size and cfg.random_classes > 0:
+        raise ValueError("no lattice in the configured family ranges")
+    # rng.randrange(size), inlined as in _random_class
+    getrandbits = rng.getrandbits
+    k = size.bit_length()
     accepted = 0
     attempts = 0
     cap = cfg.random_classes * 500
     while accepted < cfg.random_classes and attempts < cap:
         attempts += 1
-        lat = pool[rng.randrange(len(pool))]
+        i = getrandbits(k)
+        while i >= size:
+            i = getrandbits(k)
+        lat = pool[i]
         d = _random_class(rng, lat.rank, 4)
         if lat.arithmetic_genus(d) != 0:
             continue

@@ -3,12 +3,14 @@
 Everything here recomputes library results by a different route: symbolic
 bilinear expansion instead of Gram-matrix products, exhaustive generator sums
 instead of inequality tests, multiset enumeration with multinomial counting
-instead of the pruned lexicographic search, and rational elimination instead
-of integer congruence reduction.  None of it imports the package.
+instead of the pruned lexicographic search, rational elimination instead of
+integer congruence reduction, and plain randint/randrange calls instead of
+the selfcheck's inlined sampler.  None of it imports the package.
 """
 
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -166,3 +168,50 @@ def fraction_determinant(gram):
 def gram_pairing(gram, x, y):
     """sum_i sum_j x_i G_ij y_j over every entry of the Gram matrix."""
     return sum(x[i] * g * y[j] for i, row in enumerate(gram) for j, g in enumerate(row))
+
+
+# -- the selfcheck's random draws, replayed with plain randint/randrange -----
+
+def family_rank(family, r):
+    """Rank of NS: 2 on F_n, 1 + r on Bl_r P^2, 2 + r on Bl_r F_n."""
+    if family == "hirzebruch":
+        return 2
+    return (1 if family == "blowup_p2" else 2) + r
+
+
+def replay_adjunction_parity_draws(seed, n_max, r_max, bound, per_family):
+    """The ((family, n, r), coeffs) draws of the adjunction-parity check.
+
+    ``per_family`` classes on F_n, then on Bl_r P^2, then on Bl_r F_n; each
+    lattice is drawn by randint for n, then r, and each coefficient by
+    randint(-bound, bound).  Returns the draws and the generator after them.
+    """
+    rng = random.Random(seed)
+    draws = []
+    for family in ("hirzebruch", "blowup_p2", "blowup_hirzebruch"):
+        for _ in range(per_family):
+            n = None if family == "blowup_p2" else rng.randint(0, n_max)
+            r = None if family == "hirzebruch" else rng.randint(0, r_max)
+            rank = family_rank(family, r)
+            draws.append(((family, n, r), tuple(rng.randint(-bound, bound) for _ in range(rank))))
+    return draws, rng
+
+
+def replay_negative_curve_draws(seed, n_max, r_max, attempts):
+    """The first ``attempts`` ((family, n, r), coeffs) draws of the
+    negative-curve check: a randrange pick from the pool (F_n by n, Bl_r P^2
+    by r, Bl_r F_n by n then r), then coefficients by randint(-4, 4).
+    Returns the draws and the generator after them."""
+    ns, rs = range(n_max + 1), range(r_max + 1)
+    pool = (
+        [("hirzebruch", n, None) for n in ns]
+        + [("blowup_p2", None, r) for r in rs]
+        + [("blowup_hirzebruch", n, r) for n in ns for r in rs]
+    )
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(attempts):
+        spec = pool[rng.randrange(len(pool))]
+        rank = family_rank(spec[0], spec[2])
+        draws.append((spec, tuple(rng.randint(-4, 4) for _ in range(rank))))
+    return draws, rng

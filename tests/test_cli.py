@@ -434,3 +434,17 @@ def test_enumerate_loop_reproduces_exceptional_counts(capsys):
         assert code == 0
         counts[r] = json.loads(out)["count"]
     assert counts == MINUS_ONE_COUNTS_BOUND_7
+
+
+def test_selfcheck_module_imported_on_first_use():
+    code = (
+        "import sys, nslattice.cli\n"
+        "print('nslattice.selfcheck' in sys.modules)\n"
+        "from nslattice import run_selfcheck\n"
+        "import nslattice\n"
+        "print(run_selfcheck is nslattice.selfcheck.run_selfcheck)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

@@ -14,6 +14,7 @@ from nslattice import (
     DivisorClass,
     Family,
     H0BoundAssumptionWarning,
+    InvalidParameterError,
     LatticeCorruptionError,
     SurfaceLattice,
     blowup_hirzebruch_lattice,
@@ -200,3 +201,35 @@ class TestRandomClassStream:
             DivisorClass([1.5])
         with pytest.raises(TypeError):
             DivisorClass((1,)) * 1.5
+
+
+class TestGramEntryTypes:
+    @pytest.mark.parametrize(
+        "gram",
+        [((1.5,),), ((1.0,),), ((True,),), ((1, 0.5), (0.5, -1)), ((0, 1), (1, 2.0))],
+    )
+    def test_non_integer_head_entry_rejected(self, gram):
+        with pytest.raises(LatticeCorruptionError, match="not an integer"):
+            hand_built(gram, (-3,) + (1,) * (len(gram) - 1))
+
+    def test_tail_entries_compared_by_value_only(self):
+        lat = hand_built(((1, 0.0, 0), (0.0, -1.0, 0), (0, 0, -1)), (-3, 1, 1))
+        assert lat == hand_built(((1, 0, 0), (0, -1, 0), (0, 0, -1)), (-3, 1, 1))
+        d = DivisorClass((2, 3, -1))
+        for value in (lat.self_intersection(d), lat.canonical_pairing(d), lat.arithmetic_genus(d)):
+            assert type(value) is int
+
+
+class TestBasisClassRange:
+    @pytest.mark.parametrize(
+        "lat",
+        [hirzebruch_lattice(3), blowup_p2_lattice(2), blowup_hirzebruch_lattice(1, 2)],
+        ids=["hirzebruch", "blowup_p2", "blowup_hirzebruch"],
+    )
+    def test_index_outside_the_basis_rejected(self, lat):
+        assert [lat.basis_class(i) for i in range(lat.rank)] == [
+            DivisorClass(tuple(int(i == j) for j in range(lat.rank))) for i in range(lat.rank)
+        ]
+        for index in (-1, lat.rank, 7):
+            with pytest.raises(InvalidParameterError):
+                lat.basis_class(index)
