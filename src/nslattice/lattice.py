@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import isqrt
 from operator import add, mul, neg, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DimensionError,
@@ -442,24 +442,77 @@ def basis_change_blf0_to_p2(lattice: SurfaceLattice, d: DivisorClass) -> Divisor
     return _exact_class((c + f + e, -(f + e), -(c + e)))
 
 
-def _square_constrained_vectors(
-    k: int, target_sum: int, target_sq: int, bound: int
-) -> Iterator[tuple[int, ...]]:
-    # all m in Z^k with sum(m) = target_sum, sum(m^2) = target_sq, |m_i| <= bound
-    if k == 0:
-        if target_sum == 0 and target_sq == 0:
-            yield ()
-        return
-    if target_sq < 0 or target_sq > k * bound * bound:
-        return
-    if target_sum * target_sum > k * target_sq:  # Cauchy-Schwarz infeasibility
-        return
-    top = min(bound, isqrt(target_sq))
-    for m in range(-top, top + 1):
-        for rest in _square_constrained_vectors(
-            k - 1, target_sum - m, target_sq - m * m, bound
-        ):
-            yield (m,) + rest
+# Work allowed for one enumeration: search nodes visited plus coefficients
+# emitted.  For r >= 9 there are infinitely many (-1)-classes, and the count
+# below any degree bound grows fast with r, so a request past this budget is
+# refused rather than run for hours or until memory runs out.
+ENUMERATION_BUDGET = 10_000_000
+
+
+def _square_constrained_vectors(r: int, self_int: int, bound: int) -> list[tuple[int, ...]]:
+    """Every (d, -m_1, .., -m_r) with 0 <= d <= bound, |m_i| <= bound,
+    sum m_i = 3d - 2 - self_int and sum m_i^2 = d^2 - self_int, unsorted; r >= 1.
+
+    An iterative depth-first search that fills one coordinate per level of an
+    explicit stack.  With j coordinates left, summing to s with squares
+    summing to q, the remaining j - 1 can take a sum s - m and a square sum
+    q - m^2 only if (s - m)^2 <= (j - 1)(q - m^2) (Cauchy-Schwarz), i.e. only if
+
+        |j m - s| <= isqrt((j - 1)(j q - s^2)),
+
+    so every child lies in that interval.  When j q = s^2 all j coordinates
+    equal s/j.  With two left, m_1 + m_2 = s and m_1^2 + m_2^2 = q force
+    m_{1,2} = (s +- u)/2 with u^2 = 2q - s^2 (u and s have the same parity).
+    Raises InvalidParameterError once the nodes visited plus the coefficients
+    emitted exceed ENUMERATION_BUDGET.
+    """
+    found: list[tuple[int, ...]] = []
+    budget = ENUMERATION_BUDGET
+    width = r + 1
+    vec = [0] * width
+    for d in range(bound + 1):
+        budget -= 1
+        s0, q0 = 3 * d - 2 - self_int, d * d - self_int
+        feasible = s0 * s0 <= r * q0
+        # f(d) = s0^2 - r q0 is convex in d for r <= 9 (linear at 9), so once
+        # f > 0 and f' = 2(3 s0 - r d) >= 0 no larger degree is feasible
+        if not feasible and r <= 9 and 3 * s0 >= r * d:
+            break
+        # an entry (i, e, s, q): coordinate i - 1 is e; positions i..r, j of
+        # them, still have to sum to s with squares summing to q
+        stack = [(1, d, s0, q0)] if feasible else []
+        while stack and budget >= 0:
+            i, e, s, q = stack.pop()
+            vec[i - 1] = e
+            j = width - i
+            t = j * q - s * s
+            if t == 0:
+                m, rem = divmod(s, j)
+                if not rem and -bound <= m <= bound:
+                    vec[i:] = [-m] * j
+                    found.append(tuple(vec))
+                    budget -= width
+            elif j == 2:
+                u = isqrt(t)
+                if u * u == t and s + u <= 2 * bound and s - u >= -2 * bound:
+                    m1, m2 = (s + u) // 2, (s - u) // 2
+                    vec[i], vec[i + 1] = -m1, -m2
+                    found.append(tuple(vec))
+                    vec[i], vec[i + 1] = -m2, -m1
+                    found.append(tuple(vec))
+                    budget -= 2 * width
+            elif j > 2:
+                w = isqrt((j - 1) * t)
+                lo, hi = max(-bound, (s - w + j - 1) // j), min(bound, (s + w) // j)
+                if lo <= hi:
+                    stack.extend([(i + 1, -m, s - m, q - m * m) for m in range(lo, hi + 1)])
+                    budget -= hi - lo + 1
+        if budget < 0:
+            raise InvalidParameterError(
+                f"enumeration exceeds its work budget of {ENUMERATION_BUDGET:,} "
+                "search nodes and coefficients; lower r or the degree bound"
+            )
+    return found
 
 
 def enumerate_negative_rational_classes(
@@ -478,6 +531,9 @@ def enumerate_negative_rational_classes(
     Cauchy-Schwarz gives (sum m_i)^2 <= r * sum m_i^2; for self_int = -1 and
     r <= 8 this reads (3d - 1)^2 <= 8(d^2 + 1), i.e. (d - 7)(d + 1) <= 0, so
     every solution has d <= 7 and a degree bound of 7 is provably complete.
+
+    The search is bounded by ENUMERATION_BUDGET; a request beyond it raises
+    InvalidParameterError.
     """
     if lattice.family is not Family.BLOWUP_P2:
         raise FamilyError("enumeration is defined on blowups of the plane only")
@@ -489,19 +545,17 @@ def enumerate_negative_rational_classes(
     if r == 0:
         return []
     found: list[DivisorClass] = []
-    for d in range(degree_bound + 1):
-        target_sum = 3 * d - 2 - self_int
-        target_sq = d * d - self_int
-        for ms in _square_constrained_vectors(r, target_sum, target_sq, degree_bound):
-            cls = _exact_class((d,) + tuple(map(neg, ms)))
-            # authoritative filter straight from the contract; the search
-            # above cannot produce anything else, but the pairing decides
-            if lattice.self_intersection(cls) != self_int:
-                continue
-            if lattice.arithmetic_genus(cls) != 0:
-                continue
+    for coeffs in sorted(_square_constrained_vectors(r, self_int, degree_bound)):
+        cls = _exact_class(coeffs)
+        # authoritative filter straight from the contract; the search above
+        # cannot produce anything else, but the lattice's own pairing decides
+        dd, kd = lattice._square_and_canonical(cls)
+        if (dd + kd) % 2 != 0:
+            raise LatticeCorruptionError(
+                f"D.D + K.D = {dd + kd} is odd; the lattice data is corrupt"
+            )
+        if dd == self_int and dd + kd == -2:
             found.append(cls)
-    found.sort(key=lambda c: c.coeffs)
     return found
 
 

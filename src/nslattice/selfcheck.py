@@ -73,7 +73,12 @@ class SelfcheckConfig:
         unknown = set(json_object(doc, "selfcheck config")) - {f.name for f in fields(cls)}
         if unknown:
             raise InputError(f"unknown selfcheck config keys: {sorted(unknown)}")
-        return replace(cls(), **{k: json_int(v, k) for k, v in doc.items()})
+        values = {k: json_int(v, k) for k, v in doc.items()}
+        for k, v in values.items():
+            # every field but the seed is a bound, a range end or a count
+            if v < 0 and k != "seed":
+                raise InputError(f"selfcheck config {k} must be >= 0, got {v}")
+        return replace(cls(), **values)
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

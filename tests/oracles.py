@@ -68,6 +68,17 @@ def direct_negative_rational_classes(r, self_int, dmax):
     return out
 
 
+def box_negative_rational_classes(r, self_int, bound):
+    """Every (d, e_1..e_r) with 0 <= d <= bound and |e_i| <= bound that has the
+    given self-intersection and genus zero, tried one by one; sorted."""
+    box = range(-bound, bound + 1)
+    return sorted(
+        c
+        for c in itertools.product(range(bound + 1), *[box] * r)
+        if pairing_blowup_p2(c, c) == self_int and genus_blowup_p2(c) == 0
+    )
+
+
 def count_negative_rational_classes(r, self_int, dmax):
     """Count classes d*H - sum m_i E_i with the given self-intersection and
     genus zero by enumerating value multisets and counting their arrangements.

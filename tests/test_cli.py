@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -448,3 +449,41 @@ def test_selfcheck_module_imported_on_first_use():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_enumerate_over_budget_is_domain_error():
+    # at r = 2000 the search used to recurse once per coordinate and die in
+    # RecursionError; d = 1 alone has 1,999,000 classes of 2,001 coefficients
+    argv = ["enumerate", "--r", "2000", "--self-int=-1", "--degree-bound", "1"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nslattice", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("nslattice: ") and proc.stderr.count("\n") == 1
+    assert "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # ru_maxrss is in KiB on Linux; the rank-2001 Gram matrix alone is about 77 MB
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 512 * 1024
+
+
+NEGATIVE_SELFCHECK = {
+    "random-coeff-bound": {"random_coeff_bound": -1},
+    "family-n-max": {"family_n_max": -1},
+}
+
+
+@pytest.mark.parametrize("payload", NEGATIVE_SELFCHECK.values(), ids=NEGATIVE_SELFCHECK.keys())
+def test_negative_selfcheck_config_is_usage_error(capsys, tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, ["selfcheck", "--json", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("nslattice: ") and err.count("\n") == 1
+    assert next(iter(payload)) in err

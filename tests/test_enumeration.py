@@ -1,0 +1,94 @@
+"""The (-n)-class enumeration against a search of the whole box, and the work
+budget that bounds it."""
+
+import dataclasses
+
+import pytest
+
+import oracles
+from nslattice import (
+    DivisorClass,
+    InvalidParameterError,
+    LatticeCorruptionError,
+    blowup_p2_lattice,
+    enumerate_negative_rational_classes,
+    lattice,
+)
+from nslattice.errors import InputError
+
+SELF_INTS = (-1, -2, -3, -4)
+
+
+def coeffs_of(r, self_int, bound):
+    found = enumerate_negative_rational_classes(blowup_p2_lattice(r), self_int, bound)
+    return [cls.coeffs for cls in found]
+
+
+@pytest.mark.parametrize("bound", (1, 2, 3))
+@pytest.mark.parametrize("r", range(6))
+def test_equals_box_search(r, bound):
+    for self_int in SELF_INTS:
+        assert coeffs_of(r, self_int, bound) == oracles.box_negative_rational_classes(
+            r, self_int, bound
+        )
+
+
+@pytest.mark.parametrize("r", range(13))
+def test_bound_one_matches_multiset_count_in_increasing_order(r):
+    for self_int in SELF_INTS:
+        got = coeffs_of(r, self_int, 1)
+        assert len(got) == oracles.count_negative_rational_classes(r, self_int, 1)
+        assert all(a < b for a, b in zip(got, got[1:]))
+        for c in got:
+            assert oracles.pairing_blowup_p2(c, c) == self_int
+            assert oracles.genus_blowup_p2(c) == 0
+            assert c[0] in (0, 1) and all(abs(e) <= 1 for e in c[1:])
+
+
+def test_degrees_past_an_infeasible_stretch_are_found():
+    # at r = 10, self_int = -5 Cauchy-Schwarz fails for d = 3..15 only, and
+    # d = 16 has the ten classes 16H - 6E_i - 5(sum of the other E_j)
+    got = coeffs_of(10, -5, 17)
+    assert len(got) == oracles.count_negative_rational_classes(10, -5, 17)
+    assert sum(c[0] == 16 for c in got) == 10
+
+
+def test_corrupt_plane_lattice_raises():
+    # K = -3H + E_1 + E_2 + 2E_3 makes D.D + K.D odd for E_3 and every class
+    # with e_3 odd
+    lat = dataclasses.replace(blowup_p2_lattice(3), canonical=DivisorClass((-3, 1, 1, 2)))
+    with pytest.raises(LatticeCorruptionError):
+        enumerate_negative_rational_classes(lat, -1, 7)
+
+
+def test_over_budget_is_a_domain_error(monkeypatch):
+    # (-1)-classes at r = 8, bound 7 take about 2,500 units of work
+    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", 1_000)
+    with pytest.raises(InvalidParameterError, match="budget") as info:
+        enumerate_negative_rational_classes(blowup_p2_lattice(8), -1, 7)
+    # a domain error (exit 1), not a malformed input (exit 2)
+    assert not isinstance(info.value, InputError)
+
+
+# finitely many classes: Cauchy-Schwarz bounds the degree for r <= 8, and at
+# r = 9 for self_int <= -3 only
+FINITE = [(r, s) for r in range(1, 10) for s in SELF_INTS if r <= 8 or s <= -3]
+
+
+@pytest.mark.parametrize("r,self_int", FINITE)
+def test_huge_degree_bound_stops_at_the_cauchy_schwarz_limit(r, self_int):
+    # the degrees past the limit are never tried, so they cost no budget
+    assert coeffs_of(r, self_int, 10**12) == coeffs_of(r, self_int, 60)
+
+
+# every cell of the benchmark sweep, and the selfcheck's stability run at bound 12
+KNOWN_REQUESTS = [(r, s, 7 if r <= 9 else 5) for s in (-1, -2) for r in range(1, 11)] + [
+    (r, -1, 12) for r in range(1, 9)
+]
+
+
+def test_known_requests_stay_well_inside_the_budget(monkeypatch):
+    # the largest, (-1)-classes at r = 10 and bound 5, takes about 124,000 units
+    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", lattice.ENUMERATION_BUDGET // 50)
+    for r, self_int, bound in KNOWN_REQUESTS:
+        enumerate_negative_rational_classes(blowup_p2_lattice(r), self_int, bound)
