@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import operator
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from math import isqrt
+from math import factorial, isqrt
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
@@ -442,29 +443,47 @@ def basis_change_blf0_to_p2(lattice: SurfaceLattice, d: DivisorClass) -> Divisor
     return _exact_class((c + f + e, -(f + e), -(c + e)))
 
 
-# Work allowed for one enumeration: search nodes visited plus coefficients
-# emitted.  For r >= 9 there are infinitely many (-1)-classes, and the count
-# below any degree bound grows fast with r, so a request past this budget is
-# refused rather than run for hours or until memory runs out.
+# Work allowed for one enumeration: search nodes visited plus the coefficients
+# of every class to be listed.  For r >= 9 there are infinitely many
+# (-1)-classes, and the count below any degree bound grows fast with r, so a
+# request past this budget is refused rather than run for hours or until
+# memory runs out.
 ENUMERATION_BUDGET = 10_000_000
 
 
+def _arrangement_count(values: Sequence[int]) -> int:
+    """The number of distinct arrangements of ``values``, len! / prod count_v!."""
+    count = factorial(len(values))
+    for c in Counter(values).values():
+        count //= factorial(c)
+    return count
+
+
 def _square_constrained_vectors(r: int, self_int: int, bound: int) -> list[tuple[int, ...]]:
-    """Every (d, -m_1, .., -m_r) with 0 <= d <= bound, |m_i| <= bound,
-    sum m_i = 3d - 2 - self_int and sum m_i^2 = d^2 - self_int, unsorted; r >= 1.
+    """One vector (d, -m_1, .., -m_r) per S_r orbit of the solutions of
+    0 <= d <= bound, |m_i| <= bound, sum m_i = 3d - 2 - self_int and
+    sum m_i^2 = d^2 - self_int, namely the one with m_1 >= .. >= m_r; r >= 1.
 
     An iterative depth-first search that fills one coordinate per level of an
     explicit stack.  With j coordinates left, summing to s with squares
     summing to q, the remaining j - 1 can take a sum s - m and a square sum
     q - m^2 only if (s - m)^2 <= (j - 1)(q - m^2) (Cauchy-Schwarz), i.e. only if
 
-        |j m - s| <= isqrt((j - 1)(j q - s^2)),
+        |j m - s| <= isqrt((j - 1)(j q - s^2)).
 
-    so every child lies in that interval.  When j q = s^2 all j coordinates
+    The child m is the largest of the j, so it is at least their mean s/j
+    and at most the coordinate before it: every child lies in that interval,
+    between ceil(s/j) (never below the interval's lower end) and the
+    previous m.  When j q = s^2 all j coordinates
     equal s/j.  With two left, m_1 + m_2 = s and m_1^2 + m_2^2 = q force
-    m_{1,2} = (s +- u)/2 with u^2 = 2q - s^2 (u and s have the same parity).
-    Raises InvalidParameterError once the nodes visited plus the coefficients
-    emitted exceed ENUMERATION_BUDGET.
+    m_1 = (s + u)/2 >= m_2 = (s - u)/2 with u^2 = 2q - s^2 (u and s have the
+    same parity).
+
+    A budget unit is one search node (a degree tried or a child pushed) or
+    one coefficient of a class in a found orbit: an orbit whose m take the
+    value v c_v times holds r!/prod c_v! classes of r + 1 coefficients each.
+    Every orbit is charged as it is found, before any class is built, and
+    InvalidParameterError is raised once the total exceeds ENUMERATION_BUDGET.
     """
     found: list[tuple[int, ...]] = []
     budget = ENUMERATION_BUDGET
@@ -484,26 +503,24 @@ def _square_constrained_vectors(r: int, self_int: int, bound: int) -> list[tuple
         while stack and budget >= 0:
             i, e, s, q = stack.pop()
             vec[i - 1] = e
+            cap = -e if i > 1 else bound
             j = width - i
             t = j * q - s * s
             if t == 0:
                 m, rem = divmod(s, j)
-                if not rem and -bound <= m <= bound:
+                if not rem and -bound <= m <= cap:
                     vec[i:] = [-m] * j
                     found.append(tuple(vec))
-                    budget -= width
+                    budget -= width * _arrangement_count(vec[1:])
             elif j == 2:
                 u = isqrt(t)
-                if u * u == t and s + u <= 2 * bound and s - u >= -2 * bound:
-                    m1, m2 = (s + u) // 2, (s - u) // 2
-                    vec[i], vec[i + 1] = -m1, -m2
+                if u * u == t and s + u <= 2 * cap and s - u >= -2 * bound:
+                    vec[i], vec[i + 1] = -(s + u) // 2, (u - s) // 2
                     found.append(tuple(vec))
-                    vec[i], vec[i + 1] = -m2, -m1
-                    found.append(tuple(vec))
-                    budget -= 2 * width
+                    budget -= width * _arrangement_count(vec[1:])
             elif j > 2:
                 w = isqrt((j - 1) * t)
-                lo, hi = max(-bound, (s - w + j - 1) // j), min(bound, (s + w) // j)
+                lo, hi = max(-bound, -(-s // j)), min(cap, (s + w) // j)
                 if lo <= hi:
                     stack.extend([(i + 1, -m, s - m, q - m * m) for m in range(lo, hi + 1)])
                     budget -= hi - lo + 1
@@ -515,14 +532,54 @@ def _square_constrained_vectors(r: int, self_int: int, bound: int) -> list[tuple
     return found
 
 
+def _extend_by_arrangements(out: list[tuple[int, ...]], vec: tuple[int, ...]) -> None:
+    """Append (d, e_1..e_r) for every distinct arrangement of the sorted
+    e_1 <= .. <= e_r of ``vec``, in increasing lexicographic order.
+
+    Knuth, TAOCP 4A, 7.2.1.2, Algorithm L: find the last j with e_j < e_{j+1},
+    swap e_j with the last e_l > e_j and reverse everything after j.
+    """
+    a = list(vec)
+    last = len(a) - 1
+    while True:
+        out.append(tuple(a))
+        j = last - 1
+        while j and a[j] >= a[j + 1]:
+            j -= 1
+        if not j:
+            return
+        aj, l = a[j], last
+        while aj >= a[l]:
+            l -= 1
+        a[j], a[l] = a[l], aj
+        a[j + 1 :] = a[:j:-1]
+
+
+def _check_permutation_invariant(lattice: SurfaceLattice) -> None:
+    """Raise LatticeCorruptionError unless permuting E_1..E_r preserves the
+    pairing and K, read off the head split and the row K.G."""
+    for i, j, _ in lattice._head:
+        if i or j:
+            raise LatticeCorruptionError(
+                f"Gram entry ({i}, {j}) breaks the symmetry of the E_i; "
+                "the lattice data is corrupt"
+            )
+    values = set(lattice._kg[1:])
+    if len(values) > 1:
+        raise LatticeCorruptionError(
+            f"K.E_i takes the values {sorted(values)}, which breaks the symmetry "
+            "of the E_i; the lattice data is corrupt"
+        )
+
+
 def enumerate_negative_rational_classes(
     lattice: SurfaceLattice, self_int: int, degree_bound: int
 ) -> list[DivisorClass]:
     """All classes d*H - sum m_i E_i of the given self-intersection and
     arithmetic genus zero, with 0 <= d <= degree_bound and |m_i| <= degree_bound.
 
-    Results are sorted lexicographically by coefficient vector, and
-    permutations of the E_i are listed individually (no orbit quotienting).
+    Results are sorted lexicographically by coefficient vector, and every
+    permutation of the E_i is listed as a class of its own.
 
     For C = dH - sum m_i E_i the two constraints pin the linear data:
         C.C = d^2 - sum m_i^2 = self_int,
@@ -532,8 +589,16 @@ def enumerate_negative_rational_classes(
     r <= 8 this reads (3d - 1)^2 <= 8(d^2 + 1), i.e. (d - 7)(d + 1) <= 0, so
     every solution has d <= 7 and a degree bound of 7 is provably complete.
 
-    The search is bounded by ENUMERATION_BUDGET; a request beyond it raises
-    InvalidParameterError.
+    Both constraints are invariant under the group S_r permuting the E_i, so
+    the search lists one class per orbit, with m_1 >= .. >= m_r.  The
+    lattice's own pairing decides each orbit on that class, once it is
+    checked that S_r preserves the lattice's pairing and K; a lattice where
+    it does not, or where D.D + K.D is odd, raises LatticeCorruptionError.
+    Each accepted orbit is then expanded into its distinct arrangements.
+
+    The work is bounded by ENUMERATION_BUDGET (search nodes plus the
+    coefficients of every class listed, charged before any class is built);
+    a request beyond it raises InvalidParameterError.
     """
     if lattice.family is not Family.BLOWUP_P2:
         raise FamilyError("enumeration is defined on blowups of the plane only")
@@ -544,19 +609,21 @@ def enumerate_negative_rational_classes(
     r = lattice.r or 0
     if r == 0:
         return []
-    found: list[DivisorClass] = []
-    for coeffs in sorted(_square_constrained_vectors(r, self_int, degree_bound)):
-        cls = _exact_class(coeffs)
-        # authoritative filter straight from the contract; the search above
-        # cannot produce anything else, but the lattice's own pairing decides
-        dd, kd = lattice._square_and_canonical(cls)
+    _check_permutation_invariant(lattice)
+    found: list[tuple[int, ...]] = []
+    for vec in _square_constrained_vectors(r, self_int, degree_bound):
+        # the search cannot produce anything else, but the lattice's own
+        # pairing decides; D.D and K.D are constant on the orbit
+        dd, kd = lattice._square_and_canonical(_exact_class(vec))
         if (dd + kd) % 2 != 0:
             raise LatticeCorruptionError(
                 f"D.D + K.D = {dd + kd} is odd; the lattice data is corrupt"
             )
         if dd == self_int and dd + kd == -2:
-            found.append(cls)
-    return found
+            _extend_by_arrangements(found, vec)
+    # each orbit is an increasing run, which the sort merges
+    found.sort()
+    return list(map(_exact_class, found))
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:

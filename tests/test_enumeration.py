@@ -2,6 +2,7 @@
 budget that bounds it."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -59,6 +60,46 @@ def test_corrupt_plane_lattice_raises():
     lat = dataclasses.replace(blowup_p2_lattice(3), canonical=DivisorClass((-3, 1, 1, 2)))
     with pytest.raises(LatticeCorruptionError):
         enumerate_negative_rational_classes(lat, -1, 7)
+
+
+def test_plane_lattice_without_the_symmetry_raises():
+    # K = -3H + E_1 + E_2 + 3E_3 keeps D.D + K.D even, but K.E_3 differs from
+    # K.E_1, so one class per orbit cannot speak for the others
+    lat = dataclasses.replace(blowup_p2_lattice(3), canonical=DivisorClass((-3, 1, 1, 3)))
+    with pytest.raises(LatticeCorruptionError, match="symmetry"):
+        enumerate_negative_rational_classes(lat, -1, 7)
+
+
+@pytest.mark.parametrize("bound", (2, 3, 4))
+@pytest.mark.parametrize("r", range(6, 11))
+def test_orbits_expand_completely(r, bound):
+    # at these bounds the multiplicities of an orbit take three or more values
+    for self_int in SELF_INTS:
+        got = coeffs_of(r, self_int, bound)
+        assert len(got) == oracles.count_negative_rational_classes(r, self_int, bound)
+        assert all(a < b for a, b in zip(got, got[1:]))
+        listed = set(got)
+        for c in got:
+            for i in range(2, r + 1):
+                swapped = list(c)
+                swapped[1], swapped[i] = c[i], c[1]
+                assert tuple(swapped) in listed
+
+
+def test_budget_is_charged_before_any_class_is_built(monkeypatch):
+    # (-1)-classes at r = 60, bound 1: the degree-0 orbit of E_i costs
+    # 60 * 61 units, the degree-1 orbit (1; 1, 1, 0^58) 1,770 * 61 = 107,970
+    lat = blowup_p2_lattice(60)
+    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", 50_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="budget"):
+            enumerate_negative_rational_classes(lat, -1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 1,770 classes would hold 1,770 * 61 coefficient pointers alone
+    assert peak < 64 * 1024
 
 
 def test_over_budget_is_a_domain_error(monkeypatch):
