@@ -474,10 +474,9 @@ def _square_constrained_vectors(r: int, self_int: int, bound: int) -> list[tuple
     The child m is the largest of the j, so it is at least their mean s/j
     and at most the coordinate before it: every child lies in that interval,
     between ceil(s/j) (never below the interval's lower end) and the
-    previous m.  When j q = s^2 all j coordinates
-    equal s/j.  With two left, m_1 + m_2 = s and m_1^2 + m_2^2 = q force
-    m_1 = (s + u)/2 >= m_2 = (s - u)/2 with u^2 = 2q - s^2 (u and s have the
-    same parity).
+    previous m.  When j q = s^2 all j coordinates equal s/j.  With two left,
+    m_1 + m_2 = s and m_1^2 + m_2^2 = q force m_1 = (s + u)/2 >= m_2 =
+    (s - u)/2 with u^2 = 2q - s^2 (u and s have the same parity).
 
     A budget unit is one search node (a degree tried or a child pushed) or
     one coefficient of a class in a found orbit: an orbit whose m take the

@@ -103,7 +103,7 @@ def test_budget_is_charged_before_any_class_is_built(monkeypatch):
 
 
 def test_over_budget_is_a_domain_error(monkeypatch):
-    # (-1)-classes at r = 8, bound 7 take about 2,500 units of work
+    # (-1)-classes at r = 8, bound 7 take about 2,200 units of work
     monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", 1_000)
     with pytest.raises(InvalidParameterError, match="budget") as info:
         enumerate_negative_rational_classes(blowup_p2_lattice(8), -1, 7)
@@ -129,7 +129,7 @@ KNOWN_REQUESTS = [(r, s, 7 if r <= 9 else 5) for s in (-1, -2) for r in range(1,
 
 
 def test_known_requests_stay_well_inside_the_budget(monkeypatch):
-    # the largest, (-1)-classes at r = 10 and bound 5, takes about 124,000 units
+    # the largest, (-1)-classes at r = 10 and bound 5, takes about 111,000 units
     monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", lattice.ENUMERATION_BUDGET // 50)
     for r, self_int, bound in KNOWN_REQUESTS:
         enumerate_negative_rational_classes(blowup_p2_lattice(r), self_int, bound)
