@@ -144,64 +144,65 @@ def divisor_from_json(doc: dict | Sequence[int], name: str = "coeffs") -> Diviso
     coeffs = doc.get("coeffs") if isinstance(doc, dict) else doc
     if not isinstance(coeffs, (list, tuple)) or not _INT.issuperset(map(type, coeffs)):
         raise _refuse(coeffs, name, "a list of integers")
-    return DivisorClass(coeffs)
+    return _exact_class(tuple(coeffs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SurfaceLattice:
     """A based integral lattice with a distinguished canonical class.
 
-    ``gram`` is the symmetric matrix of the intersection pairing on the basis
-    named by ``basis_labels``; ``canonical`` holds the coefficients of K.
-    For the built-in families the form is unimodular of signature
-    (1, rank - 1) and K.K equals 8, 9 - r and 8 - r respectively.
+    ``canonical`` holds the coefficients of K on the basis named by
+    ``basis_labels``.  For the built-in families the form is unimodular of
+    signature (1, rank - 1) and K.K equals 8, 9 - r and 8 - r respectively.
 
-    Construction splits the Gram matrix once as head (+) (-I): ``h`` is the
-    smallest index such that every basis vector from ``h`` on has square -1
-    and is orthogonal to all the others.  ``h`` is 1 on ``blowup_p2``, 2 on
-    the F_n families and ``rank`` for a form with no such tail.  Then
+    The Gram matrix G splits as head (+) (-I): ``h`` is the smallest index
+    such that every basis vector from ``h`` on has square -1 and is
+    orthogonal to all the others (1 on ``blowup_p2``, 2 on the F_n families,
+    ``rank`` for a form with no such tail).  Only the h x h head block is
+    stored, and == and hash compare it in place of G, the same test as the
+    split is canonical.  A lattice takes O(h^2 + rank) memory and time to
+    build; ``gram`` builds G anew on each read, in O(rank^2), and ``repr``
+    prints no matrix.  The pairing reads the block alone,
 
         D1.D2 = -sum_i a_i b_i + sum_{i, j < h} a_i (G_ij + delta_ij) b_j,
 
-    which is exact for any symmetric integer Gram matrix and costs
-    O(h^2 + rank).  K.D is the dot product of D with the precomputed row K.G.
+    and K.D is the dot product of D with the precomputed row K.G.
 
-    The pairing reads only the h x h head block, and each of its entries must
-    be an ``int``: a float or a bool raises ``LatticeCorruptionError``.  The
-    other entries need no check.  By the choice of ``h`` each of them equals
-    0, or -1 on the diagonal (an entry of any other value puts its row and
-    column into the head), and they are only compared, never read, so every
-    result stays an exact int.
+    A hand-built lattice is given its full ``gram``, which is checked for
+    shape and symmetry and then split; the factories pass the block as
+    ``_block``.  Each head entry must be an ``int``: a float or a bool raises
+    ``LatticeCorruptionError``.  The other entries equal 0, or -1 on the
+    diagonal, by the choice of ``h``, and are compared, never kept.
     """
 
     family: Family
     n: int | None
     r: int | None
     rank: int
-    gram: tuple[tuple[int, ...], ...]
     basis_labels: tuple[str, ...]
     canonical: DivisorClass
-    # derived from gram and canonical; they take no part in ==, repr or JSON
+    _block: tuple[tuple[int, ...], ...] = field(repr=False)
+    # derived from the block and canonical; they take no part in ==, repr or JSON
     _head: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
     _kg: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        gram, rank, k = self.gram, self.rank, self.canonical.coeffs
-        if len(gram) != rank or any(len(row) != rank for row in gram):
-            raise DimensionError("Gram matrix shape does not match the rank")
-        if tuple(zip(*gram)) != tuple(map(tuple, gram)):
-            raise LatticeCorruptionError("Gram matrix is not symmetric")
+    def __init__(self, family, n, r, rank, gram=None, *, basis_labels, canonical, _block=None) -> None:
+        if gram is not None:
+            if len(gram) != rank or any(len(row) != rank for row in gram):
+                raise DimensionError("Gram matrix shape does not match the rank")
+            if tuple(zip(*gram)) != tuple(map(tuple, gram)):
+                raise LatticeCorruptionError("Gram matrix is not symmetric")
+            h = rank
+            while h and gram[h - 1][h - 1] == -1 and gram[h - 1].count(0) == rank - 1:
+                h -= 1
+            _block = tuple(tuple(row[:h]) for row in gram[:h])
+        k = canonical.coeffs
         if len(k) != rank:
             raise DimensionError("canonical class length does not match the rank")
-        h = rank
-        while h and gram[h - 1][h - 1] == -1 and gram[h - 1].count(0) == rank - 1:
-            h -= 1
         # G = (G + I) - I, and G + I vanishes outside the h x h head block
         head = []
-        for i in range(h):
-            row = gram[i]
-            for j in range(h):
-                g = row[j]
+        for i, row in enumerate(_block):
+            for j, g in enumerate(row):
                 if type(g) is not int:
                     raise LatticeCorruptionError(
                         f"Gram entry ({i}, {j}) is {g!r}, not an integer"
@@ -212,8 +213,18 @@ class SurfaceLattice:
         kg = list(map(neg, k))
         for i, j, g in head:
             kg[j] += k[i] * g
-        object.__setattr__(self, "_head", tuple(head))
-        object.__setattr__(self, "_kg", tuple(kg))
+        values = (family, n, r, rank, basis_labels, canonical, _block, tuple(head), tuple(kg))
+        for name, value in zip(self.__dataclass_fields__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """Rows of the head block (+) (-I), all cut from one zero tuple."""
+        rank, h = self.rank, len(self._block)
+        zero = (0,) * rank
+        return tuple(row + zero[h:] for row in self._block) + tuple(
+            zero[:i] + (-1,) + zero[i + 1 :] for i in range(h, rank)
+        )
 
     def _check(self, d: DivisorClass) -> tuple[int, ...]:
         c = d.coeffs
@@ -311,17 +322,6 @@ class SurfaceLattice:
         return doc
 
 
-def _head_plus_minus_identity(
-    head: tuple[tuple[int, ...], ...], rank: int
-) -> tuple[tuple[int, ...], ...]:
-    """Gram rows of head (+) (-I) of the given rank, all cut from one zero tuple."""
-    h = len(head)
-    zero = (0,) * rank
-    return tuple(row + zero[h:] for row in head) + tuple(
-        zero[:i] + (-1,) + zero[i + 1 :] for i in range(h, rank)
-    )
-
-
 def hirzebruch_lattice(n: int) -> SurfaceLattice:
     """NS(F_n): basis (C_n, F) with C_n.C_n = -n, F.F = 0, C_n.F = 1."""
     n = operator.index(n)
@@ -332,7 +332,7 @@ def hirzebruch_lattice(n: int) -> SurfaceLattice:
         n=n,
         r=None,
         rank=2,
-        gram=((-n, 1), (1, 0)),
+        _block=((-n, 1), (1, 0)),
         basis_labels=(f"C{n}", "F"),
         canonical=_exact_class((-2, -(n + 2))),
     )
@@ -352,7 +352,7 @@ def blowup_p2_lattice(r: int) -> SurfaceLattice:
         n=None,
         r=r,
         rank=rank,
-        gram=_head_plus_minus_identity(((1,),), rank),
+        _block=((1,),),
         basis_labels=("H",) + tuple(f"E{i}" for i in range(1, r + 1)),
         canonical=_exact_class((-3,) + (1,) * r),
     )
@@ -375,7 +375,7 @@ def blowup_hirzebruch_lattice(n: int, r: int) -> SurfaceLattice:
         n=n,
         r=r,
         rank=rank,
-        gram=_head_plus_minus_identity(((-n, 1), (1, 0)), rank),
+        _block=((-n, 1), (1, 0)),
         basis_labels=(f"C{n}", "F") + tuple(f"E{i}" for i in range(1, r + 1)),
         canonical=_exact_class((-2, -(n + 2)) + (1,) * r),
     )
@@ -391,10 +391,14 @@ def make_lattice(family: Family | str, n: int | None = None, r: int | None = Non
     if fam is Family.HIRZEBRUCH:
         if n is None:
             raise InputError("hirzebruch lattice requires n")
+        if r is not None:
+            raise InputError(f"hirzebruch lattice takes no r, got r = {r!r}")
         return hirzebruch_lattice(n)
     if fam is Family.BLOWUP_P2:
         if r is None:
             raise InputError("blowup_p2 lattice requires r")
+        if n is not None:
+            raise InputError(f"blowup_p2 lattice takes no n, got n = {n!r}")
         return blowup_p2_lattice(r)
     if n is None or r is None:
         raise InputError("blowup_hirzebruch lattice requires n and r")

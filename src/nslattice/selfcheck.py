@@ -264,9 +264,10 @@ def check_lattice_invariants(cfg: SelfcheckConfig) -> CheckResult:
     count = 0
     for lat in _family_sweep(cfg):
         count += 1
-        if abs(determinant(lat.gram)) != 1:
+        gram = lat.gram
+        if abs(determinant(gram)) != 1:
             failures.append(f"Gram determinant not unimodular for {lat.to_json_dict()}")
-        if signature(lat.gram) != (1, lat.rank - 1, 0):
+        if signature(gram) != (1, lat.rank - 1, 0):
             failures.append(f"signature not (1, rank-1) for {lat.to_json_dict()}")
         k2 = lat.self_intersection(lat.canonical)
         expected = {

@@ -176,6 +176,19 @@ def fraction_determinant(gram):
     return int(det)
 
 
+def family_gram(family, n, r):
+    """Gram matrix of a built-in family, each entry the pairing of two basis
+    vectors by the bilinear expansions above."""
+    if family == "hirzebruch":
+        rank, pair = 2, lambda x, y: pairing_hirzebruch(n, x, y)
+    elif family == "blowup_p2":
+        rank, pair = 1 + r, pairing_blowup_p2
+    else:
+        rank, pair = 2 + r, lambda x, y: pairing_blowup_hirzebruch(n, x, y)
+    basis = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    return tuple(tuple(pair(x, y) for y in basis) for x in basis)
+
+
 def gram_pairing(gram, x, y):
     """sum_i sum_j x_i G_ij y_j over every entry of the Gram matrix."""
     return sum(x[i] * g * y[j] for i, row in enumerate(gram) for j, g in enumerate(row))

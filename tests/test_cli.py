@@ -487,3 +487,19 @@ def test_negative_selfcheck_config_is_usage_error(capsys, tmp_path, payload):
     assert out == ""
     assert err.startswith("nslattice: ") and err.count("\n") == 1
     assert next(iter(payload)) in err
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["intersect", "--family", "hirzebruch", "--n", "1", "--r", "5", "--d1", "1,0", "--d2", "1,0"], "r"),
+        (["intersect", "--family", "blowup_p2", "--n", "3", "--r", "1", "--d1", "1,0", "--d2", "1,0"], "n"),
+        (["genus", "--family", "blowup_p2", "--n", "0", "--r", "1", "--d=3,-1"], "n"),
+    ],
+)
+def test_parameter_the_family_does_not_take_is_usage_error(capsys, argv, key):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("nslattice: ") and err.count("\n") == 1
+    assert f"takes no {key}" in err
