@@ -7,7 +7,6 @@ import tracemalloc
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 import oracles
 from nslattice import (
@@ -21,13 +20,7 @@ from nslattice import (
     lattice_from_json,
     make_lattice,
 )
-
-# every built-in family up to rank 14
-family_lattices = st.one_of(
-    st.builds(hirzebruch_lattice, st.integers(0, 20)),
-    st.builds(blowup_p2_lattice, st.integers(0, 13)),
-    st.builds(blowup_hirzebruch_lattice, st.integers(0, 20), st.integers(0, 12)),
-)
+from test_kernel import family_lattices
 
 
 def hand_built(lat, gram):
@@ -50,6 +43,9 @@ def test_gram_and_hand_built_twin(lat):
     assert twin == lat and hash(twin) == hash(lat)
     assert twin._head == lat._head and twin._kg == lat._kg
     assert hand_built(lat, [list(row) for row in gram]) == lat
+    # the same basis, labels and K with another head block is another lattice
+    other = tuple(tuple(g + 2 * (i == j == 0) for j, g in enumerate(row)) for i, row in enumerate(gram))
+    assert hand_built(lat, other) != lat
 
 
 @given(family_lattices)
