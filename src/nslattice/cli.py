@@ -7,8 +7,9 @@ larger inputs go through ``--json FILE``, whose keys fill in anything not
 given as a flag.  Payload values are read as exact JSON types: a float or
 string where an integer belongs, or anything but ``true``/``false`` where a
 boolean belongs, is a usage error, never coerced.  Exit codes: 0 success,
-1 domain error, 2 usage error (including a missing or malformed input),
-3 theorem-violation verdict under ``--strict``.
+1 domain error (or a selfcheck document with ``"passed": false``), 2 usage
+error (including a missing or malformed input), 3 theorem-violation verdict
+under ``--strict``.  ``COMMANDS`` declares every subcommand.
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ EXIT_VIOLATION = 3
 
 CONFIG_ENV = "NSLATTICE_CONFIG"
 
-# argparse destinations that steer the run rather than feed the computation
-_CONTROL = {"command", "subcommand", "handler", "json", "pretty", "strict"}
-
 
 def _read_json(path: str) -> dict:
     try:
@@ -83,9 +81,9 @@ def _vector(text: str) -> list[int]:
 
 
 def _inputs(args: argparse.Namespace) -> dict:
-    """The ``--json`` payload with every flag that was given laid over it."""
+    """The ``--json`` payload with every input flag that was given laid over it."""
     payload = _read_json(args.json) if args.json else {}
-    flags = {k: v for k, v in vars(args).items() if k not in _CONTROL and v is not None}
+    flags = {k: getattr(args, k) for k in args.dests if getattr(args, k) is not None}
     return {**payload, **flags}
 
 
@@ -101,12 +99,12 @@ def _lattice(inputs: dict):
 
 def cmd_intersect(inputs):
     lattice = _lattice(inputs)
-    return {"value": lattice.intersect(_class(inputs, "d1"), _class(inputs, "d2"))}, False
+    return {"value": lattice.intersect(_class(inputs, "d1"), _class(inputs, "d2"))}
 
 
 def cmd_value(method, inputs):
     lattice = _lattice(inputs)
-    return {"value": getattr(lattice, method)(_class(inputs))}, False
+    return {"value": getattr(lattice, method)(_class(inputs))}
 
 
 def cmd_basis_change(inputs):
@@ -118,11 +116,7 @@ def cmd_basis_change(inputs):
     else:
         out = basis_change_blf0_to_p2(lattice, d)
         name, target = "blf0_to_p2", blowup_p2_lattice(2)
-    return {
-        "map": name,
-        "target": target.to_json_dict(),
-        "coeffs": list(out.coeffs),
-    }, False
+    return {"map": name, "target": target.to_json_dict(), "coeffs": list(out.coeffs)}
 
 
 def cmd_enumerate(inputs):
@@ -137,7 +131,7 @@ def cmd_enumerate(inputs):
         "degree_bound": degree_bound,
         "count": len(classes),
         "classes": [cls.to_json_dict() for cls in classes],
-    }, False
+    }
 
 
 def _hirzebruch_inputs(inputs: dict) -> tuple[int, int, int]:
@@ -149,7 +143,7 @@ def cmd_hirzebruch_effective(inputs):
     witness = is_effective(n, a, b)
     doc = {"n": n, "a": a, "b": b, "effective": witness.effective}
     doc["multiplicities"] = list(witness.multiplicities) if witness else None
-    return doc, False
+    return doc
 
 
 def cmd_hirzebruch_nef(inputs):
@@ -160,19 +154,19 @@ def cmd_hirzebruch_nef(inputs):
         doc.update(nef=True, s=verdict.s, t=verdict.t)
     else:
         doc.update(nef=False, violator=verdict.violator, pairing=verdict.pairing)
-    return doc, False
+    return doc
 
 
 def cmd_hirzebruch_fixed_mobile(inputs):
     n, a, b = _hirzebruch_inputs(inputs)
-    return fixed_mobile_decompose(n, a, b).to_json_dict(), False
+    return fixed_mobile_decompose(n, a, b).to_json_dict()
 
 
 def cmd_hirzebruch_anticanonical(inputs):
     n = json_int(inputs.get("n"), "--n")
     ac = anticanonical_class(n)
     dec = anticanonical_fixed_locus(n)
-    return {"n": n, "class": {"a": ac.a, "b": ac.b}, **dec.to_json_dict()}, False
+    return {"n": n, "class": {"a": ac.a, "b": ac.b}, **dec.to_json_dict()}
 
 
 def _witness(inputs: dict) -> CurveWitness:
@@ -180,23 +174,21 @@ def _witness(inputs: dict) -> CurveWitness:
 
 
 def cmd_blowup_nef_test(inputs):
-    return nef_against_witnesses(model_from_json(inputs), _class(inputs)).to_json_dict(), False
+    return nef_against_witnesses(model_from_json(inputs), _class(inputs)).to_json_dict()
 
 
 def cmd_blowup_forced_fixed(inputs):
     forced = forced_fixed_components(model_from_json(inputs))
-    return {"forced_fixed_components": [w.to_json_dict() for w in forced]}, False
+    return {"forced_fixed_components": [w.to_json_dict() for w in forced]}
 
 
 def cmd_blowup_classify(inputs):
-    verdict = classify_fixed_component(model_from_json(inputs), _witness(inputs))
-    return verdict.to_json_dict(), verdict.kind == THEOREM_VIOLATION
+    return classify_fixed_component(model_from_json(inputs), _witness(inputs)).to_json_dict()
 
 
 def cmd_blowup_consequences(inputs):
     witness_complete = json_bool(inputs.get("witness_complete", False), "witness_complete")
-    report = anticanonical_consequence_check(model_from_json(inputs), witness_complete)
-    return report.to_json_dict(), report.verdict == THEOREM_VIOLATION
+    return anticanonical_consequence_check(model_from_json(inputs), witness_complete).to_json_dict()
 
 
 def cmd_blowup_lemma_move(inputs):
@@ -204,7 +196,7 @@ def cmd_blowup_lemma_move(inputs):
     report = lemma_move_check(
         model_from_json(inputs), _witness(inputs), anticanonical=anticanonical
     )
-    return report.to_json_dict(), report.verdict == THEOREM_VIOLATION
+    return report.to_json_dict()
 
 
 def cmd_selfcheck(inputs):
@@ -217,7 +209,42 @@ def cmd_selfcheck(inputs):
     return {
         "passed": all(res.passed for res in results),
         "checks": [res.to_json_dict() for res in results],
-    }, False
+    }
+
+
+# flag name -> add_argument keywords; argparse derives each dest from the name
+_FLAGS = {
+    "family": {"choices": [f.value for f in Family]},
+    **dict.fromkeys(("n", "r", "a", "b", "self-int", "degree-bound"), {"type": int}),
+    **dict.fromkeys(("d", "d1", "d2"), {"type": _vector, "help": "comma-separated coefficients"}),
+}
+_LATTICE_D = ("family", "n", "r", "d")
+_NAB = ("n", "a", "b")
+
+# (path, input flags, help, handler); a row without a handler is a group of operations
+COMMANDS = (
+    ("intersect", ("family", "n", "r", "d1", "d2"), "pairing of two classes", cmd_intersect),
+    ("genus", _LATTICE_D, "arithmetic genus of a class", partial(cmd_value, "arithmetic_genus")),
+    ("chi", _LATTICE_D, "Euler characteristic of a class", partial(cmd_value, "euler_characteristic")),
+    ("h0-bound", _LATTICE_D, "Riemann-Roch lower bound for h^0", partial(cmd_value, "h0_lower_bound")),
+    ("basis-change", _LATTICE_D, "rebase a class onto a plane-blowup basis", cmd_basis_change),
+    ("enumerate", ("r", "self-int", "degree-bound"), "negative rational classes on a plane blowup",
+     cmd_enumerate),
+    ("hirzebruch", (), "monoids and fixed loci on F_n", None),
+    ("hirzebruch effective", _NAB, "membership in the effective monoid", cmd_hirzebruch_effective),
+    ("hirzebruch nef", _NAB, "membership in the nef monoid", cmd_hirzebruch_nef),
+    ("hirzebruch fixed-mobile", _NAB, "fixed and mobile parts of |aC_n + bF|",
+     cmd_hirzebruch_fixed_mobile),
+    ("hirzebruch anticanonical", ("n",), "fixed locus of |-K|", cmd_hirzebruch_anticanonical),
+    ("blowup", (), "witness-based tests on blown-up surfaces", None),
+    ("blowup nef-test", ("d",), "nef test of a class against the witnesses", cmd_blowup_nef_test),
+    ("blowup forced-fixed", (), "witnesses pairing negatively with -K", cmd_blowup_forced_fixed),
+    ("blowup classify", ("d",), "classify a fixed component of |-K|", cmd_blowup_classify),
+    ("blowup consequences", (), "consistency checks driven by -K", cmd_blowup_consequences),
+    ("blowup lemma-move", ("d",), "check that a curve of positive square moves",
+     cmd_blowup_lemma_move),
+    ("selfcheck", (), "run the brute-force oracle suite", cmd_selfcheck),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,70 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nslattice",
         description="Exact divisor-class calculus on rational surface lattices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def lattice_flags(p):
-        p.add_argument("--family", choices=[f.value for f in Family])
-        p.add_argument("--n", type=int)
-        p.add_argument("--r", type=int)
-
-    p = sub.add_parser("intersect", parents=[common], help="pairing of two classes")
-    lattice_flags(p)
-    p.add_argument("--d1", type=_vector, help="comma-separated coefficients")
-    p.add_argument("--d2", type=_vector, help="comma-separated coefficients")
-    p.set_defaults(handler=cmd_intersect)
-
-    for name, handler, help_text in (
-        ("genus", partial(cmd_value, "arithmetic_genus"), "arithmetic genus of a class"),
-        ("chi", partial(cmd_value, "euler_characteristic"), "Euler characteristic of a class"),
-        ("h0-bound", partial(cmd_value, "h0_lower_bound"), "Riemann-Roch lower bound for h^0"),
-        ("basis-change", cmd_basis_change, "rebase a class onto a plane-blowup basis"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        lattice_flags(p)
-        p.add_argument("--d", type=_vector, help="comma-separated coefficients")
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser(
-        "enumerate", parents=[common], help="negative rational classes on a plane blowup"
-    )
-    p.add_argument("--r", type=int)
-    p.add_argument("--self-int", dest="self_int", type=int)
-    p.add_argument("--degree-bound", dest="degree_bound", type=int)
-    p.set_defaults(handler=cmd_enumerate)
-
-    hz = sub.add_parser("hirzebruch", help="monoids and fixed loci on F_n")
-    hz_sub = hz.add_subparsers(dest="subcommand", required=True, metavar="OP")
-    for name, handler, needs_ab in (
-        ("effective", cmd_hirzebruch_effective, True),
-        ("nef", cmd_hirzebruch_nef, True),
-        ("fixed-mobile", cmd_hirzebruch_fixed_mobile, True),
-        ("anticanonical", cmd_hirzebruch_anticanonical, False),
-    ):
-        p = hz_sub.add_parser(name, parents=[common])
-        p.add_argument("--n", type=int)
-        if needs_ab:
-            p.add_argument("--a", type=int)
-            p.add_argument("--b", type=int)
-        p.set_defaults(handler=handler)
-
-    bl = sub.add_parser("blowup", help="witness-based tests on blown-up surfaces")
-    bl_sub = bl.add_subparsers(dest="subcommand", required=True, metavar="OP")
-    for name, handler, needs_d in (
-        ("nef-test", cmd_blowup_nef_test, True),
-        ("forced-fixed", cmd_blowup_forced_fixed, False),
-        ("classify", cmd_blowup_classify, True),
-        ("consequences", cmd_blowup_consequences, False),
-        ("lemma-move", cmd_blowup_lemma_move, True),
-    ):
-        p = bl_sub.add_parser(name, parents=[common])
-        if needs_d:
-            p.add_argument("--d", type=_vector, help="comma-separated coefficients")
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser("selfcheck", parents=[common], help="run the brute-force oracle suite")
-    p.set_defaults(handler=cmd_selfcheck)
-
+    groups = {"": parser.add_subparsers(required=True, metavar="COMMAND")}
+    for path, flags, help_text, handler in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if handler is None:
+            p = groups[group].add_parser(name, help=help_text)
+            groups[path] = p.add_subparsers(required=True, metavar="OP")
+            continue
+        p = groups[group].add_parser(name, parents=[common], help=help_text)
+        dests = [p.add_argument("--" + flag, **_FLAGS[flag]).dest for flag in flags]
+        p.set_defaults(handler=handler, dests=dests)
     return parser
 
 
@@ -309,14 +282,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        doc, violation = args.handler(_inputs(args))
+        doc = args.handler(_inputs(args))
     except NSLatticeError as exc:
         print(f"nslattice: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, InputError) else EXIT_DOMAIN
     print(json.dumps(doc, indent=2 if args.pretty else None))
-    if args.command == "selfcheck" and not doc["passed"]:
+    if doc.get("passed") is False:
         return EXIT_DOMAIN
-    if violation and args.strict:
+    if args.strict and THEOREM_VIOLATION in (doc.get("kind"), doc.get("verdict")):
         return EXIT_VIOLATION
     return EXIT_OK
 

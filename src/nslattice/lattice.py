@@ -196,6 +196,8 @@ class SurfaceLattice:
             while h and gram[h - 1][h - 1] == -1 and gram[h - 1].count(0) == rank - 1:
                 h -= 1
             _block = tuple(tuple(row[:h]) for row in gram[:h])
+        elif _block is None:
+            raise InputError("a hand-built SurfaceLattice needs its gram matrix")
         k = canonical.coeffs
         if len(k) != rank:
             raise DimensionError("canonical class length does not match the rank")
@@ -338,14 +340,22 @@ def hirzebruch_lattice(n: int) -> SurfaceLattice:
     )
 
 
+def _points(r: int) -> int:
+    """The number of blown-up points, checked before anything of size r is built."""
+    r = operator.index(r)
+    if not 0 <= r <= MAX_BLOWUP_POINTS:
+        raise InvalidParameterError(
+            f"number of blown-up points must be in 0..{MAX_BLOWUP_POINTS:,}, got {r}"
+        )
+    return r
+
+
 def blowup_p2_lattice(r: int) -> SurfaceLattice:
     """NS of P^2 blown up at r points: basis (H, E_1..E_r), K = -3H + sum E_i.
 
     r = 0 gives the rank-one lattice of P^2 itself.
     """
-    r = operator.index(r)
-    if r < 0:
-        raise InvalidParameterError(f"number of blown-up points must be >= 0, got {r}")
+    r = _points(r)
     rank = 1 + r
     return SurfaceLattice(
         family=Family.BLOWUP_P2,
@@ -364,11 +374,9 @@ def blowup_hirzebruch_lattice(n: int, r: int) -> SurfaceLattice:
     r = 0 gives NS(F_n) itself, with the blowup family tag retained.
     """
     n = operator.index(n)
-    r = operator.index(r)
     if n < 0:
         raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {n}")
-    if r < 0:
-        raise InvalidParameterError(f"number of blown-up points must be >= 0, got {r}")
+    r = _points(r)
     rank = 2 + r
     return SurfaceLattice(
         family=Family.BLOWUP_HIRZEBRUCH,
@@ -453,6 +461,10 @@ def basis_change_blf0_to_p2(lattice: SurfaceLattice, d: DivisorClass) -> Divisor
 # request past this budget is refused rather than run for hours or until
 # memory runs out.
 ENUMERATION_BUDGET = 10_000_000
+
+# The most points a blowup lattice may have.  Its labels and K hold r entries
+# each, so one large r in a request would be built before any class is read.
+MAX_BLOWUP_POINTS = 10_000
 
 
 def _arrangement_count(values: Sequence[int]) -> int:

@@ -12,6 +12,7 @@ import oracles
 from nslattice import (
     DimensionError,
     DivisorClass,
+    Family,
     InputError,
     SurfaceLattice,
     blowup_hirzebruch_lattice,
@@ -95,3 +96,15 @@ def test_parameter_the_family_does_not_take_is_refused(doc, key):
 def test_absent_parameters_still_accepted():
     assert lattice_from_json({"family": "hirzebruch", "n": 1, "r": None}) == hirzebruch_lattice(1)
     assert lattice_from_json({"family": "blowup_p2", "n": None, "r": 2}) == blowup_p2_lattice(2)
+
+
+def test_hand_built_lattice_without_gram_is_refused():
+    with pytest.raises(InputError, match="gram"):
+        SurfaceLattice(
+            family=Family.BLOWUP_P2,
+            n=None,
+            r=0,
+            rank=1,
+            basis_labels=("H",),
+            canonical=DivisorClass((-3,)),
+        )
