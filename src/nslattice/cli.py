@@ -286,7 +286,13 @@ def main(argv: list[str] | None = None) -> int:
     except NSLatticeError as exc:
         print(f"nslattice: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, InputError) else EXIT_DOMAIN
-    print(json.dumps(doc, indent=2 if args.pretty else None))
+    try:
+        print(json.dumps(doc, indent=2 if args.pretty else None), flush=True)
+    except BrokenPipeError as exc:
+        # the reader is gone: point stdout at devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"nslattice: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     if doc.get("passed") is False:
         return EXIT_DOMAIN
     if args.strict and THEOREM_VIOLATION in (doc.get("kind"), doc.get("verdict")):

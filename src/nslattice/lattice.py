@@ -324,30 +324,42 @@ class SurfaceLattice:
         return doc
 
 
-def hirzebruch_lattice(n: int) -> SurfaceLattice:
-    """NS(F_n): basis (C_n, F) with C_n.C_n = -n, F.F = 0, C_n.F = 1."""
-    n = operator.index(n)
-    if n < 0:
-        raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {n}")
+# the parameters each family takes, in the order its "requires" message names them
+_PARAMETERS = {
+    Family.HIRZEBRUCH: ("n",),
+    Family.BLOWUP_P2: ("r",),
+    Family.BLOWUP_HIRZEBRUCH: ("n", "r"),
+}
+
+
+def _surface(family: Family, n: int | None, r: int | None) -> SurfaceLattice:
+    """The F_n head (C_n, F) if the family takes n, else the P^2 head H, then
+    E_1..E_r if it takes r; n is checked before r, and r before anything of
+    size r is built."""
+    takes = _PARAMETERS[family]
+    if "n" in takes:
+        n = operator.index(n)
+        if n < 0:
+            raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {n}")
+        block, labels, k = ((-n, 1), (1, 0)), (f"C{n}", "F"), (-2, -(n + 2))
+    else:
+        block, labels, k = ((1,),), ("H",), (-3,)
+    if "r" in takes:
+        r = operator.index(r)
+        if not 0 <= r <= MAX_BLOWUP_POINTS:
+            raise InvalidParameterError(
+                f"number of blown-up points must be in 0..{MAX_BLOWUP_POINTS:,}, got {r}"
+            )
+        labels += tuple(f"E{i}" for i in range(1, r + 1))
+        k += (1,) * r
     return SurfaceLattice(
-        family=Family.HIRZEBRUCH,
-        n=n,
-        r=None,
-        rank=2,
-        _block=((-n, 1), (1, 0)),
-        basis_labels=(f"C{n}", "F"),
-        canonical=_exact_class((-2, -(n + 2))),
+        family, n, r, len(k), _block=block, basis_labels=labels, canonical=_exact_class(k)
     )
 
 
-def _points(r: int) -> int:
-    """The number of blown-up points, checked before anything of size r is built."""
-    r = operator.index(r)
-    if not 0 <= r <= MAX_BLOWUP_POINTS:
-        raise InvalidParameterError(
-            f"number of blown-up points must be in 0..{MAX_BLOWUP_POINTS:,}, got {r}"
-        )
-    return r
+def hirzebruch_lattice(n: int) -> SurfaceLattice:
+    """NS(F_n): basis (C_n, F) with C_n.C_n = -n, F.F = 0, C_n.F = 1."""
+    return _surface(Family.HIRZEBRUCH, n, None)
 
 
 def blowup_p2_lattice(r: int) -> SurfaceLattice:
@@ -355,17 +367,7 @@ def blowup_p2_lattice(r: int) -> SurfaceLattice:
 
     r = 0 gives the rank-one lattice of P^2 itself.
     """
-    r = _points(r)
-    rank = 1 + r
-    return SurfaceLattice(
-        family=Family.BLOWUP_P2,
-        n=None,
-        r=r,
-        rank=rank,
-        _block=((1,),),
-        basis_labels=("H",) + tuple(f"E{i}" for i in range(1, r + 1)),
-        canonical=_exact_class((-3,) + (1,) * r),
-    )
+    return _surface(Family.BLOWUP_P2, None, r)
 
 
 def blowup_hirzebruch_lattice(n: int, r: int) -> SurfaceLattice:
@@ -373,20 +375,7 @@ def blowup_hirzebruch_lattice(n: int, r: int) -> SurfaceLattice:
 
     r = 0 gives NS(F_n) itself, with the blowup family tag retained.
     """
-    n = operator.index(n)
-    if n < 0:
-        raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {n}")
-    r = _points(r)
-    rank = 2 + r
-    return SurfaceLattice(
-        family=Family.BLOWUP_HIRZEBRUCH,
-        n=n,
-        r=r,
-        rank=rank,
-        _block=((-n, 1), (1, 0)),
-        basis_labels=(f"C{n}", "F") + tuple(f"E{i}" for i in range(1, r + 1)),
-        canonical=_exact_class((-2, -(n + 2)) + (1,) * r),
-    )
+    return _surface(Family.BLOWUP_HIRZEBRUCH, n, r)
 
 
 def make_lattice(family: Family | str, n: int | None = None, r: int | None = None) -> SurfaceLattice:
@@ -396,21 +385,14 @@ def make_lattice(family: Family | str, n: int | None = None, r: int | None = Non
     except ValueError:
         names = ", ".join(f.value for f in Family)
         raise InputError(f"lattice family must be one of {names}, got {family!r}") from None
-    if fam is Family.HIRZEBRUCH:
-        if n is None:
-            raise InputError("hirzebruch lattice requires n")
-        if r is not None:
-            raise InputError(f"hirzebruch lattice takes no r, got r = {r!r}")
-        return hirzebruch_lattice(n)
-    if fam is Family.BLOWUP_P2:
-        if r is None:
-            raise InputError("blowup_p2 lattice requires r")
-        if n is not None:
-            raise InputError(f"blowup_p2 lattice takes no n, got n = {n!r}")
-        return blowup_p2_lattice(r)
-    if n is None or r is None:
-        raise InputError("blowup_hirzebruch lattice requires n and r")
-    return blowup_hirzebruch_lattice(n, r)
+    takes, given = _PARAMETERS[fam], (("n", n), ("r", r))
+    for p, value in given:
+        if value is None and p in takes:
+            raise InputError(f"{fam.value} lattice requires {' and '.join(takes)}")
+    for p, value in given:
+        if value is not None and p not in takes:
+            raise InputError(f"{fam.value} lattice takes no {p}, got {p} = {value!r}")
+    return _surface(fam, n, r)
 
 
 def lattice_from_json(doc: dict) -> SurfaceLattice:
@@ -628,13 +610,9 @@ def enumerate_negative_rational_classes(
     found: list[tuple[int, ...]] = []
     for vec in _square_constrained_vectors(r, self_int, degree_bound):
         # the search cannot produce anything else, but the lattice's own
-        # pairing decides; D.D and K.D are constant on the orbit
-        dd, kd = lattice._square_and_canonical(_exact_class(vec))
-        if (dd + kd) % 2 != 0:
-            raise LatticeCorruptionError(
-                f"D.D + K.D = {dd + kd} is odd; the lattice data is corrupt"
-            )
-        if dd == self_int and dd + kd == -2:
+        # pairing decides; p_a and D.D are constant on the orbit
+        cls = _exact_class(vec)
+        if lattice.arithmetic_genus(cls) == 0 and lattice.self_intersection(cls) == self_int:
             _extend_by_arrangements(found, vec)
     # each orbit is an increasing run, which the sort merges
     found.sort()

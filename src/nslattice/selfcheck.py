@@ -75,10 +75,19 @@ class SelfcheckConfig:
             raise InputError(f"unknown selfcheck config keys: {sorted(unknown)}")
         values = {k: json_int(v, k) for k, v in doc.items()}
         for k, v in values.items():
-            # every field but the seed is a bound, a range end or a count
-            if v < 0 and k != "seed":
-                raise InputError(f"selfcheck config {k} must be >= 0, got {v}")
-        return replace(cls(), **values)
+            # every field but the seed is a bound, a range end or a count, and
+            # the enumeration refuses a degree bound below 1
+            least = 1 if k in ("enum_degree_bound", "enum_stability_bound") else 0
+            if v < least and k != "seed":
+                raise InputError(f"selfcheck config {k} must be >= {least}, got {v}")
+        cfg = replace(cls(), **values)
+        # the monoid check's generator sums cover its whole box only when copies >= bound
+        if cfg.monoid_copies < cfg.monoid_coeff_bound:
+            raise InputError(
+                "selfcheck config monoid_copies must be >= monoid_coeff_bound, "
+                f"got {cfg.monoid_copies} < {cfg.monoid_coeff_bound}"
+            )
+        return cfg
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

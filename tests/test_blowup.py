@@ -285,3 +285,42 @@ class TestCorollaryConsistency:
                 assert forced[0].cls.coeffs == (1, 0)
                 verdict = classify_fixed_component(model, forced[0])
                 assert verdict.kind == NEGATIVE_RATIONAL and verdict.n == n
+
+
+
+def _witness_pool(lat):
+    # the basis and every x - y - z, such as E_1 - E_2 - E_3 on a plane blowup or
+    # C_n - E_1 - E_2 on a blown-up F_n: forced rational classes that random
+    # vectors seldom hit
+    b = [lat.basis_class(i) for i in range(lat.rank)]
+    pool = b + [x - b[j] - b[k] for x in b for j in range(len(b)) for k in range(j)]
+    return [c for c in pool if lat.arithmetic_genus(c) >= 0]
+
+
+POOL_LATTICES = (
+    [hirzebruch_lattice(n) for n in range(6)]
+    + [blowup_p2_lattice(r) for r in range(11)]
+    + [blowup_hirzebruch_lattice(n, r) for n in range(4) for r in range(9)]
+)
+WITNESS_POOLS = {lat: _witness_pool(lat) for lat in POOL_LATTICES}
+
+
+@st.composite
+def models_with_genus_nonnegative_witnesses(draw):
+    """A model of any family whose witnesses all have p_a >= 0."""
+    lat = draw(st.sampled_from(POOL_LATTICES))
+    vector = st.lists(st.integers(-3, 3), min_size=lat.rank, max_size=lat.rank).map(DivisorClass)
+    classes = draw(st.lists(vector | st.sampled_from(WITNESS_POOLS[lat]), max_size=6))
+    curves = tuple(CurveWitness(c) for c in classes if lat.arithmetic_genus(c) >= 0)
+    return SurfaceModel(lat, curves), draw(st.booleans())
+
+
+@given(models_with_genus_nonnegative_witnesses())
+def test_consequence_check_never_finds_a_violation(case):
+    # adjunction: a forced component C has K.C >= 1, so p_a = 0 gives C.C <= -3
+    model, witness_complete = case
+    report = anticanonical_consequence_check(model, witness_complete)
+    assert report.verdict != THEOREM_VIOLATION
+    for line in report.details:
+        if line.startswith("forced fixed component") and "p_a = 0," in line:
+            assert line.endswith("<= -3: ok")

@@ -503,3 +503,45 @@ def test_parameter_the_family_does_not_take_is_usage_error(capsys, argv, key):
     assert out == ""
     assert err.startswith("nslattice: ") and err.count("\n") == 1
     assert f"takes no {key}" in err
+
+
+UNREACHABLE_SELFCHECK = {
+    "zero-stability-bound": ({"enum_stability_bound": 0, "enum_r_max": 1}, ["enum_stability_bound"]),
+    "zero-degree-bound": ({"enum_degree_bound": 0}, ["enum_degree_bound"]),
+    "too-few-monoid-copies": (
+        {"monoid_n_max": 0, "monoid_coeff_bound": 2, "monoid_copies": 1},
+        ["monoid_copies", "monoid_coeff_bound"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "payload,keys", UNREACHABLE_SELFCHECK.values(), ids=UNREACHABLE_SELFCHECK.keys()
+)
+def test_selfcheck_config_the_checks_cannot_run_is_usage_error(capsys, tmp_path, payload, keys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL_SELFCHECK, **payload}))
+    code, out, err = run_cli(capsys, ["selfcheck", "--json", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("nslattice: ") and err.count("\n") == 1
+    assert all(key in err for key in keys)
+
+
+def test_closed_stdout_is_one_line_and_exit_1():
+    # about 500 kB of output, far past what a pipe buffers
+    argv = ["enumerate", "--r", "10", "--self-int=-1", "--degree-bound", "5"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with subprocess.Popen(
+        [sys.executable, "-m", "nslattice", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.read(20) == b'{"r": 10, "self_int"'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("nslattice: ") and err.count("\n") == 1

@@ -108,3 +108,24 @@ def test_hand_built_lattice_without_gram_is_refused():
             basis_labels=("H",),
             canonical=DivisorClass((-3,)),
         )
+
+
+@pytest.mark.parametrize(
+    "family,n,r,message",
+    [
+        ("hirzebruch", None, None, "hirzebruch lattice requires n"),
+        ("hirzebruch", None, 2, "hirzebruch lattice requires n"),
+        ("hirzebruch", 1, 2, "hirzebruch lattice takes no r, got r = 2"),
+        ("blowup_p2", None, None, "blowup_p2 lattice requires r"),
+        ("blowup_p2", 3, None, "blowup_p2 lattice requires r"),
+        ("blowup_p2", 3, 2, "blowup_p2 lattice takes no n, got n = 3"),
+        ("blowup_hirzebruch", None, 2, "blowup_hirzebruch lattice requires n and r"),
+        ("blowup_hirzebruch", 1, None, "blowup_hirzebruch lattice requires n and r"),
+        (Family.BLOWUP_HIRZEBRUCH, None, None, "blowup_hirzebruch lattice requires n and r"),
+    ],
+)
+def test_make_lattice_refusals(family, n, r, message):
+    # blowup_hirzebruch takes both parameters, so it has no extra one to refuse
+    with pytest.raises(InputError) as info:
+        make_lattice(family, n=n, r=r)
+    assert str(info.value) == message
