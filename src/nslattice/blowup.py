@@ -193,12 +193,9 @@ def forced_fixed_components(model: SurfaceModel) -> list[CurveWitness]:
 
     A prime divisor whose class pairs negatively with -K lies in every member
     of |-K|, so each such witness is a fixed component of the anticanonical
-    system.  Input list order is preserved.
+    system.  Input list order is preserved.  (-K).C < 0 is read as K.C > 0.
     """
-    minus_k = -model.lattice.canonical
-    return [
-        w for w in model.curves if model.lattice.intersect(minus_k, w.cls) < 0
-    ]
+    return [w for w in model.curves if model.lattice.canonical_pairing(w.cls) > 0]
 
 
 def classify_fixed_component(model: SurfaceModel, witness: CurveWitness) -> FixedComponentKind:
@@ -276,7 +273,7 @@ def anticanonical_consequence_check(model: SurfaceModel, witness_complete: bool)
     first = forced[0].cls
     details.append(
         f"-K pairs negatively with witness {list(first.coeffs)} "
-        f"(pairing {lat.intersect(-lat.canonical, first)})"
+        f"(pairing {-lat.canonical_pairing(first)})"
     )
     if k2 < 0:
         details.append(f"K.K = {k2} < 0: no forced consequence to verify")

@@ -66,7 +66,8 @@ def _read_json(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read JSON payload: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: nested deeper than the decoder's stack allows
         raise InputError(f"malformed JSON payload {path}: {exc}") from exc
     return json_object(doc, f"payload {path}")
 

@@ -164,15 +164,7 @@ def fixed_mobile_decompose(n: int, a: int, b: int) -> FixedMobileDecomposition:
         raise NotEffectiveError(
             f"{a}*C{n} + {b}*F is not effective; its complete linear system is empty"
         )
-    if n == 0 or b >= a * n:
-        j = 0
-    else:
-        j = a - b // n
-        if not (1 <= j <= a and (a - j) * n <= b <= (a - j + 1) * n - 1):
-            raise RuntimeError(
-                f"closed-form fixed multiple j = {j} failed its bracketing check "
-                f"for n = {n}, a = {a}, b = {b}"
-            )
+    j = 0 if n == 0 or b >= a * n else a - b // n
     return FixedMobileDecomposition(
         fixed=HirzebruchClass(n, j, 0),
         mobile=HirzebruchClass(n, a - j, b),

@@ -242,10 +242,15 @@ class SurfaceLattice:
             total += a[i] * g * b[j]
         return total
 
-    def _square_and_canonical(self, d: DivisorClass) -> tuple[int, int]:
-        """(D.D, K.D) with one length check."""
+    def _half_adjoint(self, d: DivisorClass, sign: int) -> int:
+        """1 + (D.D + sign * K.D)/2 for sign = +-1, refusing an odd numerator."""
         c = self._check(d)
-        return self._pair(c, c), sum(map(mul, self._kg, c))
+        total = self._pair(c, c) + sign * sum(map(mul, self._kg, c))
+        if total % 2 != 0:
+            raise LatticeCorruptionError(
+                f"D.D {'+' if sign > 0 else '-'} K.D = {total} is odd; the lattice data is corrupt"
+            )
+        return 1 + total // 2
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass) -> int:
         """Intersection number D1.D2, bilinear and symmetric."""
@@ -266,23 +271,11 @@ class SurfaceLattice:
         the Gram data was edited into an inconsistent state and is reported
         as corruption rather than rounded away.
         """
-        dd, kd = self._square_and_canonical(d)
-        total = dd + kd
-        if total % 2 != 0:
-            raise LatticeCorruptionError(
-                f"D.D + K.D = {total} is odd; the lattice data is corrupt"
-            )
-        return 1 + total // 2
+        return self._half_adjoint(d, 1)
 
     def euler_characteristic(self, d: DivisorClass) -> int:
         """chi(O(D)) = 1 + (D.D - K.D)/2 on a rational surface."""
-        dd, kd = self._square_and_canonical(d)
-        total = dd - kd
-        if total % 2 != 0:
-            raise LatticeCorruptionError(
-                f"D.D - K.D = {total} is odd; the lattice data is corrupt"
-            )
-        return 1 + total // 2
+        return self._half_adjoint(d, -1)
 
     def h0_lower_bound(self, d: DivisorClass, *, warn_unverified: bool = False) -> int:
         """max(0, chi(O(D))), a lower bound for h^0(D).
@@ -552,23 +545,6 @@ def _extend_by_arrangements(out: list[tuple[int, ...]], vec: tuple[int, ...]) ->
         a[j + 1 :] = a[:j:-1]
 
 
-def _check_permutation_invariant(lattice: SurfaceLattice) -> None:
-    """Raise LatticeCorruptionError unless permuting E_1..E_r preserves the
-    pairing and K, read off the head split and the row K.G."""
-    for i, j, _ in lattice._head:
-        if i or j:
-            raise LatticeCorruptionError(
-                f"Gram entry ({i}, {j}) breaks the symmetry of the E_i; "
-                "the lattice data is corrupt"
-            )
-    values = set(lattice._kg[1:])
-    if len(values) > 1:
-        raise LatticeCorruptionError(
-            f"K.E_i takes the values {sorted(values)}, which breaks the symmetry "
-            "of the E_i; the lattice data is corrupt"
-        )
-
-
 def enumerate_negative_rational_classes(
     lattice: SurfaceLattice, self_int: int, degree_bound: int
 ) -> list[DivisorClass]:
@@ -586,12 +562,11 @@ def enumerate_negative_rational_classes(
     r <= 8 this reads (3d - 1)^2 <= 8(d^2 + 1), i.e. (d - 7)(d + 1) <= 0, so
     every solution has d <= 7 and a degree bound of 7 is provably complete.
 
-    Both constraints are invariant under the group S_r permuting the E_i, so
-    the search lists one class per orbit, with m_1 >= .. >= m_r.  The
-    lattice's own pairing decides each orbit on that class, once it is
-    checked that S_r preserves the lattice's pairing and K; a lattice where
-    it does not, or where D.D + K.D is odd, raises LatticeCorruptionError.
-    Each accepted orbit is then expanded into its distinct arrangements.
+    The search is written for the form of ``blowup_p2_lattice(r)``, and any
+    other plane lattice raises LatticeCorruptionError.  Both constraints are
+    invariant under the group S_r permuting the E_i, so the search lists one
+    class per orbit, with m_1 >= .. >= m_r, and expands each orbit into its
+    distinct arrangements.
 
     The work is bounded by ENUMERATION_BUDGET (search nodes plus the
     coefficients of every class listed, charged before any class is built);
@@ -604,16 +579,16 @@ def enumerate_negative_rational_classes(
     if degree_bound < 1:
         raise InvalidParameterError(f"degree bound must be >= 1, got {degree_bound}")
     r = lattice.r or 0
+    if lattice != blowup_p2_lattice(r):
+        raise LatticeCorruptionError(
+            f"the search assumes the form and S_r symmetry of blowup_p2_lattice({r}); "
+            "this plane lattice differs, so its data is corrupt"
+        )
     if r == 0:
         return []
-    _check_permutation_invariant(lattice)
     found: list[tuple[int, ...]] = []
     for vec in _square_constrained_vectors(r, self_int, degree_bound):
-        # the search cannot produce anything else, but the lattice's own
-        # pairing decides; p_a and D.D are constant on the orbit
-        cls = _exact_class(vec)
-        if lattice.arithmetic_genus(cls) == 0 and lattice.self_intersection(cls) == self_int:
-            _extend_by_arrangements(found, vec)
+        _extend_by_arrangements(found, vec)
     # each orbit is an increasing run, which the sort merges
     found.sort()
     return list(map(_exact_class, found))

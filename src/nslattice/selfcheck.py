@@ -32,6 +32,7 @@ from .hirzebruch import (
     nef_generators,
 )
 from .lattice import (
+    MAX_BLOWUP_POINTS,
     DivisorClass,
     SurfaceLattice,
     _exact_class,
@@ -81,6 +82,12 @@ class SelfcheckConfig:
             if v < least and k != "seed":
                 raise InputError(f"selfcheck config {k} must be >= {least}, got {v}")
         cfg = replace(cls(), **values)
+        # the family checks build a blowup lattice for every r up to family_r_max
+        if cfg.family_r_max > MAX_BLOWUP_POINTS:
+            raise InputError(
+                f"selfcheck config family_r_max must be <= {MAX_BLOWUP_POINTS:,}, "
+                f"got {cfg.family_r_max}"
+            )
         # the monoid check's generator sums cover its whole box only when copies >= bound
         if cfg.monoid_copies < cfg.monoid_coeff_bound:
             raise InputError(

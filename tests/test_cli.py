@@ -545,3 +545,31 @@ def test_closed_stdout_is_one_line_and_exit_1():
     assert code == 1
     assert "Traceback" not in err
     assert err.startswith("nslattice: ") and err.count("\n") == 1
+
+
+def test_selfcheck_config_past_the_blowup_bound_is_usage_error(capsys, tmp_path):
+    # the family checks would build a lattice of 10,001 points and fail inside
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL_SELFCHECK, "family_r_max": 10_001, "family_n_max": 0}))
+    code, out, err = run_cli(capsys, ["selfcheck", "--json", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("nslattice: ") and err.count("\n") == 1
+    assert "family_r_max" in err and "10,000" in err
+
+
+@pytest.mark.parametrize("via", ["--json", "env"])
+def test_too_deeply_nested_payload_is_usage_error(capsys, tmp_path, monkeypatch, via):
+    # json.load raises RecursionError long before this depth is reached
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    if via == "env":
+        monkeypatch.setenv("NSLATTICE_CONFIG", str(path))
+        argv = ["selfcheck"]
+    else:
+        argv = ["intersect", "--json", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("nslattice: malformed JSON payload") and err.count("\n") == 1
+    assert "Traceback" not in err

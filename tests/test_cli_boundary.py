@@ -130,8 +130,12 @@ def argvs(draw):
     extra = ["--pretty", "--strict"]
     groups, doc = [], {}
     if path == ["selfcheck"]:
-        # always a full, tiny config, so the default 3-second run is never drawn
-        doc = {key: draw(st.integers(0, 2)) for key in SELFCHECK_KEYS}
+        # always a full, tiny config, so the default 3-second run is never drawn;
+        # each key from a range SelfcheckConfig accepts, so it reaches the checks
+        least = dict.fromkeys(("enum_degree_bound", "enum_stability_bound"), 1)
+        for key in SELFCHECK_KEYS:
+            low = doc.get("monoid_coeff_bound", 0) if key == "monoid_copies" else least.get(key, 0)
+            doc[key] = draw(st.integers(low, 2))
     elif path[0] == "blowup":
         curve = st.fixed_dictionaries({"coeffs": vector, "prime": st.booleans()})
         doc = {"lattice": lat, "curves": draw(st.lists(curve, max_size=3))}

@@ -2,6 +2,7 @@
 budget that bounds it."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import pytest
@@ -9,8 +10,10 @@ import pytest
 import oracles
 from nslattice import (
     DivisorClass,
+    Family,
     InvalidParameterError,
     LatticeCorruptionError,
+    SurfaceLattice,
     blowup_p2_lattice,
     enumerate_negative_rational_classes,
     lattice,
@@ -68,6 +71,56 @@ def test_plane_lattice_without_the_symmetry_raises():
     lat = dataclasses.replace(blowup_p2_lattice(3), canonical=DivisorClass((-3, 1, 1, 3)))
     with pytest.raises(LatticeCorruptionError, match="symmetry"):
         enumerate_negative_rational_classes(lat, -1, 7)
+
+
+def plane_lattice(h_square, r):
+    gram = [[0] * (r + 1) for _ in range(r + 1)]
+    gram[0][0] = h_square
+    for i in range(1, r + 1):
+        gram[i][i] = -1
+    labels = ("H",) + tuple(f"E{i}" for i in range(1, r + 1))
+    return SurfaceLattice(
+        Family.BLOWUP_P2, None, r, r + 1, gram, basis_labels=labels,
+        canonical=DivisorClass((-3,) + (1,) * r),
+    )
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [
+        # K = -3H - E_1 - E_2: under this lattice's own pairing E_1, E_2 and
+        # H + E_1 + E_2 are (-1)-classes of genus 0, none of which the search lists
+        dataclasses.replace(blowup_p2_lattice(2), canonical=DivisorClass((-3, -1, -1))),
+        # H.H = 2 keeps S_r symmetric and D.D + K.D even
+        plane_lattice(2, 2),
+    ],
+    ids=["another-canonical-class", "another-square-of-H"],
+)
+def test_plane_lattice_of_another_form_raises(lat):
+    with pytest.raises(LatticeCorruptionError, match="symmetry"):
+        enumerate_negative_rational_classes(lat, -1, 7)
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_standard_plane_lattices_enumerate(r):
+    hand_built = plane_lattice(1, r)
+    assert hand_built == blowup_p2_lattice(r)
+    got = [c.coeffs for c in enumerate_negative_rational_classes(hand_built, -1, 2)]
+    assert got == coeffs_of(r, -1, 2)
+    assert len(got) == oracles.count_negative_rational_classes(r, -1, 2)
+
+
+def test_enumeration_grid_digest():
+    # the grid the earlier perf changes were each checked against by hand
+    digest = hashlib.sha256()
+    for self_int in SELF_INTS:
+        for r in range(11):
+            for bound in range(1, (5 if r == 10 else 7) + 1):
+                found = coeffs_of(r, self_int, bound)
+                digest.update(repr((self_int, r, bound, found)).encode())
+    assert digest.hexdigest() == (
+        "04c9abf0f1e3f99744d01e36ff1aab4228a452e2f5faa785973e38ac2ce7d8e4"
+    )
 
 
 @pytest.mark.parametrize("bound", (2, 3, 4))
