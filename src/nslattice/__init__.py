@@ -9,76 +9,49 @@ anticanonical systems.
 """
 
 from .errors import (
-    DimensionError,
-    FamilyError,
-    InputError,
-    InvalidParameterError,
-    LatticeCorruptionError,
-    NotEffectiveError,
-    NSLatticeError,
-    PreconditionError,
+    DimensionError, FamilyError, InputError, InvalidParameterError, LatticeCorruptionError,
+    NotEffectiveError, NSLatticeError, PreconditionError,
 )
 from .lattice import (
-    DivisorClass,
-    Family,
-    H0BoundAssumptionWarning,
-    SurfaceLattice,
-    basis_change_blf0_to_p2,
-    basis_change_f1_to_p2,
-    blowup_hirzebruch_lattice,
-    blowup_p2_lattice,
-    determinant,
-    divisor_from_json,
-    enumerate_negative_rational_classes,
-    hirzebruch_lattice,
-    lattice_from_json,
-    make_lattice,
-    signature,
-)
-from .hirzebruch import (
-    EffectiveWitness,
-    FixedMobileDecomposition,
-    HirzebruchClass,
-    NefDecomposition,
-    NotNef,
-    anticanonical_class,
-    anticanonical_fixed_locus,
-    effective_generators,
-    fixed_mobile_decompose,
-    is_effective,
-    nef_decompose,
-    nef_generators,
-)
-from .blowup import (
-    GENUS_ONE,
-    NEGATIVE_RATIONAL,
-    THEOREM_VIOLATION,
-    CurveWitness,
-    FixedComponentKind,
-    NefVerdict,
-    Report,
-    SurfaceModel,
-    anticanonical_consequence_check,
-    classify_fixed_component,
-    forced_fixed_components,
-    lemma_move_check,
-    model_from_json,
-    nef_against_witnesses,
-    witness_from_json,
+    DivisorClass, Family, H0BoundAssumptionWarning, SurfaceLattice, basis_change_blf0_to_p2,
+    basis_change_f1_to_p2, blowup_hirzebruch_lattice, blowup_p2_lattice, determinant,
+    divisor_from_json, enumerate_negative_rational_classes, hirzebruch_lattice,
+    lattice_from_json, make_lattice, signature,
 )
 
 __version__ = "0.1.0"
 
+# PEP 562: these modules are imported on first use, so that importing the
+# package, and so each CLI call, builds only what it runs.  The first lookup
+# binds the module and all its names here at once, so later lookups are plain
+# attribute reads and every name comes from the same copy of its module.
+_LAZY = {
+    "hirzebruch": (
+        "EffectiveWitness", "FixedMobileDecomposition", "HirzebruchClass", "NefDecomposition",
+        "NotNef", "anticanonical_class", "anticanonical_fixed_locus", "effective_generators",
+        "fixed_mobile_decompose", "is_effective", "nef_decompose", "nef_generators",
+    ),
+    "blowup": (
+        "GENUS_ONE", "NEGATIVE_RATIONAL", "THEOREM_VIOLATION", "CurveWitness",
+        "FixedComponentKind", "NefVerdict", "Report", "SurfaceModel",
+        "anticanonical_consequence_check", "classify_fixed_component", "forced_fixed_components",
+        "lemma_move_check", "model_from_json", "nef_against_witnesses", "witness_from_json",
+    ),
+    "selfcheck": ("CheckResult", "SelfcheckConfig", "run_selfcheck"),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+
 
 def __getattr__(name: str):
-    # PEP 562: the selfcheck module is imported on first use, so that
-    # importing the package, and so every CLI call, does not pay for it
-    if name in ("selfcheck", "CheckResult", "SelfcheckConfig", "run_selfcheck"):
-        import importlib
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
 
-        selfcheck = importlib.import_module(f"{__name__}.selfcheck")
-        return selfcheck if name == "selfcheck" else getattr(selfcheck, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = importlib.import_module(f"{__name__}.{module}")
+    namespace = globals()
+    namespace.update({n: getattr(mod, n) for n in _LAZY[module]}, **{module: mod})
+    return namespace[name]
 
 
 __all__ = [

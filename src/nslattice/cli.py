@@ -9,7 +9,8 @@ string where an integer belongs, or anything but ``true``/``false`` where a
 boolean belongs, is a usage error, never coerced.  Exit codes: 0 success,
 1 domain error (or a selfcheck document with ``"passed": false``), 2 usage
 error (including a missing or malformed input), 3 theorem-violation verdict
-under ``--strict``.  ``COMMANDS`` declares every subcommand.
+under ``--strict``.  ``COMMANDS`` declares every subcommand.  Each handler
+imports the computing module it runs, so a call loads no other.
 """
 
 from __future__ import annotations
@@ -20,25 +21,7 @@ import os
 import sys
 from functools import partial
 
-from .blowup import (
-    THEOREM_VIOLATION,
-    CurveWitness,
-    anticanonical_consequence_check,
-    classify_fixed_component,
-    forced_fixed_components,
-    lemma_move_check,
-    model_from_json,
-    nef_against_witnesses,
-)
 from .errors import InputError, NSLatticeError
-from .hirzebruch import (
-    NefDecomposition,
-    anticanonical_class,
-    anticanonical_fixed_locus,
-    fixed_mobile_decompose,
-    is_effective,
-    nef_decompose,
-)
 from .lattice import (
     Family,
     basis_change_blf0_to_p2,
@@ -140,6 +123,8 @@ def _hirzebruch_inputs(inputs: dict) -> tuple[int, int, int]:
 
 
 def cmd_hirzebruch_effective(inputs):
+    from .hirzebruch import is_effective
+
     n, a, b = _hirzebruch_inputs(inputs)
     witness = is_effective(n, a, b)
     doc = {"n": n, "a": a, "b": b, "effective": witness.effective}
@@ -148,6 +133,8 @@ def cmd_hirzebruch_effective(inputs):
 
 
 def cmd_hirzebruch_nef(inputs):
+    from .hirzebruch import NefDecomposition, nef_decompose
+
     n, a, b = _hirzebruch_inputs(inputs)
     verdict = nef_decompose(n, a, b)
     doc = {"n": n, "a": a, "b": b}
@@ -159,11 +146,15 @@ def cmd_hirzebruch_nef(inputs):
 
 
 def cmd_hirzebruch_fixed_mobile(inputs):
+    from .hirzebruch import fixed_mobile_decompose
+
     n, a, b = _hirzebruch_inputs(inputs)
     return fixed_mobile_decompose(n, a, b).to_json_dict()
 
 
 def cmd_hirzebruch_anticanonical(inputs):
+    from .hirzebruch import anticanonical_class, anticanonical_fixed_locus
+
     n = json_int(inputs.get("n"), "--n")
     ac = anticanonical_class(n)
     dec = anticanonical_fixed_locus(n)
@@ -171,28 +162,40 @@ def cmd_hirzebruch_anticanonical(inputs):
 
 
 def _witness(inputs: dict) -> CurveWitness:
+    from .blowup import CurveWitness
+
     return CurveWitness(_class(inputs), json_bool(inputs.get("prime", True), "prime"))
 
 
 def cmd_blowup_nef_test(inputs):
+    from .blowup import model_from_json, nef_against_witnesses
+
     return nef_against_witnesses(model_from_json(inputs), _class(inputs)).to_json_dict()
 
 
 def cmd_blowup_forced_fixed(inputs):
+    from .blowup import forced_fixed_components, model_from_json
+
     forced = forced_fixed_components(model_from_json(inputs))
     return {"forced_fixed_components": [w.to_json_dict() for w in forced]}
 
 
 def cmd_blowup_classify(inputs):
+    from .blowup import classify_fixed_component, model_from_json
+
     return classify_fixed_component(model_from_json(inputs), _witness(inputs)).to_json_dict()
 
 
 def cmd_blowup_consequences(inputs):
+    from .blowup import anticanonical_consequence_check, model_from_json
+
     witness_complete = json_bool(inputs.get("witness_complete", False), "witness_complete")
     return anticanonical_consequence_check(model_from_json(inputs), witness_complete).to_json_dict()
 
 
 def cmd_blowup_lemma_move(inputs):
+    from .blowup import lemma_move_check, model_from_json
+
     anticanonical = json_bool(inputs.get("anticanonical", True), "anticanonical")
     report = lemma_move_check(
         model_from_json(inputs), _witness(inputs), anticanonical=anticanonical
@@ -201,7 +204,6 @@ def cmd_blowup_lemma_move(inputs):
 
 
 def cmd_selfcheck(inputs):
-    # imported here, so that no other subcommand pays for it
     from .selfcheck import SelfcheckConfig, run_selfcheck
 
     if not inputs and os.environ.get(CONFIG_ENV):
@@ -296,8 +298,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DOMAIN
     if doc.get("passed") is False:
         return EXIT_DOMAIN
-    if args.strict and THEOREM_VIOLATION in (doc.get("kind"), doc.get("verdict")):
-        return EXIT_VIOLATION
+    if args.strict:
+        from .blowup import THEOREM_VIOLATION
+
+        if THEOREM_VIOLATION in (doc.get("kind"), doc.get("verdict")):
+            return EXIT_VIOLATION
     return EXIT_OK
 
 

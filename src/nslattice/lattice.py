@@ -17,11 +17,11 @@ from __future__ import annotations
 import operator
 import warnings
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from math import factorial, isqrt
 from operator import add, mul, neg, sub
-from typing import Iterable, Sequence
 
 from .errors import (
     DimensionError,
@@ -243,9 +243,14 @@ class SurfaceLattice:
         return total
 
     def _half_adjoint(self, d: DivisorClass, sign: int) -> int:
-        """1 + (D.D + sign * K.D)/2 for sign = +-1, refusing an odd numerator."""
+        """1 + (D.D + sign * K.D)/2 for sign = +-1, refusing an odd numerator.
+
+        One pass: D.D + sign * K.D = -sum_i c_i (c_i - sign * kg_i) + the head terms.
+        """
         c = self._check(d)
-        total = self._pair(c, c) + sign * sum(map(mul, self._kg, c))
+        total = -sum(map(mul, c, map(sub if sign > 0 else add, c, self._kg)))
+        for i, j, g in self._head:
+            total += c[i] * g * c[j]
         if total % 2 != 0:
             raise LatticeCorruptionError(
                 f"D.D {'+' if sign > 0 else '-'} K.D = {total} is odd; the lattice data is corrupt"

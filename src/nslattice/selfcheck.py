@@ -88,6 +88,18 @@ class SelfcheckConfig:
                 f"selfcheck config family_r_max must be <= {MAX_BLOWUP_POINTS:,}, "
                 f"got {cfg.family_r_max}"
             )
+        # the stability check needs finitely many (-1)-classes up to enum_r_max,
+        # and both bounds at the largest degree of one, or a count must change
+        top = len(MINUS_ONE_MAX_DEGREE) - 1
+        if cfg.enum_r_max > top:
+            raise InputError(f"selfcheck config enum_r_max must be <= {top}, got {cfg.enum_r_max}")
+        degree = MINUS_ONE_MAX_DEGREE[cfg.enum_r_max]
+        for k in ("enum_degree_bound", "enum_stability_bound"):
+            if getattr(cfg, k) < degree:
+                raise InputError(
+                    f"selfcheck config {k} must be >= {degree} when enum_r_max is "
+                    f"{cfg.enum_r_max}, got {getattr(cfg, k)}"
+                )
         # the monoid check's generator sums cover its whole box only when copies >= bound
         if cfg.monoid_copies < cfg.monoid_coeff_bound:
             raise InputError(
@@ -345,6 +357,8 @@ def check_basis_change_isometries(cfg: SelfcheckConfig) -> CheckResult:
 
 
 KNOWN_MINUS_ONE_COUNTS = {1: 1, 2: 3, 6: 27}
+# largest degree of a (-1)-class on Bl_r P^2 for r = 0..8; from r = 9 on there are infinitely many
+MINUS_ONE_MAX_DEGREE = (0, 0, 1, 1, 1, 2, 2, 3, 6)
 
 
 def check_enumeration_stability(cfg: SelfcheckConfig) -> CheckResult:

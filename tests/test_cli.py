@@ -573,3 +573,90 @@ def test_too_deeply_nested_payload_is_usage_error(capsys, tmp_path, monkeypatch,
     assert out == ""
     assert err.startswith("nslattice: malformed JSON payload") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# configs outside the stability check's premise: (-1)-classes finite for every
+# r <= enum_r_max, and both bounds at the largest degree of one (6 at r = 8)
+OUTSIDE_ENUMERATION_PREMISE = {
+    "stability-bound-below-degree": ({"enum_r_max": 8, "enum_stability_bound": 5}, "enum_stability_bound"),
+    "degree-bound-below-degree": ({"enum_r_max": 8, "enum_degree_bound": 3}, "enum_degree_bound"),
+    "infinitely-many-at-9": ({"enum_r_max": 9}, "enum_r_max"),
+    "budget-at-10": ({"enum_r_max": 10}, "enum_r_max"),
+    "budget-at-11": ({"enum_r_max": 11}, "enum_r_max"),
+}
+
+
+@pytest.mark.parametrize(
+    "payload,key", OUTSIDE_ENUMERATION_PREMISE.values(), ids=OUTSIDE_ENUMERATION_PREMISE.keys()
+)
+def test_selfcheck_config_outside_the_enumeration_premise_is_usage_error(
+    capsys, tmp_path, payload, key
+):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL_SELFCHECK, **payload}))
+    code, out, err = run_cli(capsys, ["selfcheck", "--json", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("nslattice: ") and err.count("\n") == 1
+    assert key in err
+
+
+def run_fresh(code: str) -> list[str]:
+    """Run ``code`` in a new interpreter and return its stdout lines."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+LOADED_BY = {
+    "intersect": (["intersect", "--family", "hirzebruch", "--n", "2", "--d1", "1,0", "--d2", "1,0"], []),
+    "enumerate": (["enumerate", "--r", "3", "--self-int=-1"], []),
+    "hirzebruch": (["hirzebruch", "anticanonical", "--n", "3"], ["nslattice.hirzebruch"]),
+    "blowup": (["blowup", "forced-fixed", "--json", "MODEL"], ["nslattice.blowup"]),
+}
+
+
+@pytest.mark.parametrize("argv,extra", LOADED_BY.values(), ids=LOADED_BY.keys())
+def test_a_command_loads_only_its_own_module(tmp_path, argv, extra):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MODEL_BH51))
+    argv = [str(path) if arg == "MODEL" else arg for arg in argv]
+    lines = run_fresh(
+        "import contextlib, io, sys\n"
+        "from nslattice.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'nslattice'))\n"
+    )
+    base = ["nslattice", "nslattice.cli", "nslattice.errors", "nslattice.lattice"]
+    assert lines == [" ".join(sorted(base + extra))]
+
+
+def test_every_public_name_is_its_module_object():
+    lines = run_fresh(
+        "import sys, nslattice\n"
+        "from nslattice import *\n"
+        "mods = [sys.modules[f'nslattice.{m}'] for m in\n"
+        "        ('errors', 'lattice', 'hirzebruch', 'blowup', 'selfcheck')]\n"
+        "for name in nslattice.__all__:\n"
+        "    obj = globals()[name]\n"
+        "    owners = [m for m in mods if name in vars(m)]\n"
+        "    assert owners and all(vars(m)[name] is obj for m in owners), name\n"
+        "    assert getattr(nslattice, name) is obj, name\n"
+        "print(len(nslattice.__all__))\n"
+    )
+    assert lines == ["53"]
+
+
+def test_one_blowup_name_binds_the_whole_module():
+    lines = run_fresh(
+        "import sys, nslattice\n"
+        "before = set(vars(nslattice))\n"
+        "nslattice.Report\n"
+        "blowup = sys.modules['nslattice.blowup']\n"
+        "own = {n for n in nslattice.__all__ if n in vars(blowup)} - before\n"
+        "print(len(own), own <= set(vars(nslattice)), vars(nslattice)['blowup'] is blowup)\n"
+        "print('nslattice.hirzebruch' in sys.modules, 'nslattice.selfcheck' in sys.modules)\n"
+    )
+    assert lines == ["15 True True", "False False"]
