@@ -42,6 +42,14 @@ _LAZY = {
 _OWNER = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 
 
+# every public name: the classes and functions the two eager blocks bind (not
+# the submodules they load) and every name of the lazy table, bound on first use
+__all__ = sorted(
+    {name for name, value in globals().items() if callable(value) and not name.startswith("_")}
+    .union(*_LAZY.values())
+)
+
+
 def __getattr__(name: str):
     module = _OWNER.get(name)
     if module is None:
@@ -52,60 +60,3 @@ def __getattr__(name: str):
     namespace = globals()
     namespace.update({n: getattr(mod, n) for n in _LAZY[module]}, **{module: mod})
     return namespace[name]
-
-
-__all__ = [
-    "CheckResult",
-    "CurveWitness",
-    "DimensionError",
-    "DivisorClass",
-    "EffectiveWitness",
-    "Family",
-    "FamilyError",
-    "FixedComponentKind",
-    "FixedMobileDecomposition",
-    "GENUS_ONE",
-    "H0BoundAssumptionWarning",
-    "HirzebruchClass",
-    "InputError",
-    "InvalidParameterError",
-    "LatticeCorruptionError",
-    "NEGATIVE_RATIONAL",
-    "NSLatticeError",
-    "NefDecomposition",
-    "NefVerdict",
-    "NotEffectiveError",
-    "NotNef",
-    "PreconditionError",
-    "Report",
-    "SelfcheckConfig",
-    "SurfaceLattice",
-    "SurfaceModel",
-    "THEOREM_VIOLATION",
-    "anticanonical_class",
-    "anticanonical_consequence_check",
-    "anticanonical_fixed_locus",
-    "basis_change_blf0_to_p2",
-    "basis_change_f1_to_p2",
-    "blowup_hirzebruch_lattice",
-    "blowup_p2_lattice",
-    "classify_fixed_component",
-    "determinant",
-    "divisor_from_json",
-    "effective_generators",
-    "enumerate_negative_rational_classes",
-    "fixed_mobile_decompose",
-    "forced_fixed_components",
-    "hirzebruch_lattice",
-    "is_effective",
-    "lattice_from_json",
-    "lemma_move_check",
-    "make_lattice",
-    "model_from_json",
-    "nef_against_witnesses",
-    "nef_decompose",
-    "nef_generators",
-    "run_selfcheck",
-    "signature",
-    "witness_from_json",
-]

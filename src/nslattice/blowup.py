@@ -24,6 +24,7 @@ from .lattice import (
     divisor_from_json,
     json_bool,
     json_object,
+    json_optional,
     lattice_from_json,
 )
 
@@ -50,7 +51,7 @@ class CurveWitness:
 
 def witness_from_json(doc: dict) -> CurveWitness:
     doc = json_object(doc, "witness")
-    return CurveWitness(divisor_from_json(doc), json_bool(doc.get("prime", True), "prime"))
+    return CurveWitness(divisor_from_json(doc), json_bool(json_optional(doc, "prime", True), "prime"))
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class SurfaceModel:
 
 def model_from_json(doc: dict) -> SurfaceModel:
     lattice = lattice_from_json(json_object(doc, "model").get("lattice"))
-    curves = doc.get("curves", [])
+    curves = json_optional(doc, "curves", [])
     if not isinstance(curves, (list, tuple)):
         raise InputError(f"curves must be a list of witnesses, got {curves!r}")
     return SurfaceModel(lattice, tuple(map(witness_from_json, curves)))
@@ -109,18 +110,6 @@ class FixedComponentKind:
             raise PreconditionError("genus_one verdict requires self-intersection <= 0")
         if self.kind == THEOREM_VIOLATION and not self.reason:
             raise PreconditionError("theorem_violation verdict requires a reason")
-
-    @classmethod
-    def negative_rational(cls, n: int) -> "FixedComponentKind":
-        return cls(NEGATIVE_RATIONAL, n=n)
-
-    @classmethod
-    def genus_one(cls, self_int: int) -> "FixedComponentKind":
-        return cls(GENUS_ONE, self_int=self_int)
-
-    @classmethod
-    def theorem_violation(cls, reason: str) -> "FixedComponentKind":
-        return cls(THEOREM_VIOLATION, reason=reason)
 
     def to_json_dict(self) -> dict:
         if self.kind == NEGATIVE_RATIONAL:
@@ -213,22 +202,22 @@ def classify_fixed_component(model: SurfaceModel, witness: CurveWitness) -> Fixe
     s = lat.self_intersection(witness.cls)
     k2 = lat.self_intersection(lat.canonical)
     if pa == 0 and s <= -1:
-        return FixedComponentKind.negative_rational(-s)
-    if pa == 1 and s <= 0:
-        if s == 0 and k2 != 0:
-            return FixedComponentKind.theorem_violation(
-                f"a genus-one fixed component of self-intersection 0 requires K.K = 0, but K.K = {k2}"
-            )
-        if k2 > 0:
-            return FixedComponentKind.theorem_violation(
-                f"K.K = {k2} > 0 forces every fixed component to be a negative rational "
-                f"curve, but this class has arithmetic genus 1"
-            )
-        return FixedComponentKind.genus_one(s)
-    return FixedComponentKind.theorem_violation(
-        f"no fixed component of an anticanonical system has arithmetic genus {pa} "
-        f"and self-intersection {s}"
-    )
+        return FixedComponentKind(NEGATIVE_RATIONAL, n=-s)
+    if pa != 1 or s > 0:
+        reason = (
+            f"no fixed component of an anticanonical system has arithmetic genus {pa} "
+            f"and self-intersection {s}"
+        )
+    elif s == 0 and k2 != 0:
+        reason = f"a genus-one fixed component of self-intersection 0 requires K.K = 0, but K.K = {k2}"
+    elif k2 > 0:
+        reason = (
+            f"K.K = {k2} > 0 forces every fixed component to be a negative rational "
+            f"curve, but this class has arithmetic genus 1"
+        )
+    else:
+        return FixedComponentKind(GENUS_ONE, self_int=s)
+    return FixedComponentKind(THEOREM_VIOLATION, reason=reason)
 
 
 def anticanonical_consequence_check(model: SurfaceModel, witness_complete: bool) -> Report:

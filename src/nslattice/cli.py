@@ -32,6 +32,7 @@ from .lattice import (
     json_bool,
     json_int,
     json_object,
+    json_optional,
     lattice_from_json,
 )
 
@@ -106,7 +107,7 @@ def cmd_basis_change(inputs):
 def cmd_enumerate(inputs):
     r = json_int(inputs.get("r"), "--r")
     self_int = json_int(inputs.get("self_int"), "--self-int")
-    degree_bound = json_int(inputs.get("degree_bound", 7), "--degree-bound")
+    degree_bound = json_int(json_optional(inputs, "degree_bound", 7), "--degree-bound")
     lattice = blowup_p2_lattice(r)
     classes = enumerate_negative_rational_classes(lattice, self_int, degree_bound)
     return {
@@ -122,27 +123,11 @@ def _hirzebruch_inputs(inputs: dict) -> tuple[int, int, int]:
     return tuple(json_int(inputs.get(key), "--" + key) for key in "nab")
 
 
-def cmd_hirzebruch_effective(inputs):
-    from .hirzebruch import is_effective
+def cmd_hirzebruch_verdict(function, inputs):
+    from . import hirzebruch
 
     n, a, b = _hirzebruch_inputs(inputs)
-    witness = is_effective(n, a, b)
-    doc = {"n": n, "a": a, "b": b, "effective": witness.effective}
-    doc["multiplicities"] = list(witness.multiplicities) if witness else None
-    return doc
-
-
-def cmd_hirzebruch_nef(inputs):
-    from .hirzebruch import NefDecomposition, nef_decompose
-
-    n, a, b = _hirzebruch_inputs(inputs)
-    verdict = nef_decompose(n, a, b)
-    doc = {"n": n, "a": a, "b": b}
-    if isinstance(verdict, NefDecomposition):
-        doc.update(nef=True, s=verdict.s, t=verdict.t)
-    else:
-        doc.update(nef=False, violator=verdict.violator, pairing=verdict.pairing)
-    return doc
+    return {"n": n, "a": a, "b": b, **getattr(hirzebruch, function)(n, a, b).to_json_dict()}
 
 
 def cmd_hirzebruch_fixed_mobile(inputs):
@@ -164,7 +149,7 @@ def cmd_hirzebruch_anticanonical(inputs):
 def _witness(inputs: dict) -> CurveWitness:
     from .blowup import CurveWitness
 
-    return CurveWitness(_class(inputs), json_bool(inputs.get("prime", True), "prime"))
+    return CurveWitness(_class(inputs), json_bool(json_optional(inputs, "prime", True), "prime"))
 
 
 def cmd_blowup_nef_test(inputs):
@@ -189,14 +174,14 @@ def cmd_blowup_classify(inputs):
 def cmd_blowup_consequences(inputs):
     from .blowup import anticanonical_consequence_check, model_from_json
 
-    witness_complete = json_bool(inputs.get("witness_complete", False), "witness_complete")
+    witness_complete = json_bool(json_optional(inputs, "witness_complete", False), "witness_complete")
     return anticanonical_consequence_check(model_from_json(inputs), witness_complete).to_json_dict()
 
 
 def cmd_blowup_lemma_move(inputs):
     from .blowup import lemma_move_check, model_from_json
 
-    anticanonical = json_bool(inputs.get("anticanonical", True), "anticanonical")
+    anticanonical = json_bool(json_optional(inputs, "anticanonical", True), "anticanonical")
     report = lemma_move_check(
         model_from_json(inputs), _witness(inputs), anticanonical=anticanonical
     )
@@ -206,8 +191,6 @@ def cmd_blowup_lemma_move(inputs):
 def cmd_selfcheck(inputs):
     from .selfcheck import SelfcheckConfig, run_selfcheck
 
-    if not inputs and os.environ.get(CONFIG_ENV):
-        inputs = _read_json(os.environ[CONFIG_ENV])
     results = run_selfcheck(SelfcheckConfig.from_json_dict(inputs))
     return {
         "passed": all(res.passed for res in results),
@@ -234,8 +217,10 @@ COMMANDS = (
     ("enumerate", ("r", "self-int", "degree-bound"), "negative rational classes on a plane blowup",
      cmd_enumerate),
     ("hirzebruch", (), "monoids and fixed loci on F_n", None),
-    ("hirzebruch effective", _NAB, "membership in the effective monoid", cmd_hirzebruch_effective),
-    ("hirzebruch nef", _NAB, "membership in the nef monoid", cmd_hirzebruch_nef),
+    ("hirzebruch effective", _NAB, "membership in the effective monoid",
+     partial(cmd_hirzebruch_verdict, "is_effective")),
+    ("hirzebruch nef", _NAB, "membership in the nef monoid",
+     partial(cmd_hirzebruch_verdict, "nef_decompose")),
     ("hirzebruch fixed-mobile", _NAB, "fixed and mobile parts of |aC_n + bF|",
      cmd_hirzebruch_fixed_mobile),
     ("hirzebruch anticanonical", ("n",), "fixed locus of |-K|", cmd_hirzebruch_anticanonical),
@@ -274,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = groups[group].add_parser(name, parents=[common], help=help_text)
         dests = [p.add_argument("--" + flag, **_FLAGS[flag]).dest for flag in flags]
         p.set_defaults(handler=handler, dests=dests)
+    # the selfcheck config file, when no --json is given
+    groups[""].choices["selfcheck"].set_defaults(json=os.environ.get(CONFIG_ENV))
     return parser
 
 

@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, NotEffectiveError
-from .lattice import DivisorClass, SurfaceLattice, hirzebruch_lattice
+from .lattice import DivisorClass
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,6 @@ class HirzebruchClass:
 
     def to_divisor(self) -> DivisorClass:
         return DivisorClass((self.a, self.b))
-
-    def lattice(self) -> SurfaceLattice:
-        return hirzebruch_lattice(self.n)
 
     def __add__(self, other: "HirzebruchClass") -> "HirzebruchClass":
         if self.n != other.n:
@@ -67,6 +64,10 @@ class EffectiveWitness:
     def __bool__(self) -> bool:
         return self.effective
 
+    def to_json_dict(self) -> dict:
+        multiplicities = list(self.multiplicities) if self.effective else None
+        return {"effective": self.effective, "multiplicities": multiplicities}
+
 
 @dataclass(frozen=True)
 class NefDecomposition:
@@ -79,6 +80,9 @@ class NefDecomposition:
     def reconstruct(self) -> HirzebruchClass:
         return HirzebruchClass(self.n, self.s, self.s * self.n + self.t)
 
+    def to_json_dict(self) -> dict:
+        return {"nef": True, "s": self.s, "t": self.t}
+
 
 @dataclass(frozen=True)
 class NotNef:
@@ -89,6 +93,9 @@ class NotNef:
 
     def __bool__(self) -> bool:
         return False
+
+    def to_json_dict(self) -> dict:
+        return {"nef": False, "violator": self.violator, "pairing": self.pairing}
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,8 @@ def _exact_class(coeffs: tuple[int, ...]) -> DivisorClass:
 
 
 # The JSON readers below are the only way outside input enters the package.  A
-# value of the wrong JSON type is refused, never coerced; None means "absent".
+# value of the wrong JSON type is refused, never coerced; None (JSON null) means
+# "absent", so an optional key given as null takes its default.
 # Types are compared exactly because bool is a subclass of int.
 _INT = frozenset((int,))
 
@@ -130,6 +131,12 @@ def json_bool(value, name: str) -> bool:
     if type(value) is not bool:
         raise _refuse(value, name, "true or false")
     return value
+
+
+def json_optional(doc: dict, key: str, default):
+    """``doc[key]``, or ``default`` when the key is absent or null."""
+    value = doc.get(key)
+    return default if value is None else value
 
 
 def json_object(value, name: str) -> dict:

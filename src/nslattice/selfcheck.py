@@ -74,7 +74,7 @@ class SelfcheckConfig:
         unknown = set(json_object(doc, "selfcheck config")) - {f.name for f in fields(cls)}
         if unknown:
             raise InputError(f"unknown selfcheck config keys: {sorted(unknown)}")
-        values = {k: json_int(v, k) for k, v in doc.items()}
+        values = {k: json_int(v, k) for k, v in doc.items() if v is not None}
         for k, v in values.items():
             # every field but the seed is a bound, a range end or a count, and
             # the enumeration refuses a degree bound below 1

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nslattice import divisor_from_json, lattice_from_json, model_from_json
 from nslattice.cli import main
@@ -660,3 +664,90 @@ def test_one_blowup_name_binds_the_whole_module():
         "print('nslattice.hirzebruch' in sys.modules, 'nslattice.selfcheck' in sys.modules)\n"
     )
     assert lines == ["15 True True", "False False"]
+
+
+B1 = {"family": "blowup_p2", "r": 1}
+SELFCHECK_DEFAULT_SEED = {k: v for k, v in SMALL_SELFCHECK.items() if k != "seed"}
+
+# an optional key given as JSON null takes its default, as if it were absent:
+# (argv, payload without the key, the key that is then set to null)
+NULL_OPTIONAL = {
+    "degree-bound": (["enumerate", "--r", "2", "--self-int=-1"], {}, "degree_bound"),
+    "prime-flag": (["blowup", "classify", "--d", "0,1"], {"lattice": B1}, "prime"),
+    "curves": (["blowup", "consequences"], {"lattice": B1}, "curves"),
+    "witness-complete": (["blowup", "consequences"], MODEL_B9, "witness_complete"),
+    "anticanonical": (
+        ["blowup", "lemma-move", "--d=1,0,0,0,0,0,0,0,0,0"], MODEL_B9, "anticanonical"
+    ),
+    "selfcheck-seed": (["selfcheck"], SELFCHECK_DEFAULT_SEED, "seed"),
+}
+
+
+@pytest.mark.parametrize("argv,payload,key", NULL_OPTIONAL.values(), ids=NULL_OPTIONAL.keys())
+def test_null_optional_key_takes_its_default(capsys, tmp_path, monkeypatch, argv, payload, key):
+    monkeypatch.delenv("NSLATTICE_CONFIG", raising=False)
+    runs = []
+    for doc in (payload, {**payload, key: None}):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(doc))
+        runs.append(run_cli(capsys, argv + ["--json", str(path)]))
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1] == runs[0]
+
+
+def test_null_witness_prime_takes_its_default(capsys, tmp_path):
+    runs = []
+    for witness in ({"coeffs": [0, 1]}, {"coeffs": [0, 1], "prime": None}):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"lattice": B1, "curves": [witness]}))
+        runs.append(run_cli(capsys, ["blowup", "nef-test", "--d", "0,1", "--json", str(path)]))
+    assert runs[0] == (0, '{"verdict": "violated-by", "violator": {"coeffs": [0, 1], '
+                          '"prime": true}, "pairing": -1}\n', "")
+    assert runs[1] == runs[0]
+
+
+def test_null_required_key_is_missing(capsys, tmp_path):
+    path = tmp_path / "payload.json"
+    path.write_text('{"r": null}')
+    code, out, err = run_cli(capsys, ["enumerate", "--self-int=-1", "--json", str(path)])
+    assert (code, out, err) == (2, "", "nslattice: missing required input --r\n")
+
+
+def test_explicit_json_wins_over_config_env(capsys, tmp_path, monkeypatch):
+    import nslattice.selfcheck as sc
+
+    configs = []
+    monkeypatch.setattr(sc, "run_selfcheck", lambda config: configs.append(config) or [])
+    (tmp_path / "bad.json").write_text('{"bogus": 1}')
+    (tmp_path / "empty.json").write_text("{}")
+    monkeypatch.setenv("NSLATTICE_CONFIG", str(tmp_path / "bad.json"))
+    code, out, err = run_cli(capsys, ["selfcheck", "--json", str(tmp_path / "empty.json")])
+    assert (code, err) == (0, "")
+    assert configs == [sc.SelfcheckConfig()]
+
+
+def _verdict(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return list(json.loads(out.getvalue()).items())
+
+
+@settings(deadline=None)
+@given(st.integers(0, 12), st.integers(-5, 20), st.integers(-5, 20))
+def test_hirzebruch_verdicts_follow_from_the_pairings(n, a, b):
+    flags = [f"--n={n}", f"--a={a}", f"--b={b}"]
+    head = [("n", n), ("a", a), ("b", b)]
+    effective = a >= 0 and b >= 0
+    assert _verdict(["hirzebruch", "effective", *flags]) == head + [
+        ("effective", effective), ("multiplicities", [a, b] if effective else None)
+    ]
+    # x.F = a and x.C_n = b - n*a
+    section = b - n * a
+    if a < 0:
+        verdict = [("nef", False), ("violator", "F"), ("pairing", a)]
+    elif section < 0:
+        verdict = [("nef", False), ("violator", f"C{n}"), ("pairing", section)]
+    else:
+        verdict = [("nef", True), ("s", a), ("t", section)]
+    assert _verdict(["hirzebruch", "nef", *flags]) == head + verdict
