@@ -8,6 +8,8 @@ negative-curve enumeration, and the classification of fixed components of
 anticanonical systems.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DimensionError, FamilyError, InputError, InvalidParameterError, LatticeCorruptionError,
     NotEffectiveError, NSLatticeError, PreconditionError,
@@ -42,10 +44,10 @@ _LAZY = {
 _OWNER = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 
 
-# every public name: the classes and functions the two eager blocks bind (not
-# the submodules they load) and every name of the lazy table, bound on first use
+# every public name: what the two eager blocks bind, less the submodules they
+# load, and every name of the lazy table, bound on first use
 __all__ = sorted(
-    {name for name, value in globals().items() if callable(value) and not name.startswith("_")}
+    {n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType))}
     .union(*_LAZY.values())
 )
 

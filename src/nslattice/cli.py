@@ -78,7 +78,7 @@ def _class(inputs: dict, key: str = "d"):
 
 def _lattice(inputs: dict):
     # a nested "lattice" document, as in a model file, under the top-level keys and flags
-    nested = inputs.get("lattice", {})
+    nested = json_optional(inputs, "lattice", {})
     return lattice_from_json({**nested, **inputs} if isinstance(nested, dict) else nested)
 
 

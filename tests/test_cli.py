@@ -669,40 +669,43 @@ def test_one_blowup_name_binds_the_whole_module():
 B1 = {"family": "blowup_p2", "r": 1}
 SELFCHECK_DEFAULT_SEED = {k: v for k, v in SMALL_SELFCHECK.items() if k != "seed"}
 
+
+def _and_null(payload, key):
+    return payload, {**payload, key: None}
+
+
 # an optional key given as JSON null takes its default, as if it were absent:
-# (argv, payload without the key, the key that is then set to null)
+# (argv, payload without the key, the same payload with the key set to null)
 NULL_OPTIONAL = {
-    "degree-bound": (["enumerate", "--r", "2", "--self-int=-1"], {}, "degree_bound"),
-    "prime-flag": (["blowup", "classify", "--d", "0,1"], {"lattice": B1}, "prime"),
-    "curves": (["blowup", "consequences"], {"lattice": B1}, "curves"),
-    "witness-complete": (["blowup", "consequences"], MODEL_B9, "witness_complete"),
-    "anticanonical": (
-        ["blowup", "lemma-move", "--d=1,0,0,0,0,0,0,0,0,0"], MODEL_B9, "anticanonical"
+    "degree-bound": (["enumerate", "--r", "2", "--self-int=-1"], *_and_null({}, "degree_bound")),
+    "nested-lattice": (
+        ["intersect", "--d1", "1,0", "--d2", "1,0"],
+        *_and_null({"family": "hirzebruch", "n": 2}, "lattice"),
     ),
-    "selfcheck-seed": (["selfcheck"], SELFCHECK_DEFAULT_SEED, "seed"),
+    "prime-flag": (["blowup", "classify", "--d", "0,1"], *_and_null({"lattice": B1}, "prime")),
+    "curve-prime": (
+        ["blowup", "nef-test", "--d", "0,1"],
+        {"lattice": B1, "curves": [{"coeffs": [0, 1]}]},
+        {"lattice": B1, "curves": [{"coeffs": [0, 1], "prime": None}]},
+    ),
+    "curves": (["blowup", "consequences"], *_and_null({"lattice": B1}, "curves")),
+    "witness-complete": (["blowup", "consequences"], *_and_null(MODEL_B9, "witness_complete")),
+    "anticanonical": (
+        ["blowup", "lemma-move", "--d=1,0,0,0,0,0,0,0,0,0"], *_and_null(MODEL_B9, "anticanonical")
+    ),
+    "selfcheck-seed": (["selfcheck"], *_and_null(SELFCHECK_DEFAULT_SEED, "seed")),
 }
 
 
-@pytest.mark.parametrize("argv,payload,key", NULL_OPTIONAL.values(), ids=NULL_OPTIONAL.keys())
-def test_null_optional_key_takes_its_default(capsys, tmp_path, monkeypatch, argv, payload, key):
+@pytest.mark.parametrize("argv,absent,null", NULL_OPTIONAL.values(), ids=NULL_OPTIONAL.keys())
+def test_null_optional_key_takes_its_default(capsys, tmp_path, monkeypatch, argv, absent, null):
     monkeypatch.delenv("NSLATTICE_CONFIG", raising=False)
     runs = []
-    for doc in (payload, {**payload, key: None}):
+    for doc in (absent, null):
         path = tmp_path / "payload.json"
         path.write_text(json.dumps(doc))
         runs.append(run_cli(capsys, argv + ["--json", str(path)]))
     assert runs[0][0] == 0 and runs[0][1]
-    assert runs[1] == runs[0]
-
-
-def test_null_witness_prime_takes_its_default(capsys, tmp_path):
-    runs = []
-    for witness in ({"coeffs": [0, 1]}, {"coeffs": [0, 1], "prime": None}):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps({"lattice": B1, "curves": [witness]}))
-        runs.append(run_cli(capsys, ["blowup", "nef-test", "--d", "0,1", "--json", str(path)]))
-    assert runs[0] == (0, '{"verdict": "violated-by", "violator": {"coeffs": [0, 1], '
-                          '"prime": true}, "pairing": -1}\n', "")
     assert runs[1] == runs[0]
 
 
