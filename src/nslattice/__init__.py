@@ -8,25 +8,27 @@ negative-curve enumeration, and the classification of fixed components of
 anticanonical systems.
 """
 
-from types import ModuleType as _ModuleType
-
-from .errors import (
-    DimensionError, FamilyError, InputError, InvalidParameterError, LatticeCorruptionError,
-    NotEffectiveError, NSLatticeError, PreconditionError,
-)
-from .lattice import (
-    DivisorClass, Family, H0BoundAssumptionWarning, SurfaceLattice, basis_change_blf0_to_p2,
-    basis_change_f1_to_p2, blowup_hirzebruch_lattice, blowup_p2_lattice, determinant,
-    divisor_from_json, enumerate_negative_rational_classes, hirzebruch_lattice,
-    lattice_from_json, make_lattice, signature,
-)
-
 __version__ = "0.1.0"
 
-# PEP 562: these modules are imported on first use, so that importing the
-# package, and so each CLI call, builds only what it runs.  The first lookup
-# binds the module and all its names here at once, so later lookups are plain
-# attribute reads and every name comes from the same copy of its module.
+# every public name, under the module that defines it.  errors and lattice hold
+# the value types every module shares and are bound at import; the modules of
+# _LAZY are imported on first use (PEP 562), so that importing the package, and
+# so each CLI call, builds only what it runs.  Binding a module binds all its
+# names here at once, so later lookups are plain attribute reads and every name
+# comes from the same copy of its module.
+_EAGER = {
+    "errors": (
+        "DimensionError", "FamilyError", "InputError", "InvalidParameterError",
+        "LatticeCorruptionError", "NotEffectiveError", "NSLatticeError", "PreconditionError",
+    ),
+    "lattice": (
+        "DivisorClass", "Family", "H0BoundAssumptionWarning", "SurfaceLattice",
+        "basis_change_blf0_to_p2", "basis_change_f1_to_p2", "blowup_hirzebruch_lattice",
+        "blowup_p2_lattice", "determinant", "divisor_from_json",
+        "enumerate_negative_rational_classes", "hirzebruch_lattice", "lattice_from_json",
+        "make_lattice", "signature",
+    ),
+}
 _LAZY = {
     "hirzebruch": (
         "EffectiveWitness", "FixedMobileDecomposition", "HirzebruchClass", "NefDecomposition",
@@ -42,23 +44,24 @@ _LAZY = {
     "selfcheck": ("CheckResult", "SelfcheckConfig", "run_selfcheck"),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+_NAMES = {**_EAGER, **_LAZY}
+__all__ = sorted(name for names in _NAMES.values() for name in names)
 
 
-# every public name: what the two eager blocks bind, less the submodules they
-# load, and every name of the lazy table, bound on first use
-__all__ = sorted(
-    {n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType))}
-    .union(*_LAZY.values())
-)
+def _bind(module: str) -> None:
+    import importlib
+
+    mod = importlib.import_module(f"{__name__}.{module}")
+    globals().update({n: getattr(mod, n) for n in _NAMES[module]}, **{module: mod})
+
+
+for _module in _EAGER:
+    _bind(_module)
 
 
 def __getattr__(name: str):
     module = _OWNER.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    mod = importlib.import_module(f"{__name__}.{module}")
-    namespace = globals()
-    namespace.update({n: getattr(mod, n) for n in _LAZY[module]}, **{module: mod})
-    return namespace[name]
+    _bind(module)
+    return globals()[name]

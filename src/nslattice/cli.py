@@ -32,7 +32,6 @@ from .lattice import (
     json_bool,
     json_int,
     json_object,
-    json_optional,
     lattice_from_json,
 )
 
@@ -66,10 +65,18 @@ def _vector(text: str) -> list[int]:
 
 
 def _inputs(args: argparse.Namespace) -> dict:
-    """The ``--json`` payload with every input flag that was given laid over it."""
-    payload = _read_json(args.json) if args.json else {}
+    """The ``--json`` payload with every input flag that was given laid over it.
+
+    A JSON null counts as absent, so an optional key takes its default and a
+    required one is missing.  Without ``--json``, selfcheck reads its config
+    file from the environment.
+    """
+    path = args.json
+    if path is None and args.handler is cmd_selfcheck:
+        path = os.environ.get(CONFIG_ENV)
+    payload = _read_json(path) if path else {}
     flags = {k: getattr(args, k) for k in args.dests if getattr(args, k) is not None}
-    return {**payload, **flags}
+    return {k: v for k, v in {**payload, **flags}.items() if v is not None}
 
 
 def _class(inputs: dict, key: str = "d"):
@@ -78,7 +85,7 @@ def _class(inputs: dict, key: str = "d"):
 
 def _lattice(inputs: dict):
     # a nested "lattice" document, as in a model file, under the top-level keys and flags
-    nested = json_optional(inputs, "lattice", {})
+    nested = inputs.get("lattice", {})
     return lattice_from_json({**nested, **inputs} if isinstance(nested, dict) else nested)
 
 
@@ -107,7 +114,7 @@ def cmd_basis_change(inputs):
 def cmd_enumerate(inputs):
     r = json_int(inputs.get("r"), "--r")
     self_int = json_int(inputs.get("self_int"), "--self-int")
-    degree_bound = json_int(json_optional(inputs, "degree_bound", 7), "--degree-bound")
+    degree_bound = json_int(inputs.get("degree_bound", 7), "--degree-bound")
     lattice = blowup_p2_lattice(r)
     classes = enumerate_negative_rational_classes(lattice, self_int, degree_bound)
     return {
@@ -149,7 +156,7 @@ def cmd_hirzebruch_anticanonical(inputs):
 def _witness(inputs: dict) -> CurveWitness:
     from .blowup import CurveWitness
 
-    return CurveWitness(_class(inputs), json_bool(json_optional(inputs, "prime", True), "prime"))
+    return CurveWitness(_class(inputs), json_bool(inputs.get("prime", True), "prime"))
 
 
 def cmd_blowup_nef_test(inputs):
@@ -174,14 +181,14 @@ def cmd_blowup_classify(inputs):
 def cmd_blowup_consequences(inputs):
     from .blowup import anticanonical_consequence_check, model_from_json
 
-    witness_complete = json_bool(json_optional(inputs, "witness_complete", False), "witness_complete")
+    witness_complete = json_bool(inputs.get("witness_complete", False), "witness_complete")
     return anticanonical_consequence_check(model_from_json(inputs), witness_complete).to_json_dict()
 
 
 def cmd_blowup_lemma_move(inputs):
     from .blowup import lemma_move_check, model_from_json
 
-    anticanonical = json_bool(json_optional(inputs, "anticanonical", True), "anticanonical")
+    anticanonical = json_bool(inputs.get("anticanonical", True), "anticanonical")
     report = lemma_move_check(
         model_from_json(inputs), _witness(inputs), anticanonical=anticanonical
     )
@@ -259,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = groups[group].add_parser(name, parents=[common], help=help_text)
         dests = [p.add_argument("--" + flag, **_FLAGS[flag]).dest for flag in flags]
         p.set_defaults(handler=handler, dests=dests)
-    # the selfcheck config file, when no --json is given
-    groups[""].choices["selfcheck"].set_defaults(json=os.environ.get(CONFIG_ENV))
     return parser
 
 

@@ -9,7 +9,7 @@ quicker smoke runs.  All randomness is seeded, so output is reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Callable
 
@@ -45,6 +45,7 @@ from .lattice import (
     hirzebruch_lattice,
     json_int,
     json_object,
+    json_optional,
     signature,
 )
 
@@ -74,14 +75,14 @@ class SelfcheckConfig:
         unknown = set(json_object(doc, "selfcheck config")) - {f.name for f in fields(cls)}
         if unknown:
             raise InputError(f"unknown selfcheck config keys: {sorted(unknown)}")
-        values = {k: json_int(v, k) for k, v in doc.items() if v is not None}
+        values = {f.name: json_int(json_optional(doc, f.name, f.default), f.name) for f in fields(cls)}
         for k, v in values.items():
             # every field but the seed is a bound, a range end or a count, and
             # the enumeration refuses a degree bound below 1
             least = 1 if k in ("enum_degree_bound", "enum_stability_bound") else 0
             if v < least and k != "seed":
                 raise InputError(f"selfcheck config {k} must be >= {least}, got {v}")
-        cfg = replace(cls(), **values)
+        cfg = cls(**values)
         # the family checks build a blowup lattice for every r up to family_r_max
         if cfg.family_r_max > MAX_BLOWUP_POINTS:
             raise InputError(

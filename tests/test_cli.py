@@ -729,6 +729,13 @@ def test_explicit_json_wins_over_config_env(capsys, tmp_path, monkeypatch):
     assert configs == [sc.SelfcheckConfig()]
 
 
+@pytest.mark.parametrize("argv,expected", GOLDEN, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_config_env_is_read_by_selfcheck_only(capsys, tmp_path, monkeypatch, argv, expected):
+    # any other command that read the missing file would exit 2
+    monkeypatch.setenv("NSLATTICE_CONFIG", str(tmp_path / "missing.json"))
+    assert run_cli(capsys, argv) == (0, expected, "")
+
+
 def _verdict(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
