@@ -290,12 +290,12 @@ class SurfaceLattice:
         return self._half_adjoint(d, -1)
 
     def h0_lower_bound(self, d: DivisorClass, *, warn_unverified: bool = False) -> int:
-        """max(0, chi(O(D))), a lower bound for h^0(D).
+        """max(0, chi(O(D))), a lower bound for h^0(D) only when h^0(K - D) = 0.
 
-        The bound is only valid when D is the class of an effective divisor
-        and K - D is not effective.  Neither hypothesis is decidable from the
-        class alone, so both are left to the caller; with
-        ``warn_unverified=True`` a warning is emitted when chi(K - D) > 0,
+        By Serre duality h^0(D) = chi(D) + h^1(D) - h^0(K - D), so D need not be
+        effective, but K - D must not be, and that is left to the caller: on F_1,
+        D = -5C - 5F gets 6 though h^0(D) = 0, as K - D = 3C + 2F is effective.
+        With ``warn_unverified=True`` a warning is emitted when chi(K - D) > 0,
         i.e. when the Euler characteristic itself cannot rule out sections
         of K - D.  By bilinearity chi(K - D) = 1 + (D.D - K.D)/2 = chi(D) for
         any symmetric form, so no class K - D is built.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from itertools import chain
+from math import inf
 from typing import Callable
 
 from .blowup import (
@@ -45,7 +46,6 @@ from .lattice import (
     hirzebruch_lattice,
     json_int,
     json_object,
-    json_optional,
     signature,
 )
 
@@ -70,44 +70,43 @@ class SelfcheckConfig:
     enum_stability_bound: int = 12
     seed: int = 20260808
 
+    def __post_init__(self) -> None:
+        for f in fields(self):  # every field is an int before any limit reads one
+            json_int(getattr(self, f.name), f.name)
+        # (-1)-classes are finite only up to r = 8, and the stability check needs both
+        # degree bounds at the largest degree of one at enum_r_max (a value out of
+        # range is refused before they are read); the enumeration refuses 0
+        r, top = self.enum_r_max, len(MINUS_ONE_MAX_DEGREE) - 1
+        least = max(1, MINUS_ONE_MAX_DEGREE[r]) if 0 <= r <= top else 1
+        degree = (least, inf, f" when enum_r_max is {r}")
+        # each field's least and most value, checked in field order, so a limit read
+        # from another field comes after that field; every field but the seed is a
+        # bound, a range end or a count, so at least 0
+        limits = {
+            # the monoid check's generator sums cover its whole box only then
+            "monoid_copies": (self.monoid_coeff_bound, inf, " (monoid_coeff_bound)"),
+            # the family checks build a blowup lattice for every r up to it
+            "family_r_max": (0, MAX_BLOWUP_POINTS, ""),
+            "enum_r_max": (0, top, ""),
+            "enum_degree_bound": degree,
+            "enum_stability_bound": degree,
+            "seed": (-inf, inf, ""),
+        }
+        for f in fields(self):
+            least, most, why = limits.get(f.name, (0, inf, ""))
+            value = getattr(self, f.name)
+            if value < least:
+                raise InputError(f"selfcheck config {f.name} must be >= {least}{why}, got {value}")
+            if value > most:
+                raise InputError(f"selfcheck config {f.name} must be <= {most:,}, got {value}")
+
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SelfcheckConfig":
         unknown = set(json_object(doc, "selfcheck config")) - {f.name for f in fields(cls)}
         if unknown:
             raise InputError(f"unknown selfcheck config keys: {sorted(unknown)}")
-        values = {f.name: json_int(json_optional(doc, f.name, f.default), f.name) for f in fields(cls)}
-        for k, v in values.items():
-            # every field but the seed is a bound, a range end or a count, and
-            # the enumeration refuses a degree bound below 1
-            least = 1 if k in ("enum_degree_bound", "enum_stability_bound") else 0
-            if v < least and k != "seed":
-                raise InputError(f"selfcheck config {k} must be >= {least}, got {v}")
-        cfg = cls(**values)
-        # the family checks build a blowup lattice for every r up to family_r_max
-        if cfg.family_r_max > MAX_BLOWUP_POINTS:
-            raise InputError(
-                f"selfcheck config family_r_max must be <= {MAX_BLOWUP_POINTS:,}, "
-                f"got {cfg.family_r_max}"
-            )
-        # the stability check needs finitely many (-1)-classes up to enum_r_max,
-        # and both bounds at the largest degree of one, or a count must change
-        top = len(MINUS_ONE_MAX_DEGREE) - 1
-        if cfg.enum_r_max > top:
-            raise InputError(f"selfcheck config enum_r_max must be <= {top}, got {cfg.enum_r_max}")
-        degree = MINUS_ONE_MAX_DEGREE[cfg.enum_r_max]
-        for k in ("enum_degree_bound", "enum_stability_bound"):
-            if getattr(cfg, k) < degree:
-                raise InputError(
-                    f"selfcheck config {k} must be >= {degree} when enum_r_max is "
-                    f"{cfg.enum_r_max}, got {getattr(cfg, k)}"
-                )
-        # the monoid check's generator sums cover its whole box only when copies >= bound
-        if cfg.monoid_copies < cfg.monoid_coeff_bound:
-            raise InputError(
-                "selfcheck config monoid_copies must be >= monoid_coeff_bound, "
-                f"got {cfg.monoid_copies} < {cfg.monoid_coeff_bound}"
-            )
-        return cfg
+        # null means "absent": the key takes its default
+        return cls(**{k: v for k, v in doc.items() if v is not None})
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -228,10 +227,9 @@ def _random_class(rng: random.Random, rank: int, bound: int) -> DivisorClass:
     that function inlined, so it makes the same ``getrandbits`` calls in the
     same order: the classes drawn and the generator state after them never
     change.  The draws are plain ints, so no coefficient check is needed.
+    ``bound`` is at least 0, as every config's is.
     """
     m = 2 * bound + 1
-    if m <= 0:
-        raise ValueError(f"empty range for a coefficient bound of {bound}")
     getrandbits = rng.getrandbits
     k = m.bit_length()
     coeffs = []
@@ -311,21 +309,14 @@ def check_lattice_invariants(cfg: SelfcheckConfig) -> CheckResult:
 
 def check_canonical_convention(cfg: SelfcheckConfig) -> CheckResult:
     """The sign convention for K is pinned by adjunction on the basis curves."""
-    failures = []
-    for n in range(cfg.family_n_max + 1):
-        lat = hirzebruch_lattice(n)
-        for i, label in enumerate(lat.basis_labels):
-            if lat.arithmetic_genus(lat.basis_class(i)) != 0:
-                failures.append(f"p_a({label}) != 0 on F_{n}: canonical sign is wrong")
-    for r in range(cfg.family_r_max + 1):
-        lat = blowup_p2_lattice(r)
-        for i, label in enumerate(lat.basis_labels):
-            if lat.arithmetic_genus(lat.basis_class(i)) != 0:
-                failures.append(f"p_a({label}) != 0 on the {r}-fold plane blowup")
+    failures = [
+        f"p_a({label}) != 0 on {lat.to_json_dict()}: canonical sign is wrong"
+        for lat in _family_sweep(cfg)
+        for i, label in enumerate(lat.basis_labels)
+        if lat.arithmetic_genus(lat.basis_class(i)) != 0
+    ]
     return _result(
-        "canonical_convention",
-        failures,
-        "basis curves have arithmetic genus 0 under the chosen K",
+        "canonical_convention", failures, "basis curves have arithmetic genus 0 under the chosen K"
     )
 
 
@@ -435,8 +426,6 @@ def check_negative_curve_adjunction(cfg: SelfcheckConfig) -> CheckResult:
     failures = []
     pool = _family_sweep(cfg)
     size = len(pool)
-    if not size and cfg.random_classes > 0:
-        raise ValueError("no lattice in the configured family ranges")
     # rng.randrange(size), inlined as in _random_class
     getrandbits = rng.getrandbits
     k = size.bit_length()

@@ -761,3 +761,33 @@ def test_hirzebruch_verdicts_follow_from_the_pairings(n, a, b):
     else:
         verdict = [("nef", True), ("s", a), ("t", section)]
     assert _verdict(["hirzebruch", "nef", *flags]) == head + verdict
+
+
+# each (argv, payload, what stderr must hold); FILE names the payload, not written when None
+USAGE_ERROR_MESSAGES = {
+    "missing-payload-file": (["intersect", "--json", "FILE"], None, "nslattice: cannot read JSON payload: "),
+    "non-integer-coefficient": (
+        ["intersect", "--family", "hirzebruch", "--n", "1", "--d1", "1,x", "--d2", "1,0"],
+        None,
+        "expected comma-separated integers, got '1,x'",
+    ),
+    "curves-object": (
+        ["blowup", "forced-fixed", "--json", "FILE"],
+        {"lattice": {"family": "blowup_p2", "r": 1}, "curves": {"coeffs": [1, 0]}},
+        "nslattice: curves must be a list of witnesses, got {",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,payload,message", USAGE_ERROR_MESSAGES.values(), ids=USAGE_ERROR_MESSAGES.keys()
+)
+def test_cli_error_path_is_usage_error(capsys, tmp_path, argv, payload, message):
+    path = tmp_path / "payload.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, [str(path) if a == "FILE" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from nslattice import (
+    InputError,
     SelfcheckConfig,
     SurfaceLattice,
     blowup_hirzebruch_lattice,
@@ -58,8 +59,9 @@ def test_adjunction_parity_draws(monkeypatch, cfg):
     [
         (QUICK, 48),
         (DEFAULT_CAPPED, 307),
-        (SelfcheckConfig(family_n_max=-1, family_r_max=0, random_classes=2), 1),
-        (SelfcheckConfig(family_n_max=-1, family_r_max=1, random_classes=2), 2),
+        # the two smallest valid pools: F_0, P^2 and Bl_0 F_0, then Bl_1 P^2 and Bl_1 F_0 too
+        (SelfcheckConfig(family_n_max=0, family_r_max=0, random_classes=2), 3),
+        (SelfcheckConfig(family_n_max=0, family_r_max=1, random_classes=2), 5),
     ],
     ids=["quick", "default-capped", "pool-1", "pool-2"],
 )
@@ -86,12 +88,12 @@ def test_random_class_matches_randint_at_edge_spans(bound):
 
 
 def test_empty_ranges_raise_instead_of_looping():
-    with pytest.raises(ValueError):
-        selfcheck._random_class(random.Random(0), 3, -1)
-    with pytest.raises(ValueError):
-        selfcheck.check_negative_curve_adjunction(
-            SelfcheckConfig(family_n_max=-1, family_r_max=-1)
-        )
+    # a negative coefficient bound would make the sampler loop forever, and
+    # an empty family pool leave nothing to draw: the config refuses both
+    with pytest.raises(InputError, match="random_coeff_bound"):
+        SelfcheckConfig(random_coeff_bound=-1)
+    with pytest.raises(InputError, match="family_n_max"):
+        SelfcheckConfig(family_n_max=-1, family_r_max=-1)
 
 
 def test_family_tables_are_the_factory_lattices():

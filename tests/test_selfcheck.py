@@ -1,6 +1,13 @@
-import pytest
+import dataclasses
+import re
+from types import SimpleNamespace
 
-from nslattice import NSLatticeError, SelfcheckConfig, run_selfcheck
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from nslattice import InputError, NSLatticeError, SelfcheckConfig, SurfaceLattice, run_selfcheck
+from nslattice import selfcheck
 from nslattice.selfcheck import ALL_CHECKS
 
 QUICK = SelfcheckConfig(
@@ -66,3 +73,96 @@ def test_default_config_matches_acceptance_bounds():
     assert cfg.isometry_random_classes == 1_000
     assert cfg.enum_r_max == 8
     assert cfg.enum_degree_bound == 7 and cfg.enum_stability_bound == 12
+
+
+# each check with one name it calls made to give a wrong answer: (object, name, wrapper)
+WRONG = {
+    "monoid_bruteforce_equivalence": (selfcheck, "is_effective", lambda f: lambda n, a, b: True),
+    "monoid_minimal_generation": (
+        selfcheck, "effective_generators", lambda f: lambda n: (f(n)[0], f(n)[0])
+    ),
+    "fixed_mobile_uniqueness": (
+        selfcheck, "fixed_mobile_decompose", lambda f: lambda n, a, b: SimpleNamespace(j=0)
+    ),
+    "anticanonical_fixed_locus_sweep": (
+        selfcheck, "anticanonical_fixed_locus", lambda f: lambda n: f(n + 1)
+    ),
+    "adjunction_parity": (
+        SurfaceLattice, "canonical_pairing", lambda f: lambda lat, d: f(lat, d) + 1
+    ),
+    "lattice_invariants": (selfcheck, "determinant", lambda f: lambda gram: 2),
+    "canonical_convention": (
+        SurfaceLattice, "arithmetic_genus", lambda f: lambda lat, d: f(lat, d) + 1
+    ),
+    "basis_change_isometries": (
+        selfcheck, "basis_change_f1_to_p2", lambda f: lambda lat, d: f(lat, d) * 2
+    ),
+    "minus_one_enumeration_stability": (
+        selfcheck,
+        "enumerate_negative_rational_classes",
+        lambda f: lambda lat, s, bound: f(lat, s, bound)[:-1],
+    ),
+    "classifier_theorem_cases": (
+        selfcheck, "forced_fixed_components", lambda f: lambda model: f(model)[:-1]
+    ),
+    "negative_curve_adjunction": (
+        SurfaceLattice, "canonical_pairing", lambda f: lambda lat, d: f(lat, d) + 1
+    ),
+}
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.__name__)
+def test_every_check_reports_a_wrong_answer(monkeypatch, check):
+    # an oracle that cannot fail proves nothing
+    name = check(QUICK).name
+    owner, attr, wrong = WRONG[name]
+    monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
+    result = check(QUICK)
+    assert result.name == name and result.passed is False
+    assert re.match(r"[1-9][0-9]* failures; first: ", result.detail), result.detail
+
+
+# configs the checks would get wrong, crash on or work long on: the key each must name
+UNCHECKABLE = {
+    "monoid-copies": ({"monoid_copies": 1}, "monoid_copies"),
+    "stability-bound": ({"enum_stability_bound": 5}, "enum_stability_bound"),
+    "coeff-bound": ({"random_coeff_bound": -1}, "random_coeff_bound"),
+    "empty-pool": ({"family_n_max": -1, "family_r_max": -1}, "family_n_max"),
+    "float-count": ({"random_classes": 2.5}, "random_classes"),
+    "string-r": ({"enum_r_max": "x"}, "enum_r_max"),
+    "enum-budget": ({"enum_r_max": 11}, "enum_r_max"),
+    "blowup-bound": ({"family_n_max": 0, "family_r_max": 20_000}, "family_r_max"),
+}
+
+
+@pytest.mark.parametrize("kwargs,key", UNCHECKABLE.values(), ids=UNCHECKABLE.keys())
+def test_constructor_refuses_what_the_json_reader_refuses(kwargs, key):
+    with pytest.raises(InputError, match=key):
+        SelfcheckConfig(**kwargs)
+    with pytest.raises(InputError, match=key):
+        SelfcheckConfig.from_json_dict(kwargs)
+
+
+def test_replace_is_checked_too():
+    with pytest.raises(InputError, match="enum_r_max"):
+        dataclasses.replace(SelfcheckConfig(), enum_r_max=9)
+
+
+KEYS = [f.name for f in dataclasses.fields(SelfcheckConfig)]
+VALUES = st.one_of(st.integers(-3, 20), st.sampled_from(["1", 1.5, True, None]))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except InputError as exc:
+        # the key the message names first
+        return min((str(exc).find(k), k) for k in KEYS if k in str(exc))[1]
+
+
+@given(st.fixed_dictionaries({}, optional=dict.fromkeys(KEYS, VALUES)))
+def test_json_reader_and_constructor_agree(doc):
+    # equal configs, or InputError naming the same key; never another exception
+    from_json = _outcome(lambda: SelfcheckConfig.from_json_dict(doc))
+    built = _outcome(lambda: SelfcheckConfig(**{k: v for k, v in doc.items() if v is not None}))
+    assert from_json == built
