@@ -24,7 +24,6 @@ from .lattice import (
     divisor_from_json,
     json_bool,
     json_object,
-    json_optional,
     lattice_from_json,
 )
 
@@ -51,7 +50,7 @@ class CurveWitness:
 
 def witness_from_json(doc: dict) -> CurveWitness:
     doc = json_object(doc, "witness")
-    return CurveWitness(divisor_from_json(doc), json_bool(json_optional(doc, "prime", True), "prime"))
+    return CurveWitness(divisor_from_json(doc), json_bool(doc.get("prime", True), "prime"))
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,9 @@ class SurfaceModel:
 
 
 def model_from_json(doc: dict) -> SurfaceModel:
-    lattice = lattice_from_json(json_object(doc, "model").get("lattice"))
-    curves = json_optional(doc, "curves", [])
+    doc = json_object(doc, "model")
+    lattice = lattice_from_json(doc.get("lattice"))
+    curves = doc.get("curves", [])
     if not isinstance(curves, (list, tuple)):
         raise InputError(f"curves must be a list of witnesses, got {curves!r}")
     return SurfaceModel(lattice, tuple(map(witness_from_json, curves)))
@@ -183,6 +183,8 @@ def forced_fixed_components(model: SurfaceModel) -> list[CurveWitness]:
     A prime divisor whose class pairs negatively with -K lies in every member
     of |-K|, so each such witness is a fixed component of the anticanonical
     system.  Input list order is preserved.  (-K).C < 0 is read as K.C > 0.
+    ``asserted_prime`` is not read: on F_3 a witness 2C_3 (p_a = -4) marked
+    not prime is listed, though the fixed part of |-K| is C_3 once.
     """
     return [w for w in model.curves if model.lattice.canonical_pairing(w.cls) > 0]
 

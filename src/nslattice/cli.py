@@ -67,16 +67,15 @@ def _vector(text: str) -> list[int]:
 def _inputs(args: argparse.Namespace) -> dict:
     """The ``--json`` payload with every input flag that was given laid over it.
 
-    A JSON null counts as absent, so an optional key takes its default and a
-    required one is missing.  Without ``--json``, selfcheck reads its config
-    file from the environment.
+    ``json_object`` drops the payload's nulls.  Without ``--json``, selfcheck
+    reads its config file from the environment.
     """
     path = args.json
     if path is None and args.handler is cmd_selfcheck:
         path = os.environ.get(CONFIG_ENV)
     payload = _read_json(path) if path else {}
     flags = {k: getattr(args, k) for k in args.dests if getattr(args, k) is not None}
-    return {k: v for k, v in {**payload, **flags}.items() if v is not None}
+    return {**payload, **flags}
 
 
 def _class(inputs: dict, key: str = "d"):
@@ -261,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     for path, flags, help_text, handler in COMMANDS:
         group, _, name = path.rpartition(" ")
         if handler is None:
-            p = groups[group].add_parser(name, help=help_text)
+            p = groups[group].add_parser(name, help=help_text, description=help_text)
             groups[path] = p.add_subparsers(required=True, metavar="OP")
             continue
-        p = groups[group].add_parser(name, parents=[common], help=help_text)
+        p = groups[group].add_parser(name, parents=[common], help=help_text, description=help_text)
         dests = [p.add_argument("--" + flag, **_FLAGS[flag]).dest for flag in flags]
         p.set_defaults(handler=handler, dests=dests)
     return parser

@@ -108,7 +108,7 @@ def _exact_class(coeffs: tuple[int, ...]) -> DivisorClass:
 
 # The JSON readers below are the only way outside input enters the package.  A
 # value of the wrong JSON type is refused, never coerced; None (JSON null) means
-# "absent", so an optional key given as null takes its default.
+# "absent", a rule json_object alone applies.
 # Types are compared exactly because bool is a subclass of int.
 _INT = frozenset((int,))
 
@@ -133,16 +133,14 @@ def json_bool(value, name: str) -> bool:
     return value
 
 
-def json_optional(doc: dict, key: str, default):
-    """``doc[key]``, or ``default`` when the key is absent or null."""
-    value = doc.get(key)
-    return default if value is None else value
-
-
 def json_object(value, name: str) -> dict:
-    """``value`` if it is a JSON object."""
+    """``value`` if it is a JSON object, without its null members, so an
+    optional key given as null takes its default; ``value`` itself when it
+    holds no null, and a copy otherwise, never changed."""
     if not isinstance(value, dict):
         raise _refuse(value, name, "a JSON object")
+    if None in value.values():
+        return {k: v for k, v in value.items() if v is not None}
     return value
 
 
@@ -162,24 +160,23 @@ class SurfaceLattice:
     ``basis_labels``.  For the built-in families the form is unimodular of
     signature (1, rank - 1) and K.K equals 8, 9 - r and 8 - r respectively.
 
-    The Gram matrix G splits as head (+) (-I): ``h`` is the smallest index
-    such that every basis vector from ``h`` on has square -1 and is
-    orthogonal to all the others (1 on ``blowup_p2``, 2 on the F_n families,
-    ``rank`` for a form with no such tail).  Only the h x h head block is
-    stored, and == and hash compare it in place of G, the same test as the
-    split is canonical.  A lattice takes O(h^2 + rank) memory and time to
-    build; ``gram`` builds G anew on each read, in O(rank^2), and ``repr``
-    prints no matrix.  The pairing reads the block alone,
+    The Gram matrix G is stored once, as ``_head``: every nonzero entry of
+    G + I as a triple (i, j, G_ij + delta_ij), in row-major order.  With the
+    rank it determines G, so == and hash compare it in place of G.  On the
+    built-in families its entries lie in the rows of the P^2 head H or the
+    F_n head (C_n, F), as each E_i adds -1 on the diagonal alone, so a
+    lattice takes O(rank) memory and time to build; ``gram`` builds G anew
+    on each read, in O(rank^2), and ``repr`` prints no matrix.  The pairing
+    reads the triples alone,
 
-        D1.D2 = -sum_i a_i b_i + sum_{i, j < h} a_i (G_ij + delta_ij) b_j,
+        D1.D2 = -sum_i a_i b_i + sum_(i, j, g) in _head a_i g b_j,
 
     and K.D is the dot product of D with the precomputed row K.G.
 
     A hand-built lattice is given its full ``gram``, which is checked for
-    shape and symmetry and then split; the factories pass the block as
-    ``_block``.  Each head entry must be an ``int``: a float or a bool raises
-    ``LatticeCorruptionError``.  The other entries equal 0, or -1 on the
-    diagonal, by the choice of ``h``, and are compared, never kept.
+    shape and symmetry and then read into ``_head``; the factories pass
+    ``_head`` itself.  Every entry of a hand-built ``gram`` must be an
+    ``int``: a float or a bool raises ``LatticeCorruptionError``.
     """
 
     family: Family
@@ -188,52 +185,47 @@ class SurfaceLattice:
     rank: int
     basis_labels: tuple[str, ...]
     canonical: DivisorClass
-    _block: tuple[tuple[int, ...], ...] = field(repr=False)
-    # derived from the block and canonical; they take no part in ==, repr or JSON
-    _head: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    _head: tuple[tuple[int, int, int], ...] = field(repr=False)
+    # derived from _head and canonical; it takes no part in ==, repr or JSON
     _kg: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, family, n, r, rank, gram=None, *, basis_labels, canonical, _block=None) -> None:
+    def __init__(self, family, n, r, rank, gram=None, *, basis_labels, canonical, _head=None) -> None:
         if gram is not None:
             if len(gram) != rank or any(len(row) != rank for row in gram):
                 raise DimensionError("Gram matrix shape does not match the rank")
             if tuple(zip(*gram)) != tuple(map(tuple, gram)):
                 raise LatticeCorruptionError("Gram matrix is not symmetric")
-            h = rank
-            while h and gram[h - 1][h - 1] == -1 and gram[h - 1].count(0) == rank - 1:
-                h -= 1
-            _block = tuple(tuple(row[:h]) for row in gram[:h])
-        elif _block is None:
+            head = []
+            for i, row in enumerate(gram):
+                for j, g in enumerate(row):
+                    if type(g) is not int:
+                        raise LatticeCorruptionError(
+                            f"Gram entry ({i}, {j}) is {g!r}, not an integer"
+                        )
+                    g += i == j
+                    if g:
+                        head.append((i, j, g))
+            _head = tuple(head)
+        elif _head is None:
             raise InputError("a hand-built SurfaceLattice needs its gram matrix")
         k = canonical.coeffs
         if len(k) != rank:
             raise DimensionError("canonical class length does not match the rank")
-        # G = (G + I) - I, and G + I vanishes outside the h x h head block
-        head = []
-        for i, row in enumerate(_block):
-            for j, g in enumerate(row):
-                if type(g) is not int:
-                    raise LatticeCorruptionError(
-                        f"Gram entry ({i}, {j}) is {g!r}, not an integer"
-                    )
-                g += i == j
-                if g:
-                    head.append((i, j, g))
         kg = list(map(neg, k))
-        for i, j, g in head:
+        for i, j, g in _head:
             kg[j] += k[i] * g
-        values = (family, n, r, rank, basis_labels, canonical, _block, tuple(head), tuple(kg))
+        values = (family, n, r, rank, basis_labels, canonical, _head, tuple(kg))
         for name, value in zip(self.__dataclass_fields__, values):
             object.__setattr__(self, name, value)
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        """Rows of the head block (+) (-I), all cut from one zero tuple."""
-        rank, h = self.rank, len(self._block)
-        zero = (0,) * rank
-        return tuple(row + zero[h:] for row in self._block) + tuple(
-            zero[:i] + (-1,) + zero[i + 1 :] for i in range(h, rank)
-        )
+        """G = (G + I) - I, rebuilt from ``_head``."""
+        rank = self.rank
+        rows = [[-(i == j) for j in range(rank)] for i in range(rank)]
+        for i, j, g in self._head:
+            rows[i][j] += g
+        return tuple(map(tuple, rows))
 
     def _check(self, d: DivisorClass) -> tuple[int, ...]:
         c = d.coeffs
@@ -346,9 +338,12 @@ def _surface(family: Family, n: int | None, r: int | None) -> SurfaceLattice:
         n = operator.index(n)
         if n < 0:
             raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {n}")
-        block, labels, k = ((-n, 1), (1, 0)), (f"C{n}", "F"), (-2, -(n + 2))
+        # the nonzero entries of G + I on (C_n, F): 1 - n at (0, 0) is absent on F_1
+        head, labels, k = ((0, 1, 1), (1, 0, 1), (1, 1, 1)), (f"C{n}", "F"), (-2, -(n + 2))
+        if n != 1:
+            head = ((0, 0, 1 - n),) + head
     else:
-        block, labels, k = ((1,),), ("H",), (-3,)
+        head, labels, k = ((0, 0, 2),), ("H",), (-3,)
     if "r" in takes:
         r = operator.index(r)
         if not 0 <= r <= MAX_BLOWUP_POINTS:
@@ -358,7 +353,7 @@ def _surface(family: Family, n: int | None, r: int | None) -> SurfaceLattice:
         labels += tuple(f"E{i}" for i in range(1, r + 1))
         k += (1,) * r
     return SurfaceLattice(
-        family, n, r, len(k), _block=block, basis_labels=labels, canonical=_exact_class(k)
+        family, n, r, len(k), _head=head, basis_labels=labels, canonical=_exact_class(k)
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from itertools import chain
 from math import inf
 from typing import Callable
 
@@ -102,11 +101,11 @@ class SelfcheckConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SelfcheckConfig":
-        unknown = set(json_object(doc, "selfcheck config")) - {f.name for f in fields(cls)}
+        doc = json_object(doc, "selfcheck config")
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise InputError(f"unknown selfcheck config keys: {sorted(unknown)}")
-        # null means "absent": the key takes its default
-        return cls(**{k: v for k, v in doc.items() if v is not None})
+        return cls(**doc)
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -241,22 +240,15 @@ def _random_class(rng: random.Random, rank: int, bound: int) -> DivisorClass:
     return _exact_class(tuple(coeffs))
 
 
-def _family_tables(
-    cfg: SelfcheckConfig,
-) -> tuple[list[SurfaceLattice], list[SurfaceLattice], list[list[SurfaceLattice]]]:
+def _family_sweep(cfg: SelfcheckConfig) -> list[SurfaceLattice]:
     """Every built-in lattice in the configured ranges, each built once:
     F_n by n, Bl_r P^2 by r, and Bl_r F_n by n, then r."""
     ns, rs = range(cfg.family_n_max + 1), range(cfg.family_r_max + 1)
-    return (
-        [hirzebruch_lattice(n) for n in ns],
-        [blowup_p2_lattice(r) for r in rs],
-        [[blowup_hirzebruch_lattice(n, r) for r in rs] for n in ns],
-    )
-
-
-def _family_sweep(cfg: SelfcheckConfig) -> list[SurfaceLattice]:
-    hirzebruch, plane, blown_up = _family_tables(cfg)
-    return [*hirzebruch, *plane, *chain.from_iterable(blown_up)]
+    return [
+        *map(hirzebruch_lattice, ns),
+        *map(blowup_p2_lattice, rs),
+        *(blowup_hirzebruch_lattice(n, r) for n in ns for r in rs),
+    ]
 
 
 def check_adjunction_parity(cfg: SelfcheckConfig) -> CheckResult:
@@ -264,13 +256,14 @@ def check_adjunction_parity(cfg: SelfcheckConfig) -> CheckResult:
     rng = random.Random(cfg.seed)
     randint = rng.randint
     n_max, r_max = cfg.family_n_max, cfg.family_r_max
-    hirzebruch, plane, blown_up = _family_tables(cfg)
-    # one lattice draw per class, by the randint calls that pick the
-    # factory's arguments: n before r on Bl_r F_n
+    pool = _family_sweep(cfg)
+    # one lattice draw per class, by the randint calls that pick the factory's
+    # arguments, n before r on Bl_r F_n, read at its family's offset in the pool
+    plane, blown_up, width = n_max + 1, n_max + r_max + 2, r_max + 1
     draws = (
-        lambda: hirzebruch[randint(0, n_max)],
-        lambda: plane[randint(0, r_max)],
-        lambda: blown_up[randint(0, n_max)][randint(0, r_max)],
+        lambda: pool[randint(0, n_max)],
+        lambda: pool[plane + randint(0, r_max)],
+        lambda: pool[blown_up + randint(0, n_max) * width + randint(0, r_max)],
     )
     failures = []
     for draw in draws:

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from nslattice import (
     nef_against_witnesses,
 )
 from nslattice.blowup import INCOMPLETE_VERDICT
+from nslattice.lattice import json_object
 
 
 def hirzebruch_model(n):
@@ -56,6 +59,22 @@ class TestWitnessValidation:
     def test_json_round_trip(self):
         model = hirzebruch_model(3)
         assert model_from_json(model.to_json_dict()) == model
+
+    def test_null_members_read_as_absent(self):
+        # json_object drops the nulls of every document it reads: the model's
+        # "curves", a witness's "prime" and the nested lattice's "n"
+        lattice = {"family": "blowup_p2", "n": None, "r": 1}
+        bare = {"lattice": lattice, "curves": None}
+        witnessed = {"lattice": lattice, "curves": [{"coeffs": [0, 1], "prime": None}]}
+        given = copy.deepcopy([bare, witnessed])
+        assert model_from_json(bare) == SurfaceModel(blowup_p2_lattice(1))
+        assert model_from_json(witnessed) == SurfaceModel(
+            blowup_p2_lattice(1), (CurveWitness(DivisorClass((0, 1))),)
+        )
+        assert [bare, witnessed] == given
+        # a document without nulls is read as is, not copied
+        doc = {"family": "blowup_p2", "r": 1}
+        assert json_object(doc, "lattice") is doc
 
     @pytest.mark.parametrize(
         "fields",

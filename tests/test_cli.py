@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nslattice import divisor_from_json, lattice_from_json, model_from_json
-from nslattice.cli import main
+from nslattice.cli import COMMANDS, main
 from oracles import MINUS_ONE_COUNTS_BOUND_7
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -345,6 +345,14 @@ class TestExitCodes:
     def test_help_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, ["--help"])
         assert code == 0
+
+    @pytest.mark.parametrize("path", ["h0-bound", "hirzebruch"])
+    def test_command_help_prints_its_help_line(self, capsys, path):
+        # the COMMANDS line shows in the command's own --help, for a leaf and a group
+        line = next(text for p, _, text, _ in COMMANDS if p == path)
+        code, out, _ = run_cli(capsys, [path, "--help"])
+        assert code == 0
+        assert line in " ".join(out.split())
 
 
 class TestPayloadsAndRoundTrips:

@@ -97,11 +97,11 @@ def test_empty_ranges_raise_instead_of_looping():
 
 
 def test_family_tables_are_the_factory_lattices():
-    hirzebruch, plane, blown_up = selfcheck._family_tables(SelfcheckConfig())
-    assert hirzebruch == [hirzebruch_lattice(n) for n in range(21)]
-    assert plane == [blowup_p2_lattice(r) for r in range(13)]
-    assert blown_up == [
-        [blowup_hirzebruch_lattice(n, r) for r in range(13)] for n in range(21)
+    pool = selfcheck._family_sweep(SelfcheckConfig())
+    assert pool == [
+        *(hirzebruch_lattice(n) for n in range(21)),
+        *(blowup_p2_lattice(r) for r in range(13)),
+        *(blowup_hirzebruch_lattice(n, r) for n in range(21) for r in range(13)),
     ]
-    for lat in [*hirzebruch, *plane, *(lat for row in blown_up for lat in row)]:
+    for lat in pool:
         assert lat.rank == oracles.family_rank(lat.family.value, lat.r)

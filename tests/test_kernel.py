@@ -206,18 +206,20 @@ class TestRandomClassStream:
 class TestGramEntryTypes:
     @pytest.mark.parametrize(
         "gram",
-        [((1.5,),), ((1.0,),), ((True,),), ((1, 0.5), (0.5, -1)), ((0, 1), (1, 2.0))],
+        [
+            ((1.5,),),
+            ((1.0,),),
+            ((True,),),
+            ((1, 0.5), (0.5, -1)),
+            ((0, 1), (1, 2.0)),
+            # tail entries equal to those of -I by value are refused too
+            ((1, 0.0, 0), (0.0, -1.0, 0), (0, 0, -1)),
+            ((1, 0, 0), (0, -1.0, 0), (0, 0, -1)),
+        ],
     )
     def test_non_integer_head_entry_rejected(self, gram):
         with pytest.raises(LatticeCorruptionError, match="not an integer"):
             hand_built(gram, (-3,) + (1,) * (len(gram) - 1))
-
-    def test_tail_entries_compared_by_value_only(self):
-        lat = hand_built(((1, 0.0, 0), (0.0, -1.0, 0), (0, 0, -1)), (-3, 1, 1))
-        assert lat == hand_built(((1, 0, 0), (0, -1, 0), (0, 0, -1)), (-3, 1, 1))
-        d = DivisorClass((2, 3, -1))
-        for value in (lat.self_intersection(d), lat.canonical_pairing(d), lat.arithmetic_genus(d)):
-            assert type(value) is int
 
 
 class TestBasisClassRange:

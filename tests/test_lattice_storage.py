@@ -1,4 +1,4 @@
-"""A lattice stores only the head block of its Gram matrix: the matrix it
+"""A lattice stores only the nonzero entries of G + I, as _head: the matrix it
 builds on demand against the naive one, equality with a hand-built lattice,
 dataclasses.replace, memory at high rank and the parameters each family takes."""
 
@@ -53,7 +53,7 @@ def test_gram_and_hand_built_twin(lat):
 def test_replace_keeps_the_block(lat):
     k = DivisorClass((1,) * lat.rank)
     moved = dataclasses.replace(lat, canonical=k)
-    assert moved._block is lat._block and moved._head == lat._head
+    assert moved._head is lat._head
     assert moved.gram == lat.gram and moved.canonical == k
     assert moved != lat
     with pytest.raises(DimensionError):
@@ -62,7 +62,7 @@ def test_replace_keeps_the_block(lat):
 
 def test_repr_prints_no_matrix():
     text = repr(blowup_hirzebruch_lattice(2, 3))
-    assert "gram" not in text and "_block" not in text and "-1" not in text
+    assert "gram" not in text and "_head" not in text and "-1" not in text
 
 
 def test_rank_2001_lattices_are_small():
