@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import operator
 import warnings
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from math import factorial, isqrt
+from math import isqrt
 from operator import add, mul, neg, sub
 
 from .errors import (
@@ -45,6 +44,11 @@ class H0BoundAssumptionWarning(UserWarning):
     the blind assumption h^0(K - D) = 0 is not certified by the count itself."""
 
 
+# bound once: _exact_class runs once per listed class, and a global load is
+# cheaper than looking both methods up on object each time
+_new, _set = object.__new__, object.__setattr__
+
+
 @dataclass(frozen=True, init=False)
 class DivisorClass:
     """Integer coefficient vector relative to a lattice basis.
@@ -60,7 +64,7 @@ class DivisorClass:
     def __init__(self, coeffs: Iterable[int]) -> None:
         # operator.index rejects floats and other inexact types loudly; written out
         # so that each class costs one store, not __init__ plus __post_init__
-        object.__setattr__(self, "coeffs", tuple(map(operator.index, coeffs)))
+        _set(self, "coeffs", tuple(map(operator.index, coeffs)))
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -101,8 +105,8 @@ def _exact_class(coeffs: tuple[int, ...]) -> DivisorClass:
 
     Only for coefficients computed inside the package from exact inputs.
     """
-    d = object.__new__(DivisorClass)
-    object.__setattr__(d, "coeffs", coeffs)
+    d = _new(DivisorClass)
+    _set(d, "coeffs", coeffs)
     return d
 
 
@@ -329,29 +333,37 @@ _PARAMETERS = {
 }
 
 
+def _standard_form(n: int | None, r: int | None) -> tuple[tuple, tuple[str, ...], tuple]:
+    """The nonzero entries of G + I, the basis labels and K of the F_n head
+    (C_n, F), or of the P^2 head H when n is None, followed by E_1..E_r."""
+    if n is None:
+        head, labels, k = ((0, 0, 2),), ("H",), (-3,)
+    else:
+        # 1 - n at (0, 0) is absent on F_1
+        head, labels, k = ((0, 1, 1), (1, 0, 1), (1, 1, 1)), (f"C{n}", "F"), (-2, -(n + 2))
+        if n != 1:
+            head = ((0, 0, 1 - n),) + head
+    if r:
+        labels += tuple(f"E{i}" for i in range(1, r + 1))
+        k += (1,) * r
+    return head, labels, k
+
+
 def _surface(family: Family, n: int | None, r: int | None) -> SurfaceLattice:
-    """The F_n head (C_n, F) if the family takes n, else the P^2 head H, then
-    E_1..E_r if it takes r; n is checked before r, and r before anything of
-    size r is built."""
+    """The standard form of the family on its parameters; n is checked before
+    r, and r before anything of size r is built."""
     takes = _PARAMETERS[family]
     if "n" in takes:
         n = operator.index(n)
         if n < 0:
             raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {n}")
-        # the nonzero entries of G + I on (C_n, F): 1 - n at (0, 0) is absent on F_1
-        head, labels, k = ((0, 1, 1), (1, 0, 1), (1, 1, 1)), (f"C{n}", "F"), (-2, -(n + 2))
-        if n != 1:
-            head = ((0, 0, 1 - n),) + head
-    else:
-        head, labels, k = ((0, 0, 2),), ("H",), (-3,)
     if "r" in takes:
         r = operator.index(r)
         if not 0 <= r <= MAX_BLOWUP_POINTS:
             raise InvalidParameterError(
                 f"number of blown-up points must be in 0..{MAX_BLOWUP_POINTS:,}, got {r}"
             )
-        labels += tuple(f"E{i}" for i in range(1, r + 1))
-        k += (1,) * r
+    head, labels, k = _standard_form(n, r)
     return SurfaceLattice(
         family, n, r, len(k), _head=head, basis_labels=labels, canonical=_exact_class(k)
     )
@@ -450,10 +462,14 @@ MAX_BLOWUP_POINTS = 10_000
 
 
 def _arrangement_count(values: Sequence[int]) -> int:
-    """The number of distinct arrangements of ``values``, len! / prod count_v!."""
-    count = factorial(len(values))
-    for c in Counter(values).values():
-        count //= factorial(c)
+    """The number of distinct arrangements of the sorted ``values``,
+    len! / prod count_v!, as a running product: the first k values, the last
+    of them the run-th of its value, have k/run times the arrangements of the
+    first k - 1, so every partial product is an integer."""
+    count = run = 1
+    for k in range(1, len(values)):
+        run = run + 1 if values[k] == values[k - 1] else 1
+        count = count * (k + 1) // run
     return count
 
 
@@ -570,10 +586,11 @@ def enumerate_negative_rational_classes(
     every solution has d <= 7 and a degree bound of 7 is provably complete.
 
     The search is written for the form of ``blowup_p2_lattice(r)``, and any
-    other plane lattice raises LatticeCorruptionError.  Both constraints are
-    invariant under the group S_r permuting the E_i, so the search lists one
-    class per orbit, with m_1 >= .. >= m_r, and expands each orbit into its
-    distinct arrangements.
+    other plane lattice raises LatticeCorruptionError; the check compares the
+    stored fields with their closed forms and builds no lattice.  Both
+    constraints are invariant under the group S_r permuting the E_i, so the
+    search lists one class per orbit, with m_1 >= .. >= m_r, and expands each
+    orbit into its distinct arrangements.
 
     The work is bounded by ENUMERATION_BUDGET (search nodes plus the
     coefficients of every class listed, charged before any class is built);
@@ -581,14 +598,23 @@ def enumerate_negative_rational_classes(
     """
     if lattice.family is not Family.BLOWUP_P2:
         raise FamilyError("enumeration is defined on blowups of the plane only")
+    self_int = operator.index(self_int)
     if self_int > -1:
         raise InvalidParameterError(f"self-intersection must be <= -1, got {self_int}")
+    degree_bound = operator.index(degree_bound)
     if degree_bound < 1:
         raise InvalidParameterError(f"degree bound must be >= 1, got {degree_bound}")
-    r = lattice.r or 0
-    if lattice != blowup_p2_lattice(r):
+    # every field == compares, against its closed form; r is compared with the
+    # rank first, so no closed form is longer than the lattice itself
+    r = lattice.r
+    if not (
+        lattice.n is None
+        and r == lattice.rank - 1
+        and (lattice._head, lattice.basis_labels, lattice.canonical.coeffs)
+        == _standard_form(None, r)
+    ):
         raise LatticeCorruptionError(
-            f"the search assumes the form and S_r symmetry of blowup_p2_lattice({r}); "
+            f"the search assumes the form and S_r symmetry of blowup_p2_lattice({r or 0}); "
             "this plane lattice differs, so its data is corrupt"
         )
     if r == 0:

@@ -106,11 +106,17 @@ def count_negative_rational_classes(r, self_int, dmax):
             return found
 
         for tup in multisets(r, want_sum, want_sq, dmax):
-            arrangements = math.factorial(r)
-            for dup in Counter(tup).values():
-                arrangements //= math.factorial(dup)
-            total += arrangements
+            total += arrangement_count(tup)
     return total
+
+
+def arrangement_count(values):
+    """The distinct orderings of ``values``: len! over the factorial of each
+    value's multiplicity."""
+    count = math.factorial(len(values))
+    for dup in Counter(values).values():
+        count //= math.factorial(dup)
+    return count
 
 
 # counts computed with the two functions above before the library existed

@@ -3,6 +3,7 @@ budget that bounds it."""
 
 import dataclasses
 import hashlib
+import itertools
 import tracemalloc
 
 import pytest
@@ -73,15 +74,16 @@ def test_plane_lattice_without_the_symmetry_raises():
         enumerate_negative_rational_classes(lat, -1, 7)
 
 
-def plane_lattice(h_square, r):
-    gram = [[0] * (r + 1) for _ in range(r + 1)]
+def plane_lattice(h_square, r, rank=None):
+    rank = r + 1 if rank is None else rank
+    gram = [[0] * rank for _ in range(rank)]
     gram[0][0] = h_square
-    for i in range(1, r + 1):
+    for i in range(1, rank):
         gram[i][i] = -1
     labels = ("H",) + tuple(f"E{i}" for i in range(1, r + 1))
     return SurfaceLattice(
-        Family.BLOWUP_P2, None, r, r + 1, gram, basis_labels=labels,
-        canonical=DivisorClass((-3,) + (1,) * r),
+        Family.BLOWUP_P2, None, r, rank, gram, basis_labels=labels,
+        canonical=DivisorClass((-3,) + (1,) * (rank - 1)),
     )
 
 
@@ -93,12 +95,39 @@ def plane_lattice(h_square, r):
         dataclasses.replace(blowup_p2_lattice(2), canonical=DivisorClass((-3, -1, -1))),
         # H.H = 2 keeps S_r symmetric and D.D + K.D even
         plane_lattice(2, 2),
+        # each of the rest differs from blowup_p2_lattice(2) in the field named,
+        # and in the canonical class as long as the rank
+        dataclasses.replace(blowup_p2_lattice(2), n=0),
+        dataclasses.replace(blowup_p2_lattice(2), basis_labels=("H", "E1", "E3")),
+        plane_lattice(1, 2, rank=4),
+        dataclasses.replace(blowup_p2_lattice(0), r=None),
     ],
-    ids=["another-canonical-class", "another-square-of-H"],
+    ids=[
+        "another-canonical-class",
+        "another-square-of-H",
+        "an-n",
+        "a-renamed-label",
+        "another-rank",
+        "no-r",
+    ],
 )
 def test_plane_lattice_of_another_form_raises(lat):
     with pytest.raises(LatticeCorruptionError, match="symmetry"):
         enumerate_negative_rational_classes(lat, -1, 7)
+
+
+def test_the_form_check_builds_nothing_of_size_r():
+    # the rank is compared before any closed form of length r + 1 is built
+    lat = dataclasses.replace(blowup_p2_lattice(2), r=5_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LatticeCorruptionError):
+            enumerate_negative_rational_classes(lat, -1, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 5,000 labels alone would take about 300 kB
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("r", range(1, 11))
@@ -153,6 +182,38 @@ def test_budget_is_charged_before_any_class_is_built(monkeypatch):
         tracemalloc.stop()
     # the 1,770 classes would hold 1,770 * 61 coefficient pointers alone
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("r,units", [(9, 47_990), (10, 612_609)])
+def test_budget_charge_is_exact(monkeypatch, r, units):
+    # (-1)-classes at bound 7 take exactly README's units: they fit a budget of
+    # that many and not one fewer
+    lat = blowup_p2_lattice(r)
+    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", units)
+    enumerate_negative_rational_classes(lat, -1, 7)
+    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", units - 1)
+    with pytest.raises(InvalidParameterError, match="budget"):
+        enumerate_negative_rational_classes(lat, -1, 7)
+
+
+def test_arrangement_count_matches_the_multinomial():
+    # the search passes each orbit's multiplicities sorted
+    for length in range(9):
+        for values in itertools.combinations_with_replacement(range(-3, 4), length):
+            assert lattice._arrangement_count(values) == oracles.arrangement_count(values)
+
+
+@pytest.mark.parametrize("r", (1, 2))
+@pytest.mark.parametrize("self_int,bound", [(-1.0, 7), (-1, 7.0)])
+def test_inexact_arguments_are_refused_before_the_search(monkeypatch, r, self_int, bound):
+    # a float self-intersection once came back as a coefficient at r = 1,
+    # DivisorClass((0, 1.0)), and failed inside isqrt at r = 2
+    def search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(lattice, "_square_constrained_vectors", search)
+    with pytest.raises(TypeError):
+        enumerate_negative_rational_classes(blowup_p2_lattice(r), self_int, bound)
 
 
 def test_over_budget_is_a_domain_error(monkeypatch):
