@@ -95,8 +95,8 @@ def plane_lattice(h_square, r, rank=None):
         dataclasses.replace(blowup_p2_lattice(2), canonical=DivisorClass((-3, -1, -1))),
         # H.H = 2 keeps S_r symmetric and D.D + K.D even
         plane_lattice(2, 2),
-        # each of the rest differs from blowup_p2_lattice(2) in the field named,
-        # and in the canonical class as long as the rank
+        # each of the rest differs from blowup_p2_lattice(r) in the field
+        # named; a rank of 4 at r = 2 makes K that long too
         dataclasses.replace(blowup_p2_lattice(2), n=0),
         dataclasses.replace(blowup_p2_lattice(2), basis_labels=("H", "E1", "E3")),
         plane_lattice(1, 2, rank=4),
