@@ -22,7 +22,7 @@ _EAGER = {
         "LatticeCorruptionError", "NotEffectiveError", "NSLatticeError", "PreconditionError",
     ),
     "lattice": (
-        "DivisorClass", "Family", "H0BoundAssumptionWarning", "SurfaceLattice",
+        "DivisorClass", "Family", "SurfaceLattice",
         "basis_change_blf0_to_p2", "basis_change_f1_to_p2", "blowup_hirzebruch_lattice",
         "blowup_p2_lattice", "determinant", "divisor_from_json",
         "enumerate_negative_rational_classes", "hirzebruch_lattice", "lattice_from_json",

@@ -218,7 +218,8 @@ COMMANDS = (
     ("intersect", ("family", "n", "r", "d1", "d2"), "pairing of two classes", cmd_intersect),
     ("genus", _LATTICE_D, "arithmetic genus of a class", partial(cmd_value, "arithmetic_genus")),
     ("chi", _LATTICE_D, "Euler characteristic of a class", partial(cmd_value, "euler_characteristic")),
-    ("h0-bound", _LATTICE_D, "max(0, chi), a lower bound for h^0 only if h^0(K - D) = 0",
+    ("h0-bound", _LATTICE_D,
+     "lower bound for h^0: max(0, chi) if K - D is certified not effective, else 0",
      partial(cmd_value, "h0_lower_bound")),
     ("basis-change", _LATTICE_D, "rebase a class onto a plane-blowup basis", cmd_basis_change),
     ("enumerate", ("r", "self-int", "degree-bound"), "negative rational classes on a plane blowup",

@@ -15,7 +15,6 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 import operator
-import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -37,11 +36,6 @@ class Family(str, Enum):
     HIRZEBRUCH = "hirzebruch"
     BLOWUP_P2 = "blowup_p2"
     BLOWUP_HIRZEBRUCH = "blowup_hirzebruch"
-
-
-class H0BoundAssumptionWarning(UserWarning):
-    """The Riemann-Roch lower bound for h^0 was requested for a class where
-    the blind assumption h^0(K - D) = 0 is not certified by the count itself."""
 
 
 # bound once: _exact_class runs once per listed class, and a global load is
@@ -194,6 +188,8 @@ class SurfaceLattice:
     _kg: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, family, n, r, rank, gram=None, *, basis_labels, canonical, _head=None) -> None:
+        if not {type(n), type(r)} <= {int, type(None)}:
+            raise LatticeCorruptionError(f"n = {n!r} and r = {r!r} must be integers or None")
         if gram is not None:
             if len(gram) != rank or any(len(row) != rank for row in gram):
                 raise DimensionError("Gram matrix shape does not match the rank")
@@ -285,26 +281,20 @@ class SurfaceLattice:
         """chi(O(D)) = 1 + (D.D - K.D)/2 on a rational surface."""
         return self._half_adjoint(d, -1)
 
-    def h0_lower_bound(self, d: DivisorClass, *, warn_unverified: bool = False) -> int:
-        """max(0, chi(O(D))), a lower bound for h^0(D) only when h^0(K - D) = 0.
+    def h0_lower_bound(self, d: DivisorClass) -> int:
+        """max(0, chi(O(D))) when K - D is certified not effective, else 0.
 
-        By Serre duality h^0(D) = chi(D) + h^1(D) - h^0(K - D), so D need not be
-        effective, but K - D must not be, and that is left to the caller: on F_1,
-        D = -5C - 5F gets 6 though h^0(D) = 0, as K - D = 3C + 2F is effective.
-        With ``warn_unverified=True`` a warning is emitted when chi(K - D) > 0,
-        i.e. when the Euler characteristic itself cannot rule out sections
-        of K - D.  By bilinearity chi(K - D) = 1 + (D.D - K.D)/2 = chi(D) for
-        any symmetric form, so no class K - D is built.
+        h^0(D) = chi(D) + h^1(D) - h^0(K - D) by Serre duality, so chi(D) <= h^0(D)
+        once N.(K - D) < 0 for a nef N certifies that K - D is not effective.  On
+        the standard forms N = H on Bl_r P^2, or F on F_n and Bl_r F_n, pairs with
+        X as x_0.  When it does not certify, N.D <= N.K < 0, so D is not effective
+        and 0 is exact: on F_1, D = -5C - 5F has chi(D) = 6 but h^0(D) = 0.  A
+        lattice of any other form (a hand-built one) always gets 0.
         """
         chi = self.euler_characteristic(d)
-        if warn_unverified and chi > 0:
-            warnings.warn(
-                "chi(K - D) > 0: the lower bound assumes h^0(K - D) = 0, "
-                "which this computation cannot certify",
-                H0BoundAssumptionWarning,
-                stacklevel=2,
-            )
-        return max(0, chi)
+        if chi > 0 and _is_standard(self) and self.canonical.coeffs[0] < d.coeffs[0]:
+            return chi
+        return 0
 
     def zero_class(self) -> DivisorClass:
         return _exact_class((0,) * self.rank)
@@ -347,6 +337,19 @@ def _standard_form(n: int | None, r: int | None) -> tuple[tuple, tuple[str, ...]
         labels += tuple(f"E{i}" for i in range(1, r + 1))
         k += (1,) * r
     return head, labels, k
+
+
+def _is_standard(lattice: SurfaceLattice) -> bool:
+    """Whether ``lattice`` is its family's form as the factories build it: n and
+    r given just when the family takes them, n >= 0, every other field == reads
+    equal to its closed form, and r compared with the rank before any is built."""
+    n, r, takes = lattice.n, lattice.r, _PARAMETERS[lattice.family]
+    return (
+        (n is None, r is None) == ("n" not in takes, "r" not in takes)
+        and (n or 0) >= 0 and lattice.rank == (1 if n is None else 2) + (r or 0)
+        and (lattice._head, lattice.basis_labels, lattice.canonical.coeffs)
+        == _standard_form(n, r)
+    )
 
 
 def _surface(family: Family, n: int | None, r: int | None) -> SurfaceLattice:
@@ -604,15 +607,8 @@ def enumerate_negative_rational_classes(
     degree_bound = operator.index(degree_bound)
     if degree_bound < 1:
         raise InvalidParameterError(f"degree bound must be >= 1, got {degree_bound}")
-    # every field == compares, against its closed form; r is compared with the
-    # rank first, so no closed form is longer than the lattice itself
     r = lattice.r
-    if not (
-        lattice.n is None
-        and r == lattice.rank - 1
-        and (lattice._head, lattice.basis_labels, lattice.canonical.coeffs)
-        == _standard_form(None, r)
-    ):
+    if not _is_standard(lattice):
         raise LatticeCorruptionError(
             f"the search assumes the form and S_r symmetry of blowup_p2_lattice({r or 0}); "
             "this plane lattice differs, so its data is corrupt"

@@ -4,8 +4,9 @@ Everything here recomputes library results by a different route: symbolic
 bilinear expansion instead of Gram-matrix products, exhaustive generator sums
 instead of inequality tests, multiset enumeration with multinomial counting
 instead of the pruned lexicographic search, rational elimination instead of
-integer congruence reduction, and plain randint/randrange calls instead of
-the selfcheck's inlined sampler.  None of it imports the package.
+integer congruence reduction, plain randint/randrange calls instead of the
+selfcheck's inlined sampler, and sections counted on P^1 instead of
+Riemann-Roch.  None of it imports the package.
 """
 
 import itertools
@@ -39,6 +40,14 @@ def genus_blowup_p2(coeffs):
     total = pairing_blowup_p2(coeffs, coeffs) + pairing_blowup_p2(k, coeffs)
     assert total % 2 == 0
     return 1 + total // 2
+
+
+def h0_hirzebruch(n, a, b):
+    """h^0(a C_n + b F) on F_n, exactly.  The ruling pi: F_n -> P^1 has
+    pi_* O(a C_n + b F) = Sym^a(O + O(-n)) (x) O(b) for a >= 0 (Hartshorne,
+    Algebraic Geometry, V.2), a sum of the O(b - i n) for i = 0..a, and a
+    class with a < 0 has no sections."""
+    return sum(max(0, b - i * n + 1) for i in range(a + 1))
 
 
 def generated_monoid(g1, g2, copies):

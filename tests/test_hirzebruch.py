@@ -191,3 +191,48 @@ class TestAnticanonical:
         assert [n for n in range(51) if not anticanonical_fixed_locus(n).fixed.is_zero()] == list(
             range(3, 51)
         )
+
+
+# F_n for n <= 9, a in -8..8 and b in -12..24: 6,290 classes
+H0_GRID = [(n, a, b) for n in range(10) for a in range(-8, 9) for b in range(-12, 25)]
+
+
+def h0_bound(n, a, b):
+    return hirzebruch_lattice(n).h0_lower_bound(HirzebruchClass(n, a, b).to_divisor())
+
+
+class TestExactH0:
+    """The exact h^0 of oracles.h0_hirzebruch against this module's verdicts
+    and the lattice's Riemann-Roch bound."""
+
+    def test_sections_iff_effective(self):
+        for n, a, b in H0_GRID:
+            assert (oracles.h0_hirzebruch(n, a, b) > 0) == bool(is_effective(n, a, b)), (n, a, b)
+
+    def test_fixed_multiple_is_where_sections_stop_dropping(self):
+        # C_n is fixed k times in |D| iff h^0(D - kC_n) = h^0(D)
+        for n, a, b in H0_GRID:
+            if a >= 0 and b >= 0:
+                h = oracles.h0_hirzebruch(n, a, b)
+                j = max(k for k in range(a + 1) if oracles.h0_hirzebruch(n, a - k, b) == h)
+                assert fixed_mobile_decompose(n, a, b).j == j, (n, a, b)
+
+    def test_h0_is_chi_on_nef_classes(self):
+        for n, a, b in H0_GRID:
+            if nef_decompose(n, a, b):
+                chi = hirzebruch_lattice(n).euler_characteristic(HirzebruchClass(n, a, b).to_divisor())
+                assert oracles.h0_hirzebruch(n, a, b) == chi, (n, a, b)
+
+    def test_bound_is_never_above_h0(self):
+        equal = 0
+        for n, a, b in H0_GRID:
+            bound, h = h0_bound(n, a, b), oracles.h0_hirzebruch(n, a, b)
+            assert bound <= h, (n, a, b)
+            equal += bound == h
+        assert len(H0_GRID) == 6290
+        assert equal >= 5160
+
+    def test_effective_residual_gets_zero(self):
+        # K - D = 3C_1 + 2F is effective; chi(D) = 6 overstates h^0(D) = 0
+        assert oracles.h0_hirzebruch(1, -5, -5) == 0
+        assert h0_bound(1, -5, -5) == 0

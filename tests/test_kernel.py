@@ -1,8 +1,8 @@
 """The lattice kernel against the naive Gram-matrix pairing, the checks made
 when a lattice is built, and the classes drawn by the selfcheck sampler."""
 
+import dataclasses
 import random
-import warnings
 
 import pytest
 from hypothesis import given
@@ -13,7 +13,6 @@ from nslattice import (
     DimensionError,
     DivisorClass,
     Family,
-    H0BoundAssumptionWarning,
     InvalidParameterError,
     LatticeCorruptionError,
     SurfaceLattice,
@@ -166,16 +165,21 @@ class TestH0Duality:
     @given(family_lattices.flatmap(lambda lat: st.tuples(
         st.just(lat), st.lists(coeff, min_size=lat.rank, max_size=lat.rank)
     )))
-    def test_chi_of_residual_class_and_warning(self, case):
+    def test_chi_of_residual_class_and_certified_bound(self, case):
         lat, x = case
         d = DivisorClass(x)
         chi = lat.euler_characteristic(d)
-        assert lat.euler_characteristic(lat.canonical - d) == chi
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert lat.h0_lower_bound(d, warn_unverified=True) == max(0, chi)
-        fired = [w for w in caught if issubclass(w.category, H0BoundAssumptionWarning)]
-        assert len(fired) == (1 if chi > 0 else 0)
+        residual = lat.canonical - d
+        assert lat.euler_characteristic(residual) == chi
+        # the nef pullbacks: H on the plane blowups, F and C_n + nF on the others;
+        # the library reads H or F alone, as C_n + nF certifies no other class
+        # with chi > 0
+        if lat.n is None:
+            nef = [lat.basis_class(0)]
+        else:
+            nef = [lat.basis_class(1), lat.basis_class(0) + lat.n * lat.basis_class(1)]
+        certified = any(lat.intersect(c, residual) < 0 for c in nef)
+        assert lat.h0_lower_bound(d) == (max(0, chi) if certified else 0)
 
 
 class TestRandomClassStream:
@@ -220,6 +224,14 @@ class TestGramEntryTypes:
     def test_non_integer_head_entry_rejected(self, gram):
         with pytest.raises(LatticeCorruptionError, match="not an integer"):
             hand_built(gram, (-3,) + (1,) * (len(gram) - 1))
+
+    @pytest.mark.parametrize(
+        "n,r", [(None, 2.0), (None, True), (None, "2"), (0.0, 2), (False, 2)]
+    )
+    def test_non_integer_parameter_rejected(self, n, r):
+        # r = 2.0 used to compare equal to blowup_p2_lattice(2)
+        with pytest.raises(LatticeCorruptionError, match="integers or None"):
+            dataclasses.replace(blowup_p2_lattice(2), n=n, r=r)
 
 
 class TestBasisClassRange:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ from nslattice import (
     DivisorClass,
     Family,
     FamilyError,
-    H0BoundAssumptionWarning,
     InvalidParameterError,
     LatticeCorruptionError,
     SurfaceLattice,
@@ -202,16 +203,27 @@ class TestH0Bound:
         assert lat.euler_characteristic(triple) == -2
         assert lat.h0_lower_bound(triple) == 0
 
-    def test_warning_is_opt_in(self):
-        lat = hirzebruch_lattice(2)
-        d = DivisorClass((1, 4))
-        with pytest.warns(H0BoundAssumptionWarning):
-            lat.h0_lower_bound(d, warn_unverified=True)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            lat.h0_lower_bound(d)
+    def test_lattice_of_another_form_gets_zero(self):
+        lat = blowup_p2_lattice(2)
+        d = DivisorClass((1, 0, 0))
+        assert lat.h0_lower_bound(d) == 3
+        by_hand = SurfaceLattice(
+            Family.BLOWUP_P2, None, 2, 3, lat.gram,
+            basis_labels=lat.basis_labels, canonical=lat.canonical,
+        )
+        assert by_hand == lat and by_hand.h0_lower_bound(d) == 3
+        for other in (
+            dataclasses.replace(lat, r=None),
+            dataclasses.replace(lat, n=0),
+            dataclasses.replace(lat, basis_labels=("H", "B1", "B2")),
+            dataclasses.replace(lat, family=Family.BLOWUP_HIRZEBRUCH),
+            # the closed form of "F_-3", which no factory builds
+            SurfaceLattice(
+                Family.HIRZEBRUCH, -3, None, 2, ((3, 1), (1, 0)),
+                basis_labels=("C-3", "F"), canonical=DivisorClass((-2, 1)),
+            ),
+        ):
+            assert other.h0_lower_bound(other.zero_class()) == 0
 
 
 class TestBasisChanges:

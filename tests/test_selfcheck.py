@@ -1,12 +1,22 @@
 import dataclasses
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nslattice import InputError, NSLatticeError, SelfcheckConfig, SurfaceLattice, run_selfcheck
+from nslattice import (
+    InputError,
+    NSLatticeError,
+    SelfcheckConfig,
+    SurfaceLattice,
+    blowup_p2_lattice,
+    enumerate_negative_rational_classes,
+    run_selfcheck,
+)
 from nslattice import selfcheck
 from nslattice.selfcheck import ALL_CHECKS
 
@@ -51,6 +61,27 @@ def test_results_are_deterministic():
     first = run_selfcheck(QUICK)
     second = run_selfcheck(QUICK)
     assert first == second
+
+
+def test_threads_see_the_serial_results():
+    # the package promises unrestricted concurrent use: four threads, started
+    # together, each run one enumeration and the quick selfcheck
+    cells = [(7, -1), (8, -2), (9, -1), (9, -2)]
+    start = threading.Barrier(len(cells))
+
+    def work(cell, wait=False):
+        if wait:
+            start.wait(timeout=60)
+        r, self_int = cell
+        return (
+            enumerate_negative_rational_classes(blowup_p2_lattice(r), self_int, 6),
+            run_selfcheck(QUICK),
+        )
+
+    serial = [work(cell) for cell in cells]
+    with ThreadPoolExecutor(max_workers=len(cells)) as pool:
+        threaded = list(pool.map(work, cells, [True] * len(cells)))
+    assert threaded == serial
 
 
 def test_config_round_trip():
