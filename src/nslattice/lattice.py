@@ -188,8 +188,10 @@ class SurfaceLattice:
     _kg: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, family, n, r, rank, gram=None, *, basis_labels, canonical, _head=None) -> None:
-        if not {type(n), type(r)} <= {int, type(None)}:
-            raise LatticeCorruptionError(f"n = {n!r} and r = {r!r} must be integers or None")
+        if type(family) is not Family or not {type(n), type(r)} <= {int, type(None)}:
+            raise LatticeCorruptionError(
+                f"need a Family, and n and r as integers or None; got {family!r}, {n!r}, {r!r}"
+            )
         if gram is not None:
             if len(gram) != rank or any(len(row) != rank for row in gram):
                 raise DimensionError("Gram matrix shape does not match the rank")
@@ -340,9 +342,8 @@ def _standard_form(n: int | None, r: int | None) -> tuple[tuple, tuple[str, ...]
 
 
 def _is_standard(lattice: SurfaceLattice) -> bool:
-    """Whether ``lattice`` is its family's form as the factories build it: n and
-    r given just when the family takes them, n >= 0, every other field == reads
-    equal to its closed form, and r compared with the rank before any is built."""
+    """Whether ``lattice`` is its family's form as the factories build it; r is
+    compared with the rank before anything of length r is built."""
     n, r, takes = lattice.n, lattice.r, _PARAMETERS[lattice.family]
     return (
         (n is None, r is None) == ("n" not in takes, "r" not in takes)

@@ -226,12 +226,16 @@ class TestGramEntryTypes:
             hand_built(gram, (-3,) + (1,) * (len(gram) - 1))
 
     @pytest.mark.parametrize(
-        "n,r", [(None, 2.0), (None, True), (None, "2"), (0.0, 2), (False, 2)]
+        "changes",
+        [
+            {"r": 2.0}, {"r": True}, {"r": "2"}, {"n": 0.0}, {"n": False},
+            {"family": "blowup_p2"}, {"family": "plane"},
+        ],
     )
-    def test_non_integer_parameter_rejected(self, n, r):
-        # r = 2.0 used to compare equal to blowup_p2_lattice(2)
-        with pytest.raises(LatticeCorruptionError, match="integers or None"):
-            dataclasses.replace(blowup_p2_lattice(2), n=n, r=r)
+    def test_parameter_of_another_type_rejected(self, changes):
+        # r = 2.0 and the family "blowup_p2" used to compare equal to blowup_p2_lattice(2)
+        with pytest.raises(LatticeCorruptionError, match="need a Family"):
+            dataclasses.replace(blowup_p2_lattice(2), **changes)
 
 
 class TestBasisClassRange:
