@@ -108,7 +108,7 @@ def _exact_class(coeffs: tuple[int, ...]) -> DivisorClass:
 # value of the wrong JSON type is refused, never coerced; None (JSON null) means
 # "absent", a rule json_object alone applies.
 # Types are compared exactly because bool is a subclass of int.
-_INT = frozenset((int,))
+_INT, _INT_OR_NONE = frozenset((int,)), frozenset((int, type(None)))
 
 
 def _refuse(value, name: str, kind: str) -> InputError:
@@ -173,8 +173,8 @@ class SurfaceLattice:
 
     A hand-built lattice is given its full ``gram``, which is checked for
     shape and symmetry and then read into ``_head``; the factories pass
-    ``_head`` itself.  Every entry of a hand-built ``gram`` must be an
-    ``int``: a float or a bool raises ``LatticeCorruptionError``.
+    ``_head`` itself.  ``family`` must be a ``Family``, n and r ints or None
+    and each ``gram`` entry an ``int``, or ``LatticeCorruptionError`` is raised.
     """
 
     family: Family
@@ -188,7 +188,7 @@ class SurfaceLattice:
     _kg: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, family, n, r, rank, gram=None, *, basis_labels, canonical, _head=None) -> None:
-        if type(family) is not Family or not {type(n), type(r)} <= {int, type(None)}:
+        if type(family) is not Family or type(n) not in _INT_OR_NONE or type(r) not in _INT_OR_NONE:
             raise LatticeCorruptionError(
                 f"need a Family, and n and r as integers or None; got {family!r}, {n!r}, {r!r}"
             )
