@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EAGER = {
     "errors": (
         "DimensionError", "FamilyError", "InputError", "InvalidParameterError",
-        "LatticeCorruptionError", "NotEffectiveError", "NSLatticeError", "PreconditionError",
+        "NotEffectiveError", "NSLatticeError", "PreconditionError",
     ),
     "lattice": (
         "DivisorClass", "Family", "SurfaceLattice",

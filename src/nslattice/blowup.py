@@ -251,8 +251,7 @@ def anticanonical_consequence_check(model: SurfaceModel, witness_complete: bool)
         )
         checks = [(f"K.K = {k2} >= 0", k2 >= 0), (f"rho = {lat.rank} <= 10", lat.rank <= 10)]
         if lat.family is Family.BLOWUP_P2:
-            # rank - 1, not r, which a hand-built lattice may leave None
-            checks.append((f"r = {lat.rank - 1} <= 9", lat.rank - 1 <= 9))
+            checks.append((f"r = {lat.r} <= 9", lat.r <= 9))
         failed = []
         for text, ok in checks:
             details.append(f"{text}: {'ok' if ok else 'FAILED'}")

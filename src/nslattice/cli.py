@@ -289,6 +289,11 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"nslattice: cannot write the output: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except ValueError as exc:
+        # json.dumps builds the whole text first: an integer past the
+        # interpreter's digit limit fails before anything reaches stdout
+        print(f"nslattice: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     if doc.get("passed") is False:
         return EXIT_DOMAIN
     if args.strict:

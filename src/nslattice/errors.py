@@ -17,10 +17,6 @@ class FamilyError(NSLatticeError):
     """An operation was applied to a lattice of the wrong family."""
 
 
-class LatticeCorruptionError(NSLatticeError):
-    """An adjunction-type quantity came out odd: the Gram data is corrupt."""
-
-
 class NotEffectiveError(NSLatticeError):
     """The class is not effective, so its complete linear system is empty."""
 

@@ -21,13 +21,7 @@ from enum import Enum
 from math import isqrt
 from operator import add, mul, neg, sub
 
-from .errors import (
-    DimensionError,
-    FamilyError,
-    InputError,
-    InvalidParameterError,
-    LatticeCorruptionError,
-)
+from .errors import DimensionError, FamilyError, InputError, InvalidParameterError
 
 
 class Family(str, Enum):
@@ -108,7 +102,7 @@ def _exact_class(coeffs: tuple[int, ...]) -> DivisorClass:
 # value of the wrong JSON type is refused, never coerced; None (JSON null) means
 # "absent", a rule json_object alone applies.
 # Types are compared exactly because bool is a subclass of int.
-_INT, _INT_OR_NONE = frozenset((int,)), frozenset((int, type(None)))
+_INT = frozenset((int,))
 
 
 def _refuse(value, name: str, kind: str) -> InputError:
@@ -152,73 +146,72 @@ def divisor_from_json(doc: dict | Sequence[int], name: str = "coeffs") -> Diviso
 
 @dataclass(frozen=True, init=False)
 class SurfaceLattice:
-    """A based integral lattice with a distinguished canonical class.
+    """The Neron-Severi lattice of a built-in family, with its canonical class.
 
-    ``canonical`` holds the coefficients of K on the basis named by
-    ``basis_labels``.  For the built-in families the form is unimodular of
-    signature (1, rank - 1) and K.K equals 8, 9 - r and 8 - r respectively.
+    A lattice is named by (family, n, r) and by nothing else: every other
+    field is derived from those three, so == and hash compare them alone and
+    ``dataclasses.replace(lat, r=...)`` builds the lattice of the new r.
+    ``family`` is a ``Family`` or its value; n and r are ints, given exactly
+    when the family takes them.  ``canonical`` holds the coefficients of K on
+    the basis named by ``basis_labels``.  The form is unimodular of signature
+    (1, rank - 1) and K.K equals 8, 9 - r and 8 - r respectively.
 
     The Gram matrix G is stored once, as ``_head``: every nonzero entry of
-    G + I as a triple (i, j, G_ij + delta_ij), in row-major order.  With the
-    rank it determines G, so == and hash compare it in place of G.  On the
-    built-in families its entries lie in the rows of the P^2 head H or the
-    F_n head (C_n, F), as each E_i adds -1 on the diagonal alone, so a
-    lattice takes O(rank) memory and time to build; ``gram`` builds G anew
-    on each read, in O(rank^2), and ``repr`` prints no matrix.  The pairing
-    reads the triples alone,
+    G + I as a triple (i, j, G_ij + delta_ij), in row-major order.  Its
+    entries lie in the rows of the P^2 head H or the F_n head (C_n, F), as
+    each E_i adds -1 on the diagonal alone, so a lattice takes O(rank)
+    memory and time to build; ``gram`` builds G anew on each read, in
+    O(rank^2), and ``repr`` prints no matrix.  The pairing reads the triples
+    alone,
 
         D1.D2 = -sum_i a_i b_i + sum_(i, j, g) in _head a_i g b_j,
 
     and K.D is the dot product of D with the precomputed row K.G.
-
-    A hand-built lattice is given its full ``gram``, which is checked for
-    shape and symmetry and then read into ``_head``; the factories pass
-    ``_head`` itself.  ``family`` must be a ``Family``, n and r ints or None
-    and each ``gram`` entry an ``int``, or ``LatticeCorruptionError`` is raised.
     """
 
     family: Family
     n: int | None
     r: int | None
-    rank: int
-    basis_labels: tuple[str, ...]
-    canonical: DivisorClass
-    _head: tuple[tuple[int, int, int], ...] = field(repr=False)
-    # derived from _head and canonical; it takes no part in ==, repr or JSON
+    rank: int = field(init=False, compare=False)
+    basis_labels: tuple[str, ...] = field(init=False, compare=False)
+    canonical: DivisorClass = field(init=False, compare=False)
+    _head: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
     _kg: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, family, n, r, rank, gram=None, *, basis_labels, canonical, _head=None) -> None:
-        if type(family) is not Family or type(n) not in _INT_OR_NONE or type(r) not in _INT_OR_NONE:
-            raise LatticeCorruptionError(
-                f"need a Family, and n and r as integers or None; got {family!r}, {n!r}, {r!r}"
+    def __init__(self, family: Family | str, n: int | None = None, r: int | None = None) -> None:
+        # which parameters are given, then their types, then n, then r: all
+        # before anything of size r is built
+        if type(family) is not Family:
+            try:
+                family = Family(family)
+            except ValueError:
+                names = ", ".join(f.value for f in Family)
+                raise InputError(f"lattice family must be one of {names}, got {family!r}") from None
+        takes, given = _PARAMETERS[family], (("n", n), ("r", r))
+        for p, value in given:
+            if value is None and p in takes:
+                raise InputError(f"{family.value} lattice requires {' and '.join(takes)}")
+        for p, value in given:
+            if value is not None and p not in takes:
+                raise InputError(f"{family.value} lattice takes no {p}, got {p} = {value!r}")
+        for p, value in given:
+            if value is not None and type(value) is not int:
+                raise TypeError(f"{p} must be an integer, got {value!r}")
+        if n is not None and n < 0:
+            raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {n}")
+        if r is not None and not 0 <= r <= MAX_BLOWUP_POINTS:
+            raise InvalidParameterError(
+                f"number of blown-up points must be in 0..{MAX_BLOWUP_POINTS:,}, got {r}"
             )
-        if gram is not None:
-            if len(gram) != rank or any(len(row) != rank for row in gram):
-                raise DimensionError("Gram matrix shape does not match the rank")
-            if tuple(zip(*gram)) != tuple(map(tuple, gram)):
-                raise LatticeCorruptionError("Gram matrix is not symmetric")
-            head = []
-            for i, row in enumerate(gram):
-                for j, g in enumerate(row):
-                    if type(g) is not int:
-                        raise LatticeCorruptionError(
-                            f"Gram entry ({i}, {j}) is {g!r}, not an integer"
-                        )
-                    g += i == j
-                    if g:
-                        head.append((i, j, g))
-            _head = tuple(head)
-        elif _head is None:
-            raise InputError("a hand-built SurfaceLattice needs its gram matrix")
-        k = canonical.coeffs
-        if len(k) != rank:
-            raise DimensionError("canonical class length does not match the rank")
+        head, labels, k = _standard_form(n, r)
         kg = list(map(neg, k))
-        for i, j, g in _head:
+        for i, j, g in head:
             kg[j] += k[i] * g
-        values = (family, n, r, rank, basis_labels, canonical, _head, tuple(kg))
+        # one store per field, in declaration order: filling vars(self) at once
+        # makes the kernel's later attribute reads slower
+        values = (family, n, r, len(k), labels, _exact_class(k), head, tuple(kg))
         for name, value in zip(self.__dataclass_fields__, values):
-            object.__setattr__(self, name, value)
+            _set(self, name, value)
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -244,18 +237,17 @@ class SurfaceLattice:
         return total
 
     def _half_adjoint(self, d: DivisorClass, sign: int) -> int:
-        """1 + (D.D + sign * K.D)/2 for sign = +-1, refusing an odd numerator.
+        """1 + (D.D + sign * K.D)/2 for sign = +-1.
 
         One pass: D.D + sign * K.D = -sum_i c_i (c_i - sign * kg_i) + the head terms.
+        K is characteristic on every family, so the numerator is even:
+        D.D + K.D = d(d - 3) - sum m_i(m_i - 1) on Bl_r P^2, and
+        -n a(a - 1) + 2ab - 2a - 2b on F_n.
         """
         c = self._check(d)
         total = -sum(map(mul, c, map(sub if sign > 0 else add, c, self._kg)))
         for i, j, g in self._head:
             total += c[i] * g * c[j]
-        if total % 2 != 0:
-            raise LatticeCorruptionError(
-                f"D.D {'+' if sign > 0 else '-'} K.D = {total} is odd; the lattice data is corrupt"
-            )
         return 1 + total // 2
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass) -> int:
@@ -271,12 +263,7 @@ class SurfaceLattice:
         return sum(map(mul, self._kg, self._check(d)))
 
     def arithmetic_genus(self, d: DivisorClass) -> int:
-        """Adjunction genus p_a(D) = 1 + (D.D + K.D)/2.
-
-        D.D + K.D is even on every even-adjoint lattice; an odd value means
-        the Gram data was edited into an inconsistent state and is reported
-        as corruption rather than rounded away.
-        """
+        """Adjunction genus p_a(D) = 1 + (D.D + K.D)/2."""
         return self._half_adjoint(d, 1)
 
     def euler_characteristic(self, d: DivisorClass) -> int:
@@ -287,14 +274,12 @@ class SurfaceLattice:
         """max(0, chi(O(D))) when K - D is certified not effective, else 0.
 
         h^0(D) = chi(D) + h^1(D) - h^0(K - D) by Serre duality, so chi(D) <= h^0(D)
-        once N.(K - D) < 0 for a nef N certifies that K - D is not effective.  On
-        the standard forms N = H on Bl_r P^2, or F on F_n and Bl_r F_n, pairs with
-        X as x_0.  When it does not certify, N.D <= N.K < 0, so D is not effective
-        and 0 is exact: on F_1, D = -5C - 5F has chi(D) = 6 but h^0(D) = 0.  A
-        lattice of any other form (a hand-built one) always gets 0.
+        once N.(K - D) < 0 for a nef N certifies that K - D is not effective.
+        N = H on Bl_r P^2, or F on F_n and Bl_r F_n, pairs with X as x_0.  When it does not certify, N.D <= N.K < 0, so D is not effective
+        and 0 is exact: on F_1, D = -5C - 5F has chi(D) = 6 but h^0(D) = 0.
         """
         chi = self.euler_characteristic(d)
-        if chi > 0 and _is_standard(self) and self.canonical.coeffs[0] < d.coeffs[0]:
+        if chi > 0 and self.canonical.coeffs[0] < d.coeffs[0]:
             return chi
         return 0
 
@@ -341,41 +326,9 @@ def _standard_form(n: int | None, r: int | None) -> tuple[tuple, tuple[str, ...]
     return head, labels, k
 
 
-def _is_standard(lattice: SurfaceLattice) -> bool:
-    """Whether ``lattice`` is its family's form as the factories build it; r is
-    compared with the rank before anything of length r is built."""
-    n, r, takes = lattice.n, lattice.r, _PARAMETERS[lattice.family]
-    return (
-        (n is None, r is None) == ("n" not in takes, "r" not in takes)
-        and (n or 0) >= 0 and lattice.rank == (1 if n is None else 2) + (r or 0)
-        and (lattice._head, lattice.basis_labels, lattice.canonical.coeffs)
-        == _standard_form(n, r)
-    )
-
-
-def _surface(family: Family, n: int | None, r: int | None) -> SurfaceLattice:
-    """The standard form of the family on its parameters; n is checked before
-    r, and r before anything of size r is built."""
-    takes = _PARAMETERS[family]
-    if "n" in takes:
-        n = operator.index(n)
-        if n < 0:
-            raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {n}")
-    if "r" in takes:
-        r = operator.index(r)
-        if not 0 <= r <= MAX_BLOWUP_POINTS:
-            raise InvalidParameterError(
-                f"number of blown-up points must be in 0..{MAX_BLOWUP_POINTS:,}, got {r}"
-            )
-    head, labels, k = _standard_form(n, r)
-    return SurfaceLattice(
-        family, n, r, len(k), _head=head, basis_labels=labels, canonical=_exact_class(k)
-    )
-
-
 def hirzebruch_lattice(n: int) -> SurfaceLattice:
     """NS(F_n): basis (C_n, F) with C_n.C_n = -n, F.F = 0, C_n.F = 1."""
-    return _surface(Family.HIRZEBRUCH, n, None)
+    return SurfaceLattice(Family.HIRZEBRUCH, n)
 
 
 def blowup_p2_lattice(r: int) -> SurfaceLattice:
@@ -383,7 +336,7 @@ def blowup_p2_lattice(r: int) -> SurfaceLattice:
 
     r = 0 gives the rank-one lattice of P^2 itself.
     """
-    return _surface(Family.BLOWUP_P2, None, r)
+    return SurfaceLattice(Family.BLOWUP_P2, r=r)
 
 
 def blowup_hirzebruch_lattice(n: int, r: int) -> SurfaceLattice:
@@ -391,24 +344,12 @@ def blowup_hirzebruch_lattice(n: int, r: int) -> SurfaceLattice:
 
     r = 0 gives NS(F_n) itself, with the blowup family tag retained.
     """
-    return _surface(Family.BLOWUP_HIRZEBRUCH, n, r)
+    return SurfaceLattice(Family.BLOWUP_HIRZEBRUCH, n, r)
 
 
 def make_lattice(family: Family | str, n: int | None = None, r: int | None = None) -> SurfaceLattice:
     """Build a lattice from a family descriptor; deterministic for equal inputs."""
-    try:
-        fam = Family(family)
-    except ValueError:
-        names = ", ".join(f.value for f in Family)
-        raise InputError(f"lattice family must be one of {names}, got {family!r}") from None
-    takes, given = _PARAMETERS[fam], (("n", n), ("r", r))
-    for p, value in given:
-        if value is None and p in takes:
-            raise InputError(f"{fam.value} lattice requires {' and '.join(takes)}")
-    for p, value in given:
-        if value is not None and p not in takes:
-            raise InputError(f"{fam.value} lattice takes no {p}, got {p} = {value!r}")
-    return _surface(fam, n, r)
+    return SurfaceLattice(family, n, r)
 
 
 def lattice_from_json(doc: dict) -> SurfaceLattice:
@@ -589,12 +530,9 @@ def enumerate_negative_rational_classes(
     r <= 8 this reads (3d - 1)^2 <= 8(d^2 + 1), i.e. (d - 7)(d + 1) <= 0, so
     every solution has d <= 7 and a degree bound of 7 is provably complete.
 
-    The search is written for the form of ``blowup_p2_lattice(r)``, and any
-    other plane lattice raises LatticeCorruptionError; the check compares the
-    stored fields with their closed forms and builds no lattice.  Both
-    constraints are invariant under the group S_r permuting the E_i, so the
-    search lists one class per orbit, with m_1 >= .. >= m_r, and expands each
-    orbit into its distinct arrangements.
+    Both constraints are invariant under the group S_r permuting the E_i, so
+    the search lists one class per orbit, with m_1 >= .. >= m_r, and expands
+    each orbit into its distinct arrangements.
 
     The work is bounded by ENUMERATION_BUDGET (search nodes plus the
     coefficients of every class listed, charged before any class is built);
@@ -609,11 +547,6 @@ def enumerate_negative_rational_classes(
     if degree_bound < 1:
         raise InvalidParameterError(f"degree bound must be >= 1, got {degree_bound}")
     r = lattice.r
-    if not _is_standard(lattice):
-        raise LatticeCorruptionError(
-            f"the search assumes the form and S_r symmetry of blowup_p2_lattice({r or 0}); "
-            "this plane lattice differs, so its data is corrupt"
-        )
     if r == 0:
         return []
     found: list[tuple[int, ...]] = []

@@ -12,9 +12,7 @@ from nslattice import (
     GENUS_ONE,
     NSLatticeError,
     NEGATIVE_RATIONAL,
-    Family,
     PreconditionError,
-    SurfaceLattice,
     SurfaceModel,
     THEOREM_VIOLATION,
     anticanonical_consequence_check,
@@ -238,15 +236,6 @@ class TestConsequenceCheck:
         report = anticanonical_consequence_check(model, False)
         assert report.verdict == "consistent"
         assert any("self-intersection -5 <= -3" in line for line in report.details)
-
-    def test_plane_lattice_without_r_counts_points_by_rank(self):
-        lat = SurfaceLattice(
-            Family.BLOWUP_P2, None, None, 2, ((1, 0), (0, -1)),
-            basis_labels=("H", "E1"), canonical=DivisorClass((-3, 1)),
-        )
-        report = anticanonical_consequence_check(SurfaceModel(lat, ()), False)
-        assert report.verdict == "consistent"
-        assert "r = 1 <= 9: ok" in report.details
 
     def test_empty_witnesses_vacuous_nef(self):
         report = anticanonical_consequence_check(SurfaceModel(blowup_p2_lattice(3), ()), False)

@@ -559,6 +559,29 @@ def test_closed_stdout_is_one_line_and_exit_1():
     assert err.startswith("nslattice: ") and err.count("\n") == 1
 
 
+# 10^4000: argparse reads its 4,001 digits, but the results have about 8,000
+BIG = "1" + "0" * 4000
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="needs the default limit of 4,300 digits on integer string conversion",
+)
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["compact", "pretty"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hirzebruch", "nef", "--n", BIG, "--a", BIG, "--b", "0"],
+        ["intersect", "--family", "hirzebruch", "--n", BIG, "--d1", f"{BIG},0", "--d2", "1,0"],
+    ],
+    ids=["hirzebruch-nef", "intersect"],
+)
+def test_result_too_long_to_print_is_one_line_and_exit_1(capsys, argv, pretty):
+    code, out, err = run_cli(capsys, argv + pretty)
+    assert code == 1 and out == ""
+    assert err.startswith("nslattice: cannot write the output: ") and err.count("\n") == 1
+
+
 def test_selfcheck_config_past_the_blowup_bound_is_usage_error(capsys, tmp_path):
     # the family checks would build a lattice of 10,001 points and fail inside
     path = tmp_path / "cfg.json"
@@ -658,7 +681,7 @@ def test_every_public_name_is_its_module_object():
         "    assert getattr(nslattice, name) is obj, name\n"
         "print(len(nslattice.__all__))\n"
     )
-    assert lines == ["52"]
+    assert lines == ["51"]
 
 
 def test_one_blowup_name_binds_the_whole_module():

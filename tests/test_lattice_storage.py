@@ -1,5 +1,5 @@
 """A lattice stores only the nonzero entries of G + I, as _head: the matrix it
-builds on demand against the naive one, equality with a hand-built lattice,
+builds on demand against the naive one, equality by (family, n, r),
 dataclasses.replace, memory at high rank and the parameters each family takes."""
 
 import dataclasses
@@ -7,10 +7,10 @@ import tracemalloc
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from nslattice import (
-    DimensionError,
     DivisorClass,
     Family,
     InputError,
@@ -24,40 +24,38 @@ from nslattice import (
 from test_kernel import family_lattices
 
 
-def hand_built(lat, gram):
-    return SurfaceLattice(
-        family=lat.family,
-        n=lat.n,
-        r=lat.r,
-        rank=lat.rank,
-        gram=gram,
-        basis_labels=lat.basis_labels,
-        canonical=lat.canonical,
-    )
-
-
 @given(family_lattices)
 def test_gram_and_hand_built_twin(lat):
-    gram = oracles.family_gram(lat.family, lat.n, lat.r)
-    assert lat.gram == gram
-    twin = hand_built(lat, lat.gram)
+    assert lat.gram == oracles.family_gram(lat.family, lat.n, lat.r)
+    # the constructor called directly, with the family by its value
+    twin = SurfaceLattice(lat.family.value, lat.n, lat.r)
     assert twin == lat and hash(twin) == hash(lat)
     assert twin._head == lat._head and twin._kg == lat._kg
-    assert hand_built(lat, [list(row) for row in gram]) == lat
-    # the same basis, labels and K with another head block is another lattice
-    other = tuple(tuple(g + 2 * (i == j == 0) for j, g in enumerate(row)) for i, row in enumerate(gram))
-    assert hand_built(lat, other) != lat
+    # a lattice is its (family, n, r): changing any of them gives another one
+    others = [
+        dataclasses.replace(lat, **{p: getattr(lat, p) + 1})
+        for p in ("n", "r")
+        if getattr(lat, p) is not None
+    ]
+    if lat.family is Family.HIRZEBRUCH:
+        # the same Gram matrix, labels and K under another family
+        others.append(blowup_hirzebruch_lattice(lat.n, 0))
+        assert others[-1].gram == lat.gram and others[-1].canonical == lat.canonical
+    assert others and all(other != lat for other in others)
 
 
-@given(family_lattices)
-def test_replace_keeps_the_block(lat):
-    k = DivisorClass((1,) * lat.rank)
-    moved = dataclasses.replace(lat, canonical=k)
-    assert moved._head is lat._head
-    assert moved.gram == lat.gram and moved.canonical == k
-    assert moved != lat
-    with pytest.raises(DimensionError):
-        dataclasses.replace(lat, canonical=DivisorClass((1,) * (lat.rank + 1)))
+@given(st.integers(0, 13))
+def test_replace_keeps_the_block(r):
+    lat = blowup_p2_lattice(r)
+    moved = dataclasses.replace(lat, r=r + 1)
+    assert moved == blowup_p2_lattice(r + 1) and moved != lat
+    assert moved._head == lat._head
+    # G is bordered by one more E with E.E = -1
+    assert tuple(row[:-1] for row in moved.gram[:-1]) == lat.gram
+    assert moved.gram[-1] == (0,) * (r + 1) + (-1,)
+    # every field but family, n and r is derived, so replace refuses it
+    with pytest.raises(ValueError, match="canonical"):
+        dataclasses.replace(lat, canonical=DivisorClass((1,) * lat.rank))
 
 
 def test_repr_prints_no_matrix():
@@ -98,18 +96,6 @@ def test_absent_parameters_still_accepted():
     assert lattice_from_json({"family": "blowup_p2", "n": None, "r": 2}) == blowup_p2_lattice(2)
 
 
-def test_hand_built_lattice_without_gram_is_refused():
-    with pytest.raises(InputError, match="gram"):
-        SurfaceLattice(
-            family=Family.BLOWUP_P2,
-            n=None,
-            r=0,
-            rank=1,
-            basis_labels=("H",),
-            canonical=DivisorClass((-3,)),
-        )
-
-
 @pytest.mark.parametrize(
     "family,n,r,message",
     [
@@ -126,6 +112,7 @@ def test_hand_built_lattice_without_gram_is_refused():
 )
 def test_make_lattice_refusals(family, n, r, message):
     # blowup_hirzebruch takes both parameters, so it has no extra one to refuse
-    with pytest.raises(InputError) as info:
-        make_lattice(family, n=n, r=r)
-    assert str(info.value) == message
+    for build in (make_lattice, SurfaceLattice):
+        with pytest.raises(InputError) as info:
+            build(family, n=n, r=r)
+        assert str(info.value) == message
