@@ -287,20 +287,16 @@ def anticanonical_consequence_check(model: SurfaceModel, witness_complete: bool)
     return Report("consistent", tuple(details), ())
 
 
-def lemma_move_check(
-    model: SurfaceModel, witness: CurveWitness, *, anticanonical: bool = True
-) -> Report:
+def lemma_move_check(model: SurfaceModel, witness: CurveWitness) -> Report:
     """Verify that a prime class of positive self-intersection moves.
 
-    On an anticanonical surface a prime divisor G with G.G > 0 satisfies
-    h^0(G) >= 2 via the Riemann-Roch bound, so a computed bound below 2
-    contradicts the hypotheses (the surface is not anticanonical, or the
-    class is not prime) and is reported as a violation.
+    On an anticanonical surface, assumed as in classify_fixed_component, a
+    prime divisor G with G.G > 0 has h^0(G) >= 2 by the Riemann-Roch bound,
+    so a computed bound below 2 contradicts the hypotheses (the surface is
+    not anticanonical, or the class is not prime): a violation.
     """
     if not witness.asserted_prime:
         raise PreconditionError("the check requires a witness asserted to be prime")
-    if not anticanonical:
-        raise PreconditionError("the check requires the surface to be asserted anticanonical")
     lat = model.lattice
     s = lat.self_intersection(witness.cls)
     if s <= 0:

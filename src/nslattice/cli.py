@@ -1,16 +1,17 @@
 """Command-line front end: every operation with JSON input and output.
 
-One subcommand per invocation, one JSON document on standard output.
-Coefficients are comma-separated integers in the fixed basis order
-(use the ``--d=-2,-5`` form for vectors starting with a negative entry);
-larger inputs go through ``--json FILE``, whose keys fill in anything not
-given as a flag.  Payload values are read as exact JSON types: a float or
-string where an integer belongs, or anything but ``true``/``false`` where a
-boolean belongs, is a usage error, never coerced.  Exit codes: 0 success,
-1 domain error (or a selfcheck document with ``"passed": false``), 2 usage
-error (including a missing or malformed input), 3 theorem-violation verdict
-under ``--strict``.  ``COMMANDS`` declares every subcommand.  Each handler
-imports the computing module it runs, so a call loads no other.
+One subcommand per invocation, one JSON document on standard output.  Inputs
+come as flags or through ``--json FILE``, whose keys fill in anything not
+given as a flag.  A flag's text is read as the JSON its payload key would
+hold (``--d=null`` is absent), and a class flag's as the list's entries:
+``--d=-2,-5`` is ``"d": [-2, -5]``.  Only the library readers type a value:
+a float or string where an integer belongs (``--r 1.5``, ``--r 07``), or
+anything but ``true``/``false`` where a boolean belongs, is a usage error,
+never coerced.  Exit codes: 0 success, 1 domain error (or a selfcheck
+document with ``"passed": false``), 2 usage error (including a missing or
+malformed input), 3 theorem-violation verdict under ``--strict``.
+``COMMANDS`` declares every subcommand.  Each handler imports the computing
+module it runs, so a call loads no other.
 """
 
 from __future__ import annotations
@@ -55,13 +56,15 @@ def _read_json(path: str) -> dict:
     return json_object(doc, f"payload {path}")
 
 
-def _vector(text: str) -> list[int]:
+def _json_text(text: str, vector: bool = False):
+    """The value a flag's text holds as JSON, as its payload key would: for a
+    class flag other than ``null``, the list of its comma-separated entries.
+    Text that is not JSON stays a plain string, which no number or list
+    reader accepts."""
     try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+        return json.loads(f"[{text}]" if vector and text != "null" else text)
+    except (ValueError, RecursionError):
+        return text
 
 
 def _inputs(args: argparse.Namespace) -> dict:
@@ -88,14 +91,9 @@ def _lattice(inputs: dict):
     return lattice_from_json({**nested, **inputs} if isinstance(nested, dict) else nested)
 
 
-def cmd_intersect(inputs):
+def cmd_value(method, keys, inputs):
     lattice = _lattice(inputs)
-    return {"value": lattice.intersect(_class(inputs, "d1"), _class(inputs, "d2"))}
-
-
-def cmd_value(method, inputs):
-    lattice = _lattice(inputs)
-    return {"value": getattr(lattice, method)(_class(inputs))}
+    return {"value": getattr(lattice, method)(*(_class(inputs, key) for key in keys))}
 
 
 def cmd_basis_change(inputs):
@@ -158,10 +156,14 @@ def _witness(inputs: dict) -> CurveWitness:
     return CurveWitness(_class(inputs), json_bool(inputs.get("prime", True), "prime"))
 
 
-def cmd_blowup_nef_test(inputs):
-    from .blowup import model_from_json, nef_against_witnesses
+def _witness_complete(inputs: dict) -> bool:
+    return json_bool(inputs.get("witness_complete", False), "witness_complete")
 
-    return nef_against_witnesses(model_from_json(inputs), _class(inputs)).to_json_dict()
+
+def cmd_blowup_verdict(function, read, inputs):
+    from . import blowup
+
+    return getattr(blowup, function)(blowup.model_from_json(inputs), read(inputs)).to_json_dict()
 
 
 def cmd_blowup_forced_fixed(inputs):
@@ -169,29 +171,6 @@ def cmd_blowup_forced_fixed(inputs):
 
     forced = forced_fixed_components(model_from_json(inputs))
     return {"forced_fixed_components": [w.to_json_dict() for w in forced]}
-
-
-def cmd_blowup_classify(inputs):
-    from .blowup import classify_fixed_component, model_from_json
-
-    return classify_fixed_component(model_from_json(inputs), _witness(inputs)).to_json_dict()
-
-
-def cmd_blowup_consequences(inputs):
-    from .blowup import anticanonical_consequence_check, model_from_json
-
-    witness_complete = json_bool(inputs.get("witness_complete", False), "witness_complete")
-    return anticanonical_consequence_check(model_from_json(inputs), witness_complete).to_json_dict()
-
-
-def cmd_blowup_lemma_move(inputs):
-    from .blowup import lemma_move_check, model_from_json
-
-    anticanonical = json_bool(inputs.get("anticanonical", True), "anticanonical")
-    report = lemma_move_check(
-        model_from_json(inputs), _witness(inputs), anticanonical=anticanonical
-    )
-    return report.to_json_dict()
 
 
 def cmd_selfcheck(inputs):
@@ -204,23 +183,28 @@ def cmd_selfcheck(inputs):
     }
 
 
-# flag name -> add_argument keywords; argparse derives each dest from the name
+# flag name -> add_argument keywords; argparse derives each dest from the name, and
+# the metavar shows the family names as argparse's choices would
+_CLASS_FLAG = {"type": partial(_json_text, vector=True), "help": "comma-separated coefficients"}
 _FLAGS = {
-    "family": {"choices": [f.value for f in Family]},
-    **dict.fromkeys(("n", "r", "a", "b", "self-int", "degree-bound"), {"type": int}),
-    **dict.fromkeys(("d", "d1", "d2"), {"type": _vector, "help": "comma-separated coefficients"}),
+    "family": {"type": _json_text, "metavar": "{" + ",".join(f.value for f in Family) + "}"},
+    **dict.fromkeys(("n", "r", "a", "b", "self-int", "degree-bound"), {"type": _json_text}),
+    **dict.fromkeys(("d", "d1", "d2"), _CLASS_FLAG),
 }
 _LATTICE_D = ("family", "n", "r", "d")
 _NAB = ("n", "a", "b")
 
 # (path, input flags, help, handler); a row without a handler is a group of operations
 COMMANDS = (
-    ("intersect", ("family", "n", "r", "d1", "d2"), "pairing of two classes", cmd_intersect),
-    ("genus", _LATTICE_D, "arithmetic genus of a class", partial(cmd_value, "arithmetic_genus")),
-    ("chi", _LATTICE_D, "Euler characteristic of a class", partial(cmd_value, "euler_characteristic")),
+    ("intersect", ("family", "n", "r", "d1", "d2"), "pairing of two classes",
+     partial(cmd_value, "intersect", ("d1", "d2"))),
+    ("genus", _LATTICE_D, "arithmetic genus of a class",
+     partial(cmd_value, "arithmetic_genus", ("d",))),
+    ("chi", _LATTICE_D, "Euler characteristic of a class",
+     partial(cmd_value, "euler_characteristic", ("d",))),
     ("h0-bound", _LATTICE_D,
      "lower bound for h^0: max(0, chi) if K - D is certified not effective, else 0",
-     partial(cmd_value, "h0_lower_bound")),
+     partial(cmd_value, "h0_lower_bound", ("d",))),
     ("basis-change", _LATTICE_D, "rebase a class onto a plane-blowup basis", cmd_basis_change),
     ("enumerate", ("r", "self-int", "degree-bound"), "negative rational classes on a plane blowup",
      cmd_enumerate),
@@ -233,12 +217,15 @@ COMMANDS = (
      cmd_hirzebruch_fixed_mobile),
     ("hirzebruch anticanonical", ("n",), "fixed locus of |-K|", cmd_hirzebruch_anticanonical),
     ("blowup", (), "witness-based tests on blown-up surfaces", None),
-    ("blowup nef-test", ("d",), "nef test of a class against the witnesses", cmd_blowup_nef_test),
+    ("blowup nef-test", ("d",), "nef test of a class against the witnesses",
+     partial(cmd_blowup_verdict, "nef_against_witnesses", _class)),
     ("blowup forced-fixed", (), "witnesses pairing negatively with -K", cmd_blowup_forced_fixed),
-    ("blowup classify", ("d",), "classify a fixed component of |-K|", cmd_blowup_classify),
-    ("blowup consequences", (), "consistency checks driven by -K", cmd_blowup_consequences),
+    ("blowup classify", ("d",), "classify a fixed component of |-K|",
+     partial(cmd_blowup_verdict, "classify_fixed_component", _witness)),
+    ("blowup consequences", (), "consistency checks driven by -K",
+     partial(cmd_blowup_verdict, "anticanonical_consequence_check", _witness_complete)),
     ("blowup lemma-move", ("d",), "check that a curve of positive square moves",
-     cmd_blowup_lemma_move),
+     partial(cmd_blowup_verdict, "lemma_move_check", _witness)),
     ("selfcheck", (), "run the brute-force oracle suite", cmd_selfcheck),
 )
 

@@ -8,7 +8,6 @@ the fixed multiple is computed here in closed form.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, NotEffectiveError
@@ -24,9 +23,8 @@ class HirzebruchClass:
     b: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", operator.index(self.n))
-        object.__setattr__(self, "a", operator.index(self.a))
-        object.__setattr__(self, "b", operator.index(self.b))
+        if type(self.n) is not int or type(self.a) is not int or type(self.b) is not int:
+            raise TypeError(f"n, a and b must be integers, got {(self.n, self.a, self.b)!r}")
         if self.n < 0:
             raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {self.n}")
 
@@ -165,8 +163,7 @@ def fixed_mobile_decompose(n: int, a: int, b: int) -> FixedMobileDecomposition:
     with 1 <= j <= a and (a - j)*n <= b <= (a - j + 1)*n - 1, and the mobile
     part (a - j)*C_n + b*F pairs nonnegatively with C_n.
     """
-    cls = HirzebruchClass(n, a, b)
-    n, a, b = cls.n, cls.a, cls.b
+    HirzebruchClass(n, a, b)  # refuses a non-integer or a negative n
     if a < 0 or b < 0:
         raise NotEffectiveError(
             f"{a}*C{n} + {b}*F is not effective; its complete linear system is empty"

@@ -14,7 +14,6 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -35,6 +34,8 @@ class Family(str, Enum):
 # bound once: _exact_class runs once per listed class, and a global load is
 # cheaper than looking both methods up on object each time
 _new, _set = object.__new__, object.__setattr__
+# types are compared exactly: bool is a subclass of int, and no other type counts
+_INT = frozenset((int,))
 
 
 @dataclass(frozen=True, init=False)
@@ -50,9 +51,11 @@ class DivisorClass:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int]) -> None:
-        # operator.index rejects floats and other inexact types loudly; written out
-        # so that each class costs one store, not __init__ plus __post_init__
-        _set(self, "coeffs", tuple(map(operator.index, coeffs)))
+        # written out so that each class costs one store, not __init__ plus __post_init__
+        coeffs = tuple(coeffs)
+        if not _INT.issuperset(map(type, coeffs)):
+            raise TypeError(f"coefficients must be integers, got {coeffs!r}")
+        _set(self, "coeffs", coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -76,7 +79,8 @@ class DivisorClass:
         return _exact_class(tuple(map(neg, self.coeffs)))
 
     def __mul__(self, k: int) -> "DivisorClass":
-        k = operator.index(k)
+        if type(k) is not int:
+            raise TypeError(f"a class is multiplied by an integer, got {k!r}")
         return _exact_class(tuple([k * a for a in self.coeffs]))
 
     __rmul__ = __mul__
@@ -101,8 +105,6 @@ def _exact_class(coeffs: tuple[int, ...]) -> DivisorClass:
 # The JSON readers below are the only way outside input enters the package.  A
 # value of the wrong JSON type is refused, never coerced; None (JSON null) means
 # "absent", a rule json_object alone applies.
-# Types are compared exactly because bool is a subclass of int.
-_INT = frozenset((int,))
 
 
 def _refuse(value, name: str, kind: str) -> InputError:
@@ -275,8 +277,9 @@ class SurfaceLattice:
 
         h^0(D) = chi(D) + h^1(D) - h^0(K - D) by Serre duality, so chi(D) <= h^0(D)
         once N.(K - D) < 0 for a nef N certifies that K - D is not effective.
-        N = H on Bl_r P^2, or F on F_n and Bl_r F_n, pairs with X as x_0.  When it does not certify, N.D <= N.K < 0, so D is not effective
-        and 0 is exact: on F_1, D = -5C - 5F has chi(D) = 6 but h^0(D) = 0.
+        N = H on Bl_r P^2, or F on F_n and Bl_r F_n, pairs with X as x_0.  When
+        it does not certify, N.D <= N.K < 0, so D is not effective and 0 is
+        exact: on F_1, D = -5C - 5F has chi(D) = 6 but h^0(D) = 0.
         """
         chi = self.euler_characteristic(d)
         if chi > 0 and self.canonical.coeffs[0] < d.coeffs[0]:
@@ -540,10 +543,10 @@ def enumerate_negative_rational_classes(
     """
     if lattice.family is not Family.BLOWUP_P2:
         raise FamilyError("enumeration is defined on blowups of the plane only")
-    self_int = operator.index(self_int)
+    if type(self_int) is not int or type(degree_bound) is not int:
+        raise TypeError(f"enumeration arguments must be integers: {(self_int, degree_bound)!r}")
     if self_int > -1:
         raise InvalidParameterError(f"self-intersection must be <= -1, got {self_int}")
-    degree_bound = operator.index(degree_bound)
     if degree_bound < 1:
         raise InvalidParameterError(f"degree bound must be >= 1, got {degree_bound}")
     r = lattice.r
@@ -557,12 +560,18 @@ def enumerate_negative_rational_classes(
     return list(map(_exact_class, found))
 
 
+def _int_rows(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    if not all(_INT.issuperset(map(type, row)) for row in matrix):
+        raise TypeError(f"matrix entries must be integers, got {matrix!r}")
+    return [list(row) for row in matrix]
+
+
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant (fraction-free Bareiss elimination)."""
     n = len(matrix)
     if n == 0:
         return 1
-    m = [[operator.index(x) for x in row] for row in matrix]
+    m = _int_rows(matrix)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -589,7 +598,7 @@ def signature(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     point and no rationals are involved.
     """
     n = len(matrix)
-    m = [[operator.index(x) for x in row] for row in matrix]
+    m = _int_rows(matrix)
     pos = neg = zero = 0
     for i in range(n):
         if m[i][i] == 0:

@@ -279,7 +279,7 @@ def check_adjunction_parity(cfg: SelfcheckConfig) -> CheckResult:
 
 
 def check_lattice_invariants(cfg: SelfcheckConfig) -> CheckResult:
-    """Unimodularity, signature (1, rank-1) and the K.K values per family."""
+    """Unimodularity, signature (1, rank-1) and K.K = 10 - rank on every family."""
     failures = []
     count = 0
     for lat in _family_sweep(cfg):
@@ -290,11 +290,7 @@ def check_lattice_invariants(cfg: SelfcheckConfig) -> CheckResult:
         if signature(gram) != (1, lat.rank - 1, 0):
             failures.append(f"signature not (1, rank-1) for {lat.to_json_dict()}")
         k2 = lat.self_intersection(lat.canonical)
-        expected = {
-            "hirzebruch": 8,
-            "blowup_p2": 9 - (lat.r or 0),
-            "blowup_hirzebruch": 8 - (lat.r or 0),
-        }[lat.family.value]
+        expected = 10 - lat.rank  # Noether's formula: K.K + rho = 10 on a rational surface
         if k2 != expected:
             failures.append(f"K.K = {k2} != {expected} for {lat.to_json_dict()}")
     return _result("lattice_invariants", failures, f"{count} lattices swept")

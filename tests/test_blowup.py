@@ -94,11 +94,13 @@ class TestNefAgainstWitnesses:
         model = hirzebruch_model(2)
         verdict = nef_against_witnesses(model, DivisorClass((1, 2)))
         assert verdict.nef_relative and not verdict.empty_evidence
+        assert bool(verdict) is True
 
     def test_negative_section_is_caught(self):
         model = hirzebruch_model(2)
         verdict = nef_against_witnesses(model, DivisorClass((1, 0)))
         assert not verdict.nef_relative
+        assert bool(verdict) is False
         assert verdict.pairing == -2
         assert verdict.violator.cls.coeffs == (1, 0)
 
@@ -288,8 +290,6 @@ class TestLemmaMoveCheck:
         model = hirzebruch_model(1)
         with pytest.raises(PreconditionError):
             lemma_move_check(model, CurveWitness(DivisorClass((1, 1)), asserted_prime=False))
-        with pytest.raises(PreconditionError):
-            lemma_move_check(model, CurveWitness(DivisorClass((1, 1))), anticanonical=False)
 
 
 class TestCorollaryConsistency:

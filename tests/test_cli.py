@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nslattice import divisor_from_json, lattice_from_json, model_from_json
-from nslattice.cli import COMMANDS, main
+from nslattice.cli import _FLAGS, COMMANDS, main
 from oracles import MINUS_ONE_COUNTS_BOUND_7
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -292,6 +292,9 @@ class TestExitCodes:
         )
         assert code == 1
         assert "rank" in err
+        # an empty class flag is the empty list, as "d": [] is
+        code, _, err = run_cli(capsys, ["genus", "--family", "hirzebruch", "--n", "2", "--d="])
+        assert (code, err) == (1, "nslattice: class of length 0 on a lattice of rank 2\n")
 
     def test_negative_parameter_is_one(self, capsys):
         code, _, err = run_cli(capsys, ["hirzebruch", "anticanonical", "--n=-2"])
@@ -679,9 +682,9 @@ def test_every_public_name_is_its_module_object():
         "    owners = [m for m in mods if name in vars(m)]\n"
         "    assert owners and all(vars(m)[name] is obj for m in owners), name\n"
         "    assert getattr(nslattice, name) is obj, name\n"
-        "print(len(nslattice.__all__))\n"
+        "print(len(nslattice.__all__), hasattr(nslattice, 'no_such_name'))\n"
     )
-    assert lines == ["51"]
+    assert lines == ["51 False"]
 
 
 def test_one_blowup_name_binds_the_whole_module():
@@ -721,9 +724,6 @@ NULL_OPTIONAL = {
     ),
     "curves": (["blowup", "consequences"], *_and_null({"lattice": B1}, "curves")),
     "witness-complete": (["blowup", "consequences"], *_and_null(MODEL_B9, "witness_complete")),
-    "anticanonical": (
-        ["blowup", "lemma-move", "--d=1,0,0,0,0,0,0,0,0,0"], *_and_null(MODEL_B9, "anticanonical")
-    ),
     "selfcheck-seed": (["selfcheck"], *_and_null(SELFCHECK_DEFAULT_SEED, "seed")),
 }
 
@@ -800,7 +800,7 @@ USAGE_ERROR_MESSAGES = {
     "non-integer-coefficient": (
         ["intersect", "--family", "hirzebruch", "--n", "1", "--d1", "1,x", "--d2", "1,0"],
         None,
-        "expected comma-separated integers, got '1,x'",
+        "--d1 must be a list of integers, got '1,x'",
     ),
     "curves-object": (
         ["blowup", "forced-fixed", "--json", "FILE"],
@@ -822,3 +822,39 @@ def test_cli_error_path_is_usage_error(capsys, tmp_path, argv, payload, message)
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+# each value flag: a command that reads it, and valid values of that command's other inputs
+FLAG_READERS = {
+    "family": (["intersect"], {"n": 2, "d1": [1, 0], "d2": [1, 0]}),
+    "n": (["intersect"], {"family": "hirzebruch", "d1": [1, 0], "d2": [1, 0]}),
+    "d1": (["intersect"], {"family": "hirzebruch", "n": 2, "d2": [1, 0]}),
+    "d2": (["intersect"], {"family": "hirzebruch", "n": 2, "d1": [1, 0]}),
+    "r": (["genus"], {"family": "blowup_p2", "d": [3, -1]}),
+    "d": (["genus"], {"family": "blowup_p2", "r": 1}),
+    "self-int": (["enumerate"], {"r": 2, "degree_bound": 7}),
+    "degree-bound": (["enumerate"], {"r": 2, "self_int": -1}),
+    "a": (["hirzebruch", "nef"], {"n": 3, "b": 5}),
+    "b": (["hirzebruch", "nef"], {"n": 3, "a": 2}),
+}
+CLASS_FLAGS = ("d", "d1", "d2")
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAGS))
+def test_flag_reads_as_its_payload_key(capsys, tmp_path, flag):
+    # the flag's text is the JSON of its payload key's value, a class flag's
+    # the entries of its list but for null; text that is not JSON is a plain string
+    argv, others = FLAG_READERS[flag]
+    key = flag.replace("-", "_")
+    values = (1.5, "x", True, None, [1])
+    cases = [(json.dumps(v), [v] if flag in CLASS_FLAGS and v is not None else v) for v in values]
+    cases += [(text, text) for text in ("1_0", "+3", "07")]
+    path = tmp_path / "payload.json"
+    for text, value in cases:
+        path.write_text(json.dumps(others))
+        by_flag = run_cli(capsys, argv + [f"--{flag}={text}", "--json", str(path)])
+        path.write_text(json.dumps({**others, key: value}))
+        by_key = run_cli(capsys, argv + ["--json", str(path)])
+        assert by_flag == by_key, text
+        # null is absent, and only the degree bound has a default
+        assert by_flag[0] == (0 if (flag, text) == ("degree-bound", "null") else 2), by_flag

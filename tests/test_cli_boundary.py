@@ -112,7 +112,7 @@ lattice_doc = st.sampled_from(
     + [{"family": "blowup_hirzebruch", "n": n, "r": r} for n in range(4) for r in range(3)]
 )
 # the keys the commands read beyond their flags
-MODEL_KEYS = ["lattice", "curves", "prime", "witness_complete", "anticanonical"]
+MODEL_KEYS = ["lattice", "curves", "prime", "witness_complete"]
 SELFCHECK_KEYS = [f.name for f in fields(SelfcheckConfig)]
 
 

@@ -96,7 +96,7 @@ def test_empty_ranges_raise_instead_of_looping():
         SelfcheckConfig(family_n_max=-1, family_r_max=-1)
 
 
-def test_family_tables_are_the_factory_lattices():
+def test_family_sweep_is_the_factory_lattices():
     pool = selfcheck._family_sweep(SelfcheckConfig())
     assert pool == [
         *(hirzebruch_lattice(n) for n in range(21)),

@@ -124,10 +124,11 @@ def test_arrangement_count_matches_the_multinomial():
 
 
 @pytest.mark.parametrize("r", (1, 2))
-@pytest.mark.parametrize("self_int,bound", [(-1.0, 7), (-1, 7.0)])
+@pytest.mark.parametrize("self_int,bound", [(-1.0, 7), (-1, 7.0), (-1, True), (True, 7)])
 def test_inexact_arguments_are_refused_before_the_search(monkeypatch, r, self_int, bound):
     # a float self-intersection once came back as a coefficient at r = 1,
-    # DivisorClass((0, 1.0)), and failed inside isqrt at r = 2
+    # DivisorClass((0, 1.0)), and failed inside isqrt at r = 2; a bound of
+    # True once listed the 3 classes of degree <= 1 at r = 2
     def search(*args):
         raise AssertionError("the search ran")
 

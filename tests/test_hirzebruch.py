@@ -35,6 +35,21 @@ def test_negative_n_rejected():
         HirzebruchClass(-1, 0, 0)
 
 
+@pytest.mark.parametrize("args", [(3, True, False), (True, 0, 0), (3, 1.0, 2)])
+def test_inexact_parameters_rejected(args):
+    # bool is a subclass of int: is_effective(3, True, False) once said
+    # effective, with multiplicities [1, 0]
+    with pytest.raises(TypeError):
+        HirzebruchClass(*args)
+    with pytest.raises(TypeError):
+        is_effective(*args)
+
+
+def test_classes_on_different_surfaces_do_not_add():
+    with pytest.raises(InvalidParameterError, match="different Hirzebruch surfaces"):
+        HirzebruchClass(1, 1, 0) + HirzebruchClass(2, 1, 0)
+
+
 class TestEffective:
     def test_examples(self):
         assert is_effective(3, 2, 5)

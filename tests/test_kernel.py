@@ -112,10 +112,15 @@ class TestRandomClassStream:
         assert ours.getstate() == plain.getstate()
 
     def test_inexact_coefficients_still_refused(self):
-        with pytest.raises(TypeError):
-            DivisorClass([1.5])
-        with pytest.raises(TypeError):
-            DivisorClass((1,)) * 1.5
+        # bool is a subclass of int: DivisorClass((True, 2)) once gave (1, 2)
+        for coeffs in ([1.5], [True], (2, False)):
+            with pytest.raises(TypeError):
+                DivisorClass(coeffs)
+        for k in (1.5, True):
+            with pytest.raises(TypeError):
+                DivisorClass((1,)) * k
+            with pytest.raises(TypeError):
+                k * DivisorClass((1,))
 
 
 class TestParameterTypes:

@@ -109,6 +109,10 @@ class TestIntersect:
         lat = hirzebruch_lattice(1)
         with pytest.raises(DimensionError):
             lat.intersect(DivisorClass((1, 0, 0)), DivisorClass((1, 0)))
+        with pytest.raises(DimensionError):
+            DivisorClass((1, 0, 0)) + DivisorClass((1, 0))
+        with pytest.raises(DimensionError):
+            DivisorClass((1, 0, 0)) - DivisorClass((1, 0))
 
     @given(st.integers(0, 8), pair2(), pair2(), pair2(), coeff, coeff)
     def test_bilinearity_and_symmetry(self, n, x, y, z, s, t):
@@ -305,8 +309,18 @@ class TestMatrixHelpers:
 
     def test_degenerate_matrix(self):
         assert determinant([[2, 1], [4, 2]]) == 0
+        # the empty matrix, a zero column (no pivot) and a row swap
+        for matrix in ((), [[0, 1], [0, 2]], [[0, 3, 1], [3, 0, 2], [1, 2, 1]]):
+            assert determinant(matrix) == oracles.fraction_determinant(matrix)
         assert signature([[0, 0], [0, 0]]) == (0, 0, 2)
         assert signature([[0, 1], [1, 0]]) == (1, 1, 0)
+
+    @pytest.mark.parametrize("matrix", [[[1.0]], [[True]], [[1, 0], [0, 1.5]]])
+    def test_entries_must_be_integers(self, matrix):
+        with pytest.raises(TypeError):
+            determinant(matrix)
+        with pytest.raises(TypeError):
+            signature(matrix)
 
     def test_k_squared_by_family(self):
         for n in range(21):

@@ -9,6 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nslattice import (
+    GENUS_ONE,
+    THEOREM_VIOLATION,
+    FixedComponentKind,
     InputError,
     NSLatticeError,
     SelfcheckConfig,
@@ -106,51 +109,102 @@ def test_default_config_matches_acceptance_bounds():
     assert cfg.enum_degree_bound == 7 and cfg.enum_stability_bound == 12
 
 
-# each check with one name it calls made to give a wrong answer: (object, name, wrapper)
+def _drop_last_at_the_raised_bound(f):
+    # the stability run at the higher degree bound loses a class
+    return lambda lat, s, bound: f(lat, s, bound)[: -1 if bound > QUICK.enum_degree_bound else None]
+
+
+# each check with wrong answers of the names it calls: (object, name, wrapper,
+# the opening words of the failures that wrong answer must reach)
 WRONG = {
-    "monoid_bruteforce_equivalence": (selfcheck, "is_effective", lambda f: lambda n, a, b: True),
-    "monoid_minimal_generation": (
-        selfcheck, "effective_generators", lambda f: lambda n: (f(n)[0], f(n)[0])
-    ),
-    "fixed_mobile_uniqueness": (
-        selfcheck, "fixed_mobile_decompose", lambda f: lambda n, a, b: SimpleNamespace(j=0)
-    ),
-    "anticanonical_fixed_locus_sweep": (
-        selfcheck, "anticanonical_fixed_locus", lambda f: lambda n: f(n + 1)
-    ),
-    "adjunction_parity": (
-        SurfaceLattice, "canonical_pairing", lambda f: lambda lat, d: f(lat, d) + 1
-    ),
-    "lattice_invariants": (selfcheck, "determinant", lambda f: lambda gram: 2),
-    "canonical_convention": (
-        SurfaceLattice, "arithmetic_genus", lambda f: lambda lat, d: f(lat, d) + 1
-    ),
-    "basis_change_isometries": (
-        selfcheck, "basis_change_f1_to_p2", lambda f: lambda lat, d: f(lat, d) * 2
-    ),
-    "minus_one_enumeration_stability": (
-        selfcheck,
-        "enumerate_negative_rational_classes",
-        lambda f: lambda lat, s, bound: f(lat, s, bound)[:-1],
-    ),
-    "classifier_theorem_cases": (
-        selfcheck, "forced_fixed_components", lambda f: lambda model: f(model)[:-1]
-    ),
-    "negative_curve_adjunction": (
-        SurfaceLattice, "canonical_pairing", lambda f: lambda lat, d: f(lat, d) + 1
-    ),
+    "monoid_bruteforce_equivalence": [
+        (selfcheck, "is_effective", lambda f: lambda n, a, b: True, ["effective mismatch"]),
+        (selfcheck, "nef_decompose", lambda f: lambda n, a, b: None, ["nef mismatch"]),
+        (selfcheck, "is_effective", lambda f: lambda n, a, b: False, ["nef class not effective"]),
+    ],
+    "monoid_minimal_generation": [
+        (selfcheck, "effective_generators", lambda f: lambda n: (f(n)[0], f(n)[0]),
+         ["effective generators dependent"]),
+    ],
+    "fixed_mobile_uniqueness": [
+        (selfcheck, "fixed_mobile_decompose", lambda f: lambda n, a, b: SimpleNamespace(j=0),
+         ["closed form disagrees"]),
+    ],
+    "anticanonical_fixed_locus_sweep": [
+        (selfcheck, "anticanonical_fixed_locus", lambda f: lambda n: f(n + 1),
+         ["decomposition does not resum", "unexpected fixed part", "mobile part wrong"]),
+        (selfcheck, "anticanonical_fixed_locus", lambda f: lambda n: f(min(n, 2)),
+         ["fixed part is not C_n"]),
+    ],
+    "adjunction_parity": [
+        (SurfaceLattice, "canonical_pairing", lambda f: lambda lat, d: f(lat, d) + 1,
+         ["odd adjunction"]),
+    ],
+    "lattice_invariants": [
+        (selfcheck, "determinant", lambda f: lambda gram: 2, ["Gram determinant not unimodular"]),
+        (selfcheck, "signature", lambda f: lambda gram: (1, 0, 0), ["signature not (1, rank-1)"]),
+        (SurfaceLattice, "self_intersection", lambda f: lambda lat, d: f(lat, d) + 1, ["K.K = "]),
+    ],
+    "canonical_convention": [
+        (SurfaceLattice, "arithmetic_genus", lambda f: lambda lat, d: f(lat, d) + 1, ["p_a("]),
+    ],
+    "basis_change_isometries": [
+        (selfcheck, "basis_change_f1_to_p2", lambda f: lambda lat, d: f(lat, d) * 2,
+         ["canonical class not preserved", "basis pairing broken", "random pairing broken"]),
+    ],
+    "minus_one_enumeration_stability": [
+        (selfcheck, "enumerate_negative_rational_classes",
+         lambda f: lambda lat, s, bound: f(lat, s, bound)[:-1], ["count at r="]),
+        (selfcheck, "enumerate_negative_rational_classes", _drop_last_at_the_raised_bound,
+         ["count changed"]),
+        (selfcheck, "enumerate_negative_rational_classes",
+         lambda f: lambda lat, s, bound: [lat.zero_class(), *f(lat, s, bound)], ["bad class"]),
+        (SurfaceLattice, "canonical_pairing", lambda f: lambda lat, d: f(lat, d) + 1,
+         ["adjunction broken"]),
+    ],
+    "classifier_theorem_cases": [
+        (selfcheck, "forced_fixed_components", lambda f: lambda model: f(model)[:-1],
+         ["forced fixed components wrong"]),
+        (selfcheck, "forced_fixed_components", lambda f: lambda model: list(model.curves),
+         ["unexpected forced fixed component"]),
+        (selfcheck, "classify_fixed_component",
+         lambda f: lambda model, w: FixedComponentKind(THEOREM_VIOLATION, reason="wrong"),
+         ["anticanonical class on the 9-fold blowup misclassified", "C_n misclassified"]),
+        (selfcheck, "classify_fixed_component",
+         lambda f: lambda model, w: FixedComponentKind(GENUS_ONE, self_int=0),
+         ["synthetic genus-one class accepted"]),
+    ],
+    "negative_curve_adjunction": [
+        (SurfaceLattice, "canonical_pairing", lambda f: lambda lat, d: f(lat, d) + 1,
+         ["adjunction identity broken", "K.D = "]),
+        # no class qualifies, so the sampler stops at its cap of 500 draws per class
+        (SurfaceLattice, "arithmetic_genus", lambda f: lambda lat, d: 1, ["only 0 qualifying"]),
+    ],
 }
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.__name__)
 def test_every_check_reports_a_wrong_answer(monkeypatch, check):
-    # an oracle that cannot fail proves nothing
+    # an oracle that cannot fail proves nothing: every wrong answer fails the
+    # check and reaches each failure line named beside it
     name = check(QUICK).name
-    owner, attr, wrong = WRONG[name]
-    monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
-    result = check(QUICK)
-    assert result.name == name and result.passed is False
-    assert re.match(r"[1-9][0-9]* failures; first: ", result.detail), result.detail
+    result = selfcheck._result
+    failures = []
+
+    def spy(name, found, detail):
+        failures.extend(found)
+        return result(name, found, detail)
+
+    for owner, attr, wrong, messages in WRONG[name]:
+        failures.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(selfcheck, "_result", spy)
+            patch.setattr(owner, attr, wrong(getattr(owner, attr)))
+            got = check(QUICK)
+        assert got.name == name and got.passed is False
+        assert re.match(r"[1-9][0-9]* failures; first: ", got.detail), got.detail
+        for message in messages:
+            assert any(f.startswith(message) for f in failures), (message, failures[:3])
 
 
 # configs the checks would get wrong, crash on or work long on: the key each must name
