@@ -14,13 +14,15 @@ an anticanonical system, and the classifier reports that as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DimensionError, InputError, PreconditionError
 from .lattice import (
     DivisorClass,
     Family,
     SurfaceLattice,
+    _new,
+    _set,
     divisor_from_json,
     json_bool,
     json_object,
@@ -50,28 +52,45 @@ class CurveWitness:
 
 def witness_from_json(doc: dict) -> CurveWitness:
     doc = json_object(doc, "witness")
-    return CurveWitness(divisor_from_json(doc), json_bool(doc.get("prime", True), "prime"))
+    # both fields are read exactly, so the witness skips the frozen __init__
+    w = _new(CurveWitness)
+    _set(w, "cls", divisor_from_json(doc))
+    _set(w, "asserted_prime", json_bool(doc.get("prime", True), "prime"))
+    return w
 
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """A lattice plus a (possibly incomplete) list of known prime classes."""
+    """A lattice plus a (possibly incomplete) list of known prime classes.
+
+    Each witness's length is checked and its K.C computed once, here; ``_kc``
+    holds those values in list order, and the verdicts below read them.
+    """
 
     lattice: SurfaceLattice
     curves: tuple[CurveWitness, ...] = ()
+    _kc: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "curves", tuple(self.curves))
-        for w in self.curves:
-            if len(w.cls.coeffs) != self.lattice.rank:
-                raise DimensionError(
-                    f"witness {list(w.cls.coeffs)} does not match lattice rank {self.lattice.rank}"
-                )
-            if w.asserted_prime and self.lattice.arithmetic_genus(w.cls) < 0:
+        lat, curves, kcs = self.lattice, tuple(self.curves), []
+        for w in curves:
+            c = w.cls.coeffs
+            if len(c) != lat.rank:
+                raise DimensionError(f"witness {list(c)} does not match lattice rank {lat.rank}")
+            kc = lat._k_dot(c)
+            # p_a = 1 + (C.C + K.C)/2 >= 0 by adjunction
+            if w.asserted_prime and lat._pair(c, c) + kc < -2:
                 raise PreconditionError(
-                    f"class {list(w.cls.coeffs)} has negative arithmetic genus and "
+                    f"class {list(c)} has negative arithmetic genus and "
                     "cannot contain a prime divisor"
                 )
+            kcs.append(kc)
+        _set(self, "curves", curves)
+        _set(self, "_kc", tuple(kcs))
+
+    def _forced(self) -> list[tuple[CurveWitness, int]]:
+        """The pairs (witness, K.C) with K.C > 0, in list order."""
+        return [(w, kc) for w, kc in zip(self.curves, self._kc) if kc > 0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,11 +186,12 @@ def nef_against_witnesses(model: SurfaceModel, d: DivisorClass) -> NefVerdict:
     Returns the first witness (in list order) pairing negatively with D.  An
     empty witness list yields a vacuous nef verdict flagged as empty evidence.
     """
-    model.lattice._check(d)
+    lat = model.lattice
+    c = lat._check(d)
     if not model.curves:
         return NefVerdict(True, empty_evidence=True)
     for w in model.curves:
-        pairing = model.lattice.intersect(d, w.cls)
+        pairing = lat._pair(c, w.cls.coeffs)
         if pairing < 0:
             return NefVerdict(False, violator=w, pairing=pairing)
     return NefVerdict(True)
@@ -186,7 +206,7 @@ def forced_fixed_components(model: SurfaceModel) -> list[CurveWitness]:
     ``asserted_prime`` is not read: on F_3 a witness 2C_3 (p_a = -4) marked
     not prime is listed, though the fixed part of |-K| is C_3 once.
     """
-    return [w for w in model.curves if model.lattice.canonical_pairing(w.cls) > 0]
+    return [w for w, _ in model._forced()]
 
 
 def classify_fixed_component(model: SurfaceModel, witness: CurveWitness) -> FixedComponentKind:
@@ -200,9 +220,10 @@ def classify_fixed_component(model: SurfaceModel, witness: CurveWitness) -> Fixe
     if not witness.asserted_prime:
         raise PreconditionError("classification requires a witness asserted to be prime")
     lat = model.lattice
-    pa = lat.arithmetic_genus(witness.cls)
-    s = lat.self_intersection(witness.cls)
-    k2 = lat.self_intersection(lat.canonical)
+    c = lat._check(witness.cls)
+    s = lat._pair(c, c)
+    # adjunction, and Noether's formula K.K = 10 - rho on a rational surface
+    pa, k2 = 1 + (s + lat._k_dot(c)) // 2, 10 - lat.rank
     if pa == 0 and s <= -1:
         return FixedComponentKind(NEGATIVE_RATIONAL, n=-s)
     if pa != 1 or s > 0:
@@ -235,8 +256,8 @@ def anticanonical_consequence_check(model: SurfaceModel, witness_complete: bool)
     a theorem violation.
     """
     lat = model.lattice
-    k2 = lat.self_intersection(lat.canonical)
-    forced = forced_fixed_components(model)
+    k2 = 10 - lat.rank  # Noether's formula on a rational surface
+    forced = model._forced()
     details: list[str] = []
 
     if not forced:
@@ -261,28 +282,27 @@ def anticanonical_consequence_check(model: SurfaceModel, witness_complete: bool)
             return Report(INCOMPLETE_VERDICT, tuple(details), tuple(failed))
         return Report("consistent", tuple(details), ())
 
-    first = forced[0].cls
+    first, kc = forced[0]
     details.append(
-        f"-K pairs negatively with witness {list(first.coeffs)} "
-        f"(pairing {-lat.canonical_pairing(first)})"
+        f"-K pairs negatively with witness {list(first.cls.coeffs)} (pairing {-kc})"
     )
     if k2 < 0:
         details.append(f"K.K = {k2} < 0: no forced consequence to verify")
         return Report("inconclusive", tuple(details), ())
 
     details.append(f"K.K = {k2} >= 0 and -K is not nef against the witnesses")
-    for w in forced:
-        pa = lat.arithmetic_genus(w.cls)
+    for w, kc in forced:
+        c = w.cls.coeffs
+        s = lat._pair(c, c)
+        pa = 1 + (s + kc) // 2
         if pa == 0:
             # adjunction: K.C >= 1 and p_a = 0 give C.C = -2 - K.C <= -3
             details.append(
-                f"forced fixed component {list(w.cls.coeffs)}: p_a = 0, "
-                f"self-intersection {lat.self_intersection(w.cls)} <= -3: ok"
+                f"forced fixed component {list(c)}: p_a = 0, self-intersection {s} <= -3: ok"
             )
         else:
             details.append(
-                f"forced fixed component {list(w.cls.coeffs)}: p_a = {pa}, "
-                "not rational; outside this check"
+                f"forced fixed component {list(c)}: p_a = {pa}, not rational; outside this check"
             )
     return Report("consistent", tuple(details), ())
 

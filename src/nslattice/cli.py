@@ -60,11 +60,16 @@ def _json_text(text: str, vector: bool = False):
     """The value a flag's text holds as JSON, as its payload key would: for a
     class flag other than ``null``, the list of its comma-separated entries.
     Text that is not JSON stays a plain string, which no number or list
-    reader accepts."""
+    reader accepts.  JSON past the decoder's limits (an integer of more
+    digits than the interpreter converts, or nesting deeper than its stack)
+    is a usage error that names the limit, as in a ``--json`` payload, and
+    echoes none of the text."""
     try:
         return json.loads(f"[{text}]" if vector and text != "null" else text)
-    except (ValueError, RecursionError):
+    except json.JSONDecodeError:
         return text
+    except (ValueError, RecursionError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _inputs(args: argparse.Namespace) -> dict:

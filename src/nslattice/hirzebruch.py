@@ -11,7 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, NotEffectiveError
-from .lattice import DivisorClass
+from .lattice import DivisorClass, _new, _set
+
+
+def _checked(n: int, a: int, b: int) -> None:
+    """Refuse a non-integer n, a or b (bool included) and a negative n."""
+    if type(n) is not int or type(a) is not int or type(b) is not int:
+        raise TypeError(f"n, a and b must be integers, got {(n, a, b)!r}")
+    if n < 0:
+        raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {n}")
 
 
 @dataclass(frozen=True)
@@ -23,10 +31,7 @@ class HirzebruchClass:
     b: int
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or type(self.a) is not int or type(self.b) is not int:
-            raise TypeError(f"n, a and b must be integers, got {(self.n, self.a, self.b)!r}")
-        if self.n < 0:
-            raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {self.n}")
+        _checked(self.n, self.a, self.b)
 
     @property
     def self_intersection(self) -> int:
@@ -46,6 +51,16 @@ class HirzebruchClass:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "a": self.a, "b": self.b}
+
+
+def _exact(n: int, a: int, b: int) -> HirzebruchClass:
+    """A class on integers already checked: each verdict checks its inputs
+    once, at entry, and builds its results without the constructor's check."""
+    h = _new(HirzebruchClass)
+    _set(h, "n", n)
+    _set(h, "a", a)
+    _set(h, "b", b)
+    return h
 
 
 @dataclass(frozen=True)
@@ -132,9 +147,9 @@ def is_effective(n: int, a: int, b: int) -> EffectiveWitness:
     The pair (a, b) itself is the witness: it gives the multiplicities of the
     generators C_n and F.  The zero class is effective (the empty sum).
     """
-    cls = HirzebruchClass(n, a, b)
-    if cls.a >= 0 and cls.b >= 0:
-        return EffectiveWitness(True, (cls.a, cls.b))
+    _checked(n, a, b)
+    if a >= 0 and b >= 0:
+        return EffectiveWitness(True, (a, b))
     return EffectiveWitness(False, None)
 
 
@@ -145,13 +160,13 @@ def nef_decompose(n: int, a: int, b: int) -> NefDecomposition | NotNef:
     x = a*(C_n + n*F) + (b - n*a)*F exhibits x in the nef monoid.  Otherwise
     the verdict names the generator whose pairing fails.
     """
-    cls = HirzebruchClass(n, a, b)
-    if cls.a < 0:
-        return NotNef("F", cls.a)
-    section_pairing = cls.b - cls.n * cls.a
+    _checked(n, a, b)
+    if a < 0:
+        return NotNef("F", a)
+    section_pairing = b - n * a
     if section_pairing < 0:
-        return NotNef(f"C{cls.n}", section_pairing)
-    return NefDecomposition(cls.n, cls.a, section_pairing)
+        return NotNef(f"C{n}", section_pairing)
+    return NefDecomposition(n, a, section_pairing)
 
 
 def fixed_mobile_decompose(n: int, a: int, b: int) -> FixedMobileDecomposition:
@@ -163,17 +178,13 @@ def fixed_mobile_decompose(n: int, a: int, b: int) -> FixedMobileDecomposition:
     with 1 <= j <= a and (a - j)*n <= b <= (a - j + 1)*n - 1, and the mobile
     part (a - j)*C_n + b*F pairs nonnegatively with C_n.
     """
-    HirzebruchClass(n, a, b)  # refuses a non-integer or a negative n
+    _checked(n, a, b)
     if a < 0 or b < 0:
         raise NotEffectiveError(
             f"{a}*C{n} + {b}*F is not effective; its complete linear system is empty"
         )
     j = 0 if n == 0 or b >= a * n else a - b // n
-    return FixedMobileDecomposition(
-        fixed=HirzebruchClass(n, j, 0),
-        mobile=HirzebruchClass(n, a - j, b),
-        j=j,
-    )
+    return FixedMobileDecomposition(_exact(n, j, 0), _exact(n, a - j, b), j)
 
 
 def anticanonical_class(n: int) -> HirzebruchClass:
@@ -186,5 +197,4 @@ def anticanonical_fixed_locus(n: int) -> FixedMobileDecomposition:
 
     The fixed part is zero for n <= 2 and exactly one copy of C_n for n >= 3.
     """
-    ac = anticanonical_class(n)
-    return fixed_mobile_decompose(ac.n, ac.a, ac.b)
+    return fixed_mobile_decompose(n, 2, n + 2)

@@ -110,7 +110,10 @@ def _exact_class(coeffs: tuple[int, ...]) -> DivisorClass:
 def _refuse(value, name: str, kind: str) -> InputError:
     if value is None:
         return InputError(f"missing required input {name}")
-    return InputError(f"{name} must be {kind}, got {value!r}")
+    text = repr(value)
+    if len(text) > 100:
+        text = text[:99] + "…"
+    return InputError(f"{name} must be {kind}, got {text}")
 
 
 def json_int(value, name: str) -> int:
@@ -175,7 +178,6 @@ class SurfaceLattice:
     n: int | None
     r: int | None
     rank: int = field(init=False, compare=False)
-    basis_labels: tuple[str, ...] = field(init=False, compare=False)
     canonical: DivisorClass = field(init=False, compare=False)
     _head: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
     _kg: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -185,9 +187,9 @@ class SurfaceLattice:
         # before anything of size r is built
         if type(family) is not Family:
             try:
-                family = Family(family)
-            except ValueError:
-                names = ", ".join(f.value for f in Family)
+                family = _FAMILIES[family]
+            except (KeyError, TypeError):
+                names = ", ".join(_FAMILIES)
                 raise InputError(f"lattice family must be one of {names}, got {family!r}") from None
         takes, given = _PARAMETERS[family], (("n", n), ("r", r))
         for p, value in given:
@@ -205,15 +207,21 @@ class SurfaceLattice:
             raise InvalidParameterError(
                 f"number of blown-up points must be in 0..{MAX_BLOWUP_POINTS:,}, got {r}"
             )
-        head, labels, k = _standard_form(n, r)
+        head, k = _standard_form(n, r)
         kg = list(map(neg, k))
         for i, j, g in head:
             kg[j] += k[i] * g
         # one store per field, in declaration order: filling vars(self) at once
         # makes the kernel's later attribute reads slower
-        values = (family, n, r, len(k), labels, _exact_class(k), head, tuple(kg))
+        values = (family, n, r, len(k), _exact_class(k), head, tuple(kg))
         for name, value in zip(self.__dataclass_fields__, values):
             _set(self, name, value)
+
+    @property
+    def basis_labels(self) -> tuple[str, ...]:
+        """H, or C_n and F, then E_1..E_r: built on each read, as few callers read them."""
+        head = ("H",) if self.n is None else (f"C{self.n}", "F")
+        return head + tuple(f"E{i}" for i in range(1, (self.r or 0) + 1))
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -260,9 +268,12 @@ class SurfaceLattice:
         c = self._check(d)
         return self._pair(c, c)
 
+    def _k_dot(self, c: tuple[int, ...]) -> int:
+        return sum(map(mul, self._kg, c))
+
     def canonical_pairing(self, d: DivisorClass) -> int:
         """K.D for the distinguished canonical class K."""
-        return sum(map(mul, self._kg, self._check(d)))
+        return self._k_dot(self._check(d))
 
     def arithmetic_genus(self, d: DivisorClass) -> int:
         """Adjunction genus p_a(D) = 1 + (D.D + K.D)/2."""
@@ -305,6 +316,8 @@ class SurfaceLattice:
         return doc
 
 
+# a family by its value; a dict lookup is cheaper than the Enum call Family(value)
+_FAMILIES = {f.value: f for f in Family}
 # the parameters each family takes, in the order its "requires" message names them
 _PARAMETERS = {
     Family.HIRZEBRUCH: ("n",),
@@ -313,20 +326,19 @@ _PARAMETERS = {
 }
 
 
-def _standard_form(n: int | None, r: int | None) -> tuple[tuple, tuple[str, ...], tuple]:
-    """The nonzero entries of G + I, the basis labels and K of the F_n head
-    (C_n, F), or of the P^2 head H when n is None, followed by E_1..E_r."""
+def _standard_form(n: int | None, r: int | None) -> tuple[tuple, tuple]:
+    """The nonzero entries of G + I and K of the F_n head (C_n, F), or of
+    the P^2 head H when n is None, followed by E_1..E_r."""
     if n is None:
-        head, labels, k = ((0, 0, 2),), ("H",), (-3,)
+        head, k = ((0, 0, 2),), (-3,)
     else:
         # 1 - n at (0, 0) is absent on F_1
-        head, labels, k = ((0, 1, 1), (1, 0, 1), (1, 1, 1)), (f"C{n}", "F"), (-2, -(n + 2))
+        head, k = ((0, 1, 1), (1, 0, 1), (1, 1, 1)), (-2, -(n + 2))
         if n != 1:
             head = ((0, 0, 1 - n),) + head
     if r:
-        labels += tuple(f"E{i}" for i in range(1, r + 1))
         k += (1,) * r
-    return head, labels, k
+    return head, k
 
 
 def hirzebruch_lattice(n: int) -> SurfaceLattice:
@@ -404,7 +416,7 @@ def basis_change_blf0_to_p2(lattice: SurfaceLattice, d: DivisorClass) -> Divisor
 # memory runs out.
 ENUMERATION_BUDGET = 10_000_000
 
-# The most points a blowup lattice may have.  Its labels and K hold r entries
+# The most points a blowup lattice may have.  Its K and K.G hold r entries
 # each, so one large r in a request would be built before any class is read.
 MAX_BLOWUP_POINTS = 10_000
 

@@ -254,3 +254,90 @@ def replay_negative_curve_draws(seed, n_max, r_max, attempts):
         rank = family_rank(spec[0], spec[2])
         draws.append((spec, tuple(rng.randint(-4, 4) for _ in range(rank))))
     return draws, rng
+
+
+# The witness verdicts of nslattice.blowup as they were first written: every
+# number comes from a fresh call to the lattice's public arithmetic_genus,
+# self_intersection or canonical_pairing, with K.K taken as K's own square.
+# They take the library's model and witness objects and return the documents
+# their to_json_dict() would print.
+
+
+def reference_forced_fixed_components(model):
+    lat = model.lattice
+    return [w for w in model.curves if lat.canonical_pairing(w.cls) > 0]
+
+
+def reference_classify_fixed_component(model, witness):
+    lat = model.lattice
+    pa = lat.arithmetic_genus(witness.cls)
+    s = lat.self_intersection(witness.cls)
+    k2 = lat.self_intersection(lat.canonical)
+    if pa == 0 and s <= -1:
+        return {"kind": "negative_rational", "n": -s}
+    if pa != 1 or s > 0:
+        reason = (
+            f"no fixed component of an anticanonical system has arithmetic genus {pa} "
+            f"and self-intersection {s}"
+        )
+    elif s == 0 and k2 != 0:
+        reason = f"a genus-one fixed component of self-intersection 0 requires K.K = 0, but K.K = {k2}"
+    elif k2 > 0:
+        reason = (
+            f"K.K = {k2} > 0 forces every fixed component to be a negative rational "
+            f"curve, but this class has arithmetic genus 1"
+        )
+    else:
+        return {"kind": "genus_one", "self_int": s}
+    return {"kind": "theorem_violation", "reason": reason}
+
+
+def reference_anticanonical_consequence_check(model, witness_complete):
+    lat = model.lattice
+    k2 = lat.self_intersection(lat.canonical)
+    forced = reference_forced_fixed_components(model)
+    details = []
+    if not forced:
+        if not model.curves:
+            details.append("no witnesses supplied; the nef verdict is vacuous")
+        else:
+            details.append(f"-K pairs >= 0 with all {len(model.curves)} witnesses")
+        details.append(
+            "witness list asserted complete: -K is nef"
+            if witness_complete
+            else "witness list not asserted complete: nef evidence is relative only"
+        )
+        checks = [(f"K.K = {k2} >= 0", k2 >= 0), (f"rho = {lat.rank} <= 10", lat.rank <= 10)]
+        if lat.family == "blowup_p2":
+            checks.append((f"r = {lat.r} <= 9", lat.r <= 9))
+        failed = []
+        for text, ok in checks:
+            details.append(f"{text}: {'ok' if ok else 'FAILED'}")
+            if not ok:
+                failed.append(text)
+        if failed:
+            verdict = "witness set provably incomplete or surface not anticanonical-nef"
+            return {"verdict": verdict, "details": details, "violators": failed}
+        return {"verdict": "consistent", "details": details, "violators": []}
+    first = forced[0].cls
+    details.append(
+        f"-K pairs negatively with witness {list(first.coeffs)} "
+        f"(pairing {-lat.canonical_pairing(first)})"
+    )
+    if k2 < 0:
+        details.append(f"K.K = {k2} < 0: no forced consequence to verify")
+        return {"verdict": "inconclusive", "details": details, "violators": []}
+    details.append(f"K.K = {k2} >= 0 and -K is not nef against the witnesses")
+    for w in forced:
+        pa = lat.arithmetic_genus(w.cls)
+        if pa == 0:
+            details.append(
+                f"forced fixed component {list(w.cls.coeffs)}: p_a = 0, "
+                f"self-intersection {lat.self_intersection(w.cls)} <= -3: ok"
+            )
+        else:
+            details.append(
+                f"forced fixed component {list(w.cls.coeffs)}: p_a = {pa}, "
+                "not rational; outside this check"
+            )
+    return {"verdict": "consistent", "details": details, "violators": []}

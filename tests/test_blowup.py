@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from nslattice import (
     CurveWitness,
     DimensionError,
@@ -22,6 +24,7 @@ from nslattice import (
     forced_fixed_components,
     hirzebruch_lattice,
     lemma_move_check,
+    make_lattice,
     model_from_json,
     nef_against_witnesses,
 )
@@ -51,6 +54,10 @@ class TestWitnessValidation:
         # 2H - 3E_1 has p_a = -2 and cannot contain a prime divisor
         with pytest.raises(PreconditionError):
             SurfaceModel(lat, (CurveWitness(DivisorClass((2, -3, 0))),))
+        # at the boundary: E_1 + E_2 has C.C + K.C = -4 (p_a = -1), E_1 - E_2 has -2 (p_a = 0)
+        with pytest.raises(PreconditionError, match=r"^class \[0, 1, 1\] has negative"):
+            SurfaceModel(lat, (CurveWitness(DivisorClass((0, 1, 1))),))
+        SurfaceModel(lat, (CurveWitness(DivisorClass((0, 1, -1))),))
 
     def test_non_prime_witness_not_genus_checked(self):
         lat = blowup_p2_lattice(2)
@@ -75,6 +82,20 @@ class TestWitnessValidation:
         # a document without nulls is read as is, not copied
         doc = {"family": "blowup_p2", "r": 1}
         assert json_object(doc, "lattice") is doc
+
+    def test_stored_pairings_are_no_part_of_the_value(self):
+        model = hirzebruch_model(3)
+        assert model._kc == (1, -2)  # K = -2C_3 - 5F
+        twin = hirzebruch_model(3)
+        object.__setattr__(twin, "_kc", (0, 0))
+        assert twin == model and hash(twin) == hash(model)
+        assert repr(twin) == repr(model) and "_kc" not in repr(model)
+        assert twin.to_json_dict() == model.to_json_dict()
+        # replace builds the model anew, so the pairings follow the new curves
+        lat = model.lattice
+        moved = dataclasses.replace(model, curves=[CurveWitness(DivisorClass((1, 1)))])
+        assert moved._kc == (lat.canonical_pairing(DivisorClass((1, 1))),) == (-1,)
+        assert type(moved.curves) is tuple
 
     @pytest.mark.parametrize(
         "fields",
@@ -343,3 +364,47 @@ def test_consequence_check_never_finds_a_violation(case):
     for line in report.details:
         if line.startswith("forced fixed component") and "p_a = 0," in line:
             assert line.endswith("<= -3: ok")
+
+
+# coefficients of either sign up to four times 2^64, beside small ones
+BIG = 2**64
+coefficient = st.integers(-3, 3) | st.integers(BIG, 4 * BIG) | st.integers(-4 * BIG, -BIG)
+
+
+@st.composite
+def models_with_large_witnesses(draw):
+    """A model of rank <= 14 with up to 16 witnesses, of any family, and one
+    more class asserted prime.  Witnesses are random vectors or the classes
+    b_i - b_j - b_k of basis vectors, which are often forced and rational;
+    one is asserted prime only if p_a >= 0."""
+    family = draw(st.sampled_from(["hirzebruch", "blowup_p2", "blowup_hirzebruch"]))
+    n = None if family == "blowup_p2" else draw(st.integers(0, 12))
+    r = None if family == "hirzebruch" else draw(st.integers(0, 13 if n is None else 12))
+    lat = make_lattice(family, n, r)
+    index = st.integers(0, lat.rank - 1)
+    vector = st.lists(coefficient, min_size=lat.rank, max_size=lat.rank)
+    difference = st.tuples(index, index, index).map(
+        lambda ijk: [(t == ijk[0]) - (t == ijk[1]) - (t == ijk[2]) for t in range(lat.rank)]
+    )
+    classes = st.one_of(vector, difference).map(DivisorClass)
+    curves = []
+    for c in draw(st.lists(classes, max_size=16)):
+        prime = draw(st.booleans()) and lat.arithmetic_genus(c) >= 0
+        curves.append(CurveWitness(c, prime))
+    return SurfaceModel(lat, tuple(curves)), CurveWitness(draw(classes))
+
+
+@given(models_with_large_witnesses(), st.booleans())
+def test_verdicts_match_the_reference_formulas(case, witness_complete):
+    # the verdicts read each witness's stored K.C and take K.K = 10 - rank
+    model, extra = case
+    lat = model.lattice
+    assert model._kc == tuple(lat.canonical_pairing(w.cls) for w in model.curves)
+    assert forced_fixed_components(model) == oracles.reference_forced_fixed_components(model)
+    assert anticanonical_consequence_check(model, witness_complete).to_json_dict() == (
+        oracles.reference_anticanonical_consequence_check(model, witness_complete)
+    )
+    for w in [w for w in model.curves if w.asserted_prime] + [extra]:
+        assert classify_fixed_component(model, w).to_json_dict() == (
+            oracles.reference_classify_fixed_component(model, w)
+        )

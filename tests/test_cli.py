@@ -585,6 +585,45 @@ def test_result_too_long_to_print_is_one_line_and_exit_1(capsys, argv, pretty):
     assert err.startswith("nslattice: cannot write the output: ") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="needs the default limit of 4,300 digits on integer string conversion",
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hirzebruch", "anticanonical", "--n", "1" + "0" * 5000],
+        ["intersect", "--family", "hirzebruch", "--n", "1", "--d1", "1" + "0" * 5000 + ",0",
+         "--d2", "1,0"],
+    ],
+    ids=["integer-flag", "class-flag"],
+)
+def test_flag_past_the_digit_limit_is_a_short_usage_error(capsys, argv):
+    # read as a string, it was echoed whole as "--n must be an integer, got '1000…'"
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert "Exceeds the limit (4300 digits)" in err
+    assert len(err) < 1000 and "0" * 100 not in err
+
+
+def test_flag_nested_past_the_decoder_stack_is_a_usage_error(capsys):
+    argv = ["intersect", "--family", "hirzebruch", "--n", "1", "--d1", "[" * 100_000, "--d2", "1,0"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert "recursion" in err and len(err) < 1000 and "Traceback" not in err
+
+
+def test_refused_value_is_echoed_up_to_100_characters(capsys):
+    long_text = "1_" + "0" * 500  # not JSON, so it stays a string
+    code, out, err = run_cli(capsys, ["hirzebruch", "anticanonical", "--n", long_text])
+    assert code == 2 and out == ""
+    echoed = repr(long_text)[:99] + "…"
+    assert err == f"nslattice: --n must be an integer, got {echoed}\n"
+    # a value whose repr fits is echoed whole, as before
+    code, out, err = run_cli(capsys, ["hirzebruch", "anticanonical", "--n", "1_0"])
+    assert err == "nslattice: --n must be an integer, got '1_0'\n"
+
+
 def test_selfcheck_config_past_the_blowup_bound_is_usage_error(capsys, tmp_path):
     # the family checks would build a lattice of 10,001 points and fail inside
     path = tmp_path / "cfg.json"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,19 +32,26 @@ def test_self_intersection_matches_lattice(n, a, b):
     assert cls.self_intersection == lat.self_intersection(cls.to_divisor())
 
 
+# the constructor and each verdict that checks n, a and b
+CHECKED = (HirzebruchClass, is_effective, nef_decompose, fixed_mobile_decompose)
+
+
 def test_negative_n_rejected():
-    with pytest.raises(InvalidParameterError):
-        HirzebruchClass(-1, 0, 0)
+    for function in CHECKED:
+        with pytest.raises(
+            InvalidParameterError, match="^Hirzebruch parameter n must be >= 0, got -1$"
+        ):
+            function(-1, 0, 0)
 
 
 @pytest.mark.parametrize("args", [(3, True, False), (True, 0, 0), (3, 1.0, 2)])
 def test_inexact_parameters_rejected(args):
     # bool is a subclass of int: is_effective(3, True, False) once said
     # effective, with multiplicities [1, 0]
-    with pytest.raises(TypeError):
-        HirzebruchClass(*args)
-    with pytest.raises(TypeError):
-        is_effective(*args)
+    message = f"n, a and b must be integers, got {args!r}"
+    for function in CHECKED:
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            function(*args)
 
 
 def test_classes_on_different_surfaces_do_not_add():
@@ -165,6 +174,15 @@ class TestFixedMobile:
         section = lat.basis_class(0)
         assert lat.intersect(dec.mobile.to_divisor(), section) >= 0
         assert lat.intersect(dec.mobile.to_divisor(), lat.basis_class(1)) >= 0
+
+    @given(n_values, st.integers(0, 12), st.integers(0, 40))
+    def test_parts_are_constructor_values(self, n, a, b):
+        # the parts skip the constructor's check but not its value semantics
+        dec = fixed_mobile_decompose(n, a, b)
+        fixed, mobile = HirzebruchClass(n, dec.j, 0), HirzebruchClass(n, a - dec.j, b)
+        assert (dec.fixed, dec.mobile) == (fixed, mobile)
+        assert (hash(dec.fixed), hash(dec.mobile)) == (hash(fixed), hash(mobile))
+        assert dec == type(dec)(fixed, mobile, dec.j)
 
     @given(st.integers(1, 10), st.integers(1, 10))
     def test_unique_bracketing_multiple(self, n, a):

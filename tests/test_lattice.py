@@ -37,6 +37,23 @@ class TestConstruction:
         assert lat.canonical.coeffs == (-2, -5)
         assert lat.basis_labels == ("C3", "F")
 
+    @pytest.mark.parametrize(
+        "lat,labels",
+        [
+            (hirzebruch_lattice(0), ("C0", "F")),
+            (blowup_p2_lattice(0), ("H",)),
+            (blowup_p2_lattice(3), ("H", "E1", "E2", "E3")),
+            (blowup_hirzebruch_lattice(12, 0), ("C12", "F")),
+            (blowup_hirzebruch_lattice(1, 2), ("C1", "F", "E1", "E2")),
+        ],
+        ids=["F0", "P2", "Bl3P2", "Bl0F12", "Bl2F1"],
+    )
+    def test_basis_labels(self, lat, labels):
+        # built on each read from n and r, and no part of the lattice's value
+        assert lat.basis_labels == labels
+        assert len(labels) == lat.rank
+        assert "E1" not in repr(lat)
+
     def test_blowup_p2_0_is_the_plane(self):
         lat = blowup_p2_lattice(0)
         assert lat.rank == 1
