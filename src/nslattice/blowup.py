@@ -16,15 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DimensionError, InputError, PreconditionError
+from .errors import DimensionError, PreconditionError
 from .lattice import (
     DivisorClass,
     Family,
     SurfaceLattice,
     _new,
+    _refuse,
     _set,
     divisor_from_json,
-    json_bool,
     json_object,
     lattice_from_json,
 )
@@ -51,11 +51,18 @@ class CurveWitness:
 
 
 def witness_from_json(doc: dict) -> CurveWitness:
-    doc = json_object(doc, "witness")
+    """The checks and messages of json_object, divisor_from_json, then json_bool
+    on ``prime`` (null or absent is true), with no call to the first or last."""
+    if not isinstance(doc, dict):
+        raise _refuse(doc, "witness", "a JSON object")
     # both fields are read exactly, so the witness skips the frozen __init__
     w = _new(CurveWitness)
     _set(w, "cls", divisor_from_json(doc))
-    _set(w, "asserted_prime", json_bool(doc.get("prime", True), "prime"))
+    if (prime := doc.get("prime")) is None:
+        prime = True
+    elif type(prime) is not bool:
+        raise _refuse(prime, "prime", "true or false")
+    _set(w, "asserted_prime", prime)
     return w
 
 
@@ -104,7 +111,7 @@ def model_from_json(doc: dict) -> SurfaceModel:
     lattice = lattice_from_json(doc.get("lattice"))
     curves = doc.get("curves", [])
     if not isinstance(curves, (list, tuple)):
-        raise InputError(f"curves must be a list of witnesses, got {curves!r}")
+        raise _refuse(curves, "curves", "a list of witnesses")
     return SurfaceModel(lattice, tuple(map(witness_from_json, curves)))
 
 
@@ -318,15 +325,17 @@ def lemma_move_check(model: SurfaceModel, witness: CurveWitness) -> Report:
     if not witness.asserted_prime:
         raise PreconditionError("the check requires a witness asserted to be prime")
     lat = model.lattice
-    s = lat.self_intersection(witness.cls)
+    c = lat._check(witness.cls)
+    s = lat._pair(c, c)
     if s <= 0:
         return Report(
             "not applicable",
             (f"self-intersection {s} <= 0: no conclusion about moving",),
             (),
         )
-    bound = lat.h0_lower_bound(witness.cls)
-    kd = lat.canonical_pairing(witness.cls)
+    kd = lat._k_dot(c)
+    # Riemann-Roch: chi(O(G)) = 1 + (G.G - K.G)/2
+    bound = lat._h0_bound(c, 1 + (s - kd) // 2)
     details = (
         f"self-intersection {s} > 0",
         f"K pairing {kd}",

@@ -235,7 +235,17 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _rows(argv: list[str]) -> tuple:
+    """The rows on the path to the leaf named by argv's first one or two words, else all."""
+    for words in (argv[:1], argv[:2]):
+        if any(row[0].split() == words and row[3] is not None for row in COMMANDS):
+            return tuple(row for row in COMMANDS if words[: row[0].count(" ") + 1] == row[0].split())
+    return COMMANDS
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the rows on ``argv``'s path, which
+    parses and fails on ``argv`` exactly as the whole tree would."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="FILE", help="JSON payload filling missing inputs")
     common.add_argument("--pretty", action="store_true", help="indent the output")
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact divisor-class calculus on rational surface lattices.",
     )
     groups = {"": parser.add_subparsers(required=True, metavar="COMMAND")}
-    for path, flags, help_text, handler in COMMANDS:
+    for path, flags, help_text, handler in COMMANDS if argv is None else _rows(argv):
         group, _, name = path.rpartition(" ")
         if handler is None:
             p = groups[group].add_parser(name, help=help_text, description=help_text)
@@ -264,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -14,9 +14,12 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
+import sys
+from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from math import isqrt
 from operator import add, mul, neg, sub
 
@@ -31,8 +34,8 @@ class Family(str, Enum):
     BLOWUP_HIRZEBRUCH = "blowup_hirzebruch"
 
 
-# bound once: _exact_class runs once per listed class, and a global load is
-# cheaper than looking both methods up on object each time
+# bound once: a global load is cheaper than looking both methods up on object
+# each time _exact_class runs
 _new, _set = object.__new__, object.__setattr__
 # types are compared exactly: bool is a subclass of int, and no other type counts
 _INT = frozenset((int,))
@@ -107,13 +110,21 @@ def _exact_class(coeffs: tuple[int, ...]) -> DivisorClass:
 # "absent", a rule json_object alone applies.
 
 
+def _shown(value) -> str:
+    """``repr(value)`` cut to 100 characters, or, when it holds an integer past
+    the interpreter's digit limit and so has no repr, its type and that limit."""
+    try:
+        text = repr(value)
+    except ValueError:
+        kind = "an integer" if type(value) is int else f"a {type(value).__name__} holding an integer"
+        return f"{kind} past {sys.get_int_max_str_digits():,} digits"
+    return text if len(text) <= 100 else text[:99] + "…"
+
+
 def _refuse(value, name: str, kind: str) -> InputError:
     if value is None:
         return InputError(f"missing required input {name}")
-    text = repr(value)
-    if len(text) > 100:
-        text = text[:99] + "…"
-    return InputError(f"{name} must be {kind}, got {text}")
+    return InputError(f"{name} must be {kind}, got {_shown(value)}")
 
 
 def json_int(value, name: str) -> int:
@@ -190,22 +201,22 @@ class SurfaceLattice:
                 family = _FAMILIES[family]
             except (KeyError, TypeError):
                 names = ", ".join(_FAMILIES)
-                raise InputError(f"lattice family must be one of {names}, got {family!r}") from None
+                raise InputError(f"lattice family must be one of {names}, got {_shown(family)}") from None
         takes, given = _PARAMETERS[family], (("n", n), ("r", r))
         for p, value in given:
             if value is None and p in takes:
                 raise InputError(f"{family.value} lattice requires {' and '.join(takes)}")
         for p, value in given:
             if value is not None and p not in takes:
-                raise InputError(f"{family.value} lattice takes no {p}, got {p} = {value!r}")
+                raise InputError(f"{family.value} lattice takes no {p}, got {p} = {_shown(value)}")
         for p, value in given:
             if value is not None and type(value) is not int:
-                raise TypeError(f"{p} must be an integer, got {value!r}")
+                raise TypeError(f"{p} must be an integer, got {_shown(value)}")
         if n is not None and n < 0:
-            raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {n}")
+            raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {_shown(n)}")
         if r is not None and not 0 <= r <= MAX_BLOWUP_POINTS:
             raise InvalidParameterError(
-                f"number of blown-up points must be in 0..{MAX_BLOWUP_POINTS:,}, got {r}"
+                f"number of blown-up points must be in 0..{MAX_BLOWUP_POINTS:,}, got {_shown(r)}"
             )
         head, k = _standard_form(n, r)
         kg = list(map(neg, k))
@@ -246,15 +257,14 @@ class SurfaceLattice:
             total += a[i] * g * b[j]
         return total
 
-    def _half_adjoint(self, d: DivisorClass, sign: int) -> int:
-        """1 + (D.D + sign * K.D)/2 for sign = +-1.
+    def _half_adjoint(self, c: tuple[int, ...], sign: int) -> int:
+        """1 + (D.D + sign * K.D)/2 for sign = +-1, on checked coefficients.
 
         One pass: D.D + sign * K.D = -sum_i c_i (c_i - sign * kg_i) + the head terms.
         K is characteristic on every family, so the numerator is even:
         D.D + K.D = d(d - 3) - sum m_i(m_i - 1) on Bl_r P^2, and
         -n a(a - 1) + 2ab - 2a - 2b on F_n.
         """
-        c = self._check(d)
         total = -sum(map(mul, c, map(sub if sign > 0 else add, c, self._kg)))
         for i, j, g in self._head:
             total += c[i] * g * c[j]
@@ -277,14 +287,19 @@ class SurfaceLattice:
 
     def arithmetic_genus(self, d: DivisorClass) -> int:
         """Adjunction genus p_a(D) = 1 + (D.D + K.D)/2."""
-        return self._half_adjoint(d, 1)
+        return self._half_adjoint(self._check(d), 1)
 
     def euler_characteristic(self, d: DivisorClass) -> int:
         """chi(O(D)) = 1 + (D.D - K.D)/2 on a rational surface."""
-        return self._half_adjoint(d, -1)
+        return self._half_adjoint(self._check(d), -1)
 
     def h0_lower_bound(self, d: DivisorClass) -> int:
-        """max(0, chi(O(D))) when K - D is certified not effective, else 0.
+        """max(0, chi(O(D))) when K - D is certified not effective, else 0."""
+        c = self._check(d)
+        return self._h0_bound(c, self._half_adjoint(c, -1))
+
+    def _h0_bound(self, c: tuple[int, ...], chi: int) -> int:
+        """The bound of ``h0_lower_bound`` for checked coefficients c of chi(D) = chi.
 
         h^0(D) = chi(D) + h^1(D) - h^0(K - D) by Serre duality, so chi(D) <= h^0(D)
         once N.(K - D) < 0 for a nef N certifies that K - D is not effective.
@@ -292,8 +307,7 @@ class SurfaceLattice:
         it does not certify, N.D <= N.K < 0, so D is not effective and 0 is
         exact: on F_1, D = -5C - 5F has chi(D) = 6 but h^0(D) = 0.
         """
-        chi = self.euler_characteristic(d)
-        if chi > 0 and self.canonical.coeffs[0] < d.coeffs[0]:
+        if chi > 0 and self.canonical.coeffs[0] < c[0]:
             return chi
         return 0
 
@@ -569,7 +583,11 @@ def enumerate_negative_rational_classes(
         _extend_by_arrangements(found, vec)
     # each orbit is an increasing run, which the sort merges
     found.sort()
-    return list(map(_exact_class, found))
+    # _exact_class as two C-level passes, no Python frame per class: the same one
+    # store into each fresh __dict__, so the kernel reads them as it reads any class
+    classes = list(map(_new, repeat(DivisorClass, len(found))))
+    deque(map(_set, classes, repeat("coeffs"), found), 0)
+    return classes
 
 
 def _int_rows(matrix: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -6,7 +6,8 @@ instead of inequality tests, multiset enumeration with multinomial counting
 instead of the pruned lexicographic search, rational elimination instead of
 integer congruence reduction, plain randint/randrange calls instead of the
 selfcheck's inlined sampler, and sections counted on P^1 instead of
-Riemann-Roch.  None of it imports the package.
+Riemann-Roch.  Only the reference witness reader imports the package, to
+compose the library's own readers as they were first composed.
 """
 
 import itertools
@@ -256,11 +257,21 @@ def replay_negative_curve_draws(seed, n_max, r_max, attempts):
     return draws, rng
 
 
+def reference_witness_from_json(doc):
+    """witness_from_json as first written: json_object drops the document's
+    nulls, then divisor_from_json reads the class and json_bool the flag."""
+    from nslattice.blowup import CurveWitness
+    from nslattice.lattice import divisor_from_json, json_bool, json_object
+
+    doc = json_object(doc, "witness")
+    return CurveWitness(divisor_from_json(doc), json_bool(doc.get("prime", True), "prime"))
+
+
 # The witness verdicts of nslattice.blowup as they were first written: every
 # number comes from a fresh call to the lattice's public arithmetic_genus,
-# self_intersection or canonical_pairing, with K.K taken as K's own square.
-# They take the library's model and witness objects and return the documents
-# their to_json_dict() would print.
+# self_intersection, canonical_pairing or h0_lower_bound, with K.K taken as
+# K's own square.  They take the library's model and witness objects and
+# return the documents their to_json_dict() would print.
 
 
 def reference_forced_fixed_components(model):
@@ -341,3 +352,26 @@ def reference_anticanonical_consequence_check(model, witness_complete):
                 "not rational; outside this check"
             )
     return {"verdict": "consistent", "details": details, "violators": []}
+
+
+def reference_lemma_move_check(model, witness):
+    lat = model.lattice
+    s = lat.self_intersection(witness.cls)
+    if s <= 0:
+        details = [f"self-intersection {s} <= 0: no conclusion about moving"]
+        return {"verdict": "not applicable", "details": details, "violators": []}
+    bound = lat.h0_lower_bound(witness.cls)
+    details = [
+        f"self-intersection {s} > 0",
+        f"K pairing {lat.canonical_pairing(witness.cls)}",
+        f"h^0 lower bound {bound}",
+    ]
+    if bound >= 2:
+        details.append("bound >= 2: the class moves")
+        return {"verdict": "consistent", "details": details, "violators": []}
+    details.append(
+        "bound < 2 is impossible for a prime class of positive "
+        "self-intersection on an anticanonical surface"
+    )
+    violators = [{"coeffs": list(witness.cls.coeffs), "prime": True}]
+    return {"verdict": "theorem_violation", "details": details, "violators": violators}

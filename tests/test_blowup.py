@@ -12,6 +12,7 @@ from nslattice import (
     DivisorClass,
     FixedComponentKind,
     GENUS_ONE,
+    InputError,
     NSLatticeError,
     NEGATIVE_RATIONAL,
     PreconditionError,
@@ -27,6 +28,7 @@ from nslattice import (
     make_lattice,
     model_from_json,
     nef_against_witnesses,
+    witness_from_json,
 )
 from nslattice.blowup import INCOMPLETE_VERDICT
 from nslattice.lattice import json_object
@@ -408,3 +410,38 @@ def test_verdicts_match_the_reference_formulas(case, witness_complete):
         assert classify_fixed_component(model, w).to_json_dict() == (
             oracles.reference_classify_fixed_component(model, w)
         )
+        assert lemma_move_check(model, w).to_json_dict() == (
+            oracles.reference_lemma_move_check(model, w)
+        )
+
+
+# any JSON value, with integers past the interpreter's digit limit and long strings
+json_leaf = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.integers(4300, 4400).map(lambda k: -(10**k)) | st.just("x" * 500)
+)
+json_any = st.recursive(
+    json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+coeffs_value = json_any | st.lists(st.integers(-3, 3) | json_leaf, max_size=4)
+witness_doc = json_any | st.fixed_dictionaries(
+    {}, optional={"coeffs": coeffs_value, "prime": json_any | st.booleans(), "other": json_any}
+)
+
+
+def read_witness(reader, doc):
+    try:
+        return reader(doc)
+    except InputError as exc:
+        return str(exc)
+
+
+@given(witness_doc)
+def test_witness_reader_matches_the_composed_readers(doc):
+    given = copy.deepcopy(doc)
+    got = read_witness(witness_from_json, doc)
+    assert got == read_witness(oracles.reference_witness_from_json, doc)
+    assert isinstance(got, CurveWitness) or len(got) < 200
+    assert doc == given

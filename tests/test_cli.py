@@ -624,6 +624,22 @@ def test_refused_value_is_echoed_up_to_100_characters(capsys):
     assert err == "nslattice: --n must be an integer, got '1_0'\n"
 
 
+def test_long_family_and_curves_are_echoed_up_to_100_characters(capsys, tmp_path):
+    # each was echoed whole: 5,090 bytes on stderr for this family
+    code, out, err = run_cli(capsys, ["genus", "--family", "x" * 5000, "--r", "1", "--d", "1,0"])
+    assert code == 2 and out == "" and len(err.encode()) < 200
+    names = "hirzebruch, blowup_p2, blowup_hirzebruch"
+    assert err == f"nslattice: lattice family must be one of {names}, got {repr('x' * 5000)[:99]}…\n"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"lattice": {"family": "blowup_p2", "r": 1}, "curves": "x" * 5000}))
+    code, out, err = run_cli(capsys, ["blowup", "forced-fixed", "--json", str(path)])
+    assert code == 2 and out == "" and len(err.encode()) < 200
+    assert err.startswith("nslattice: curves must be a list of witnesses, got 'xxx")
+    # a value whose repr fits is echoed whole, as before
+    code, out, err = run_cli(capsys, ["genus", "--family", "plane", "--r", "1", "--d", "1,0"])
+    assert err == f"nslattice: lattice family must be one of {names}, got 'plane'\n"
+
+
 def test_selfcheck_config_past_the_blowup_bound_is_usage_error(capsys, tmp_path):
     # the family checks would build a lattice of 10,001 points and fail inside
     path = tmp_path / "cfg.json"

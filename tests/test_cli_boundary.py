@@ -186,3 +186,50 @@ def test_main_on_drawn_argv(low_bounds, case):
         assert code != 3 or "--strict" in argv
     else:
         assert code in (1, 2) and err
+
+
+# argv that name no leaf, and so build the whole tree, beside leaves asked for help
+# or given a wrong token
+HAND_PICKED = [
+    [], ["--help"], ["-z"], ["intersectx"], ["blowup"], ["blowup", "--help"],
+    ["blowup", "classifyx"], ["blowup classify"], ["hirzebruch"], ["hirzebruch", "-h"],
+    ["intersect", "--help"], ["hirzebruch", "nef", "--help"], ["selfcheck", "--h"],
+    ["genus", "--bogus"], ["blowup", "classify", "--bogus", "1"], ["enumerate", "--r"],
+    ["hirzebruch", "nef", "extra"], ["intersect", "genus"], ["--pretty", "intersect"],
+]
+
+
+def run_both(monkeypatch, argv):
+    """main(argv) with the parser of argv's path, then with the whole tree."""
+    chained = run(argv)
+    full = cli.build_parser
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", lambda argv=None: full())
+        return chained, run(argv)
+
+
+@pytest.mark.parametrize("argv", HAND_PICKED, ids=" ".join)
+def test_leaf_chain_answers_as_the_whole_tree(low_bounds, monkeypatch, argv):
+    chained, whole = run_both(monkeypatch, argv)
+    assert chained == whole
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argvs())
+def test_leaf_chain_answers_as_the_whole_tree_on_drawn_argv(low_bounds, monkeypatch, case):
+    argv, doc = case
+    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+        json.dump(doc, fh)
+    try:
+        chained, whole = run_both(monkeypatch, argv + ["--json", fh.name] if doc is not None else argv)
+    finally:
+        os.unlink(fh.name)
+    assert chained == whole
+
+
+def test_a_leaf_builds_only_its_path():
+    assert cli._rows(["intersect", "--d1=1"]) == tuple(r for r in cli.COMMANDS if r[0] == "intersect")
+    paths = [row[0] for row in cli._rows(["blowup", "classify", "--d=1"])]
+    assert paths == ["blowup", "blowup classify"]
+    for argv in ([], ["blowup"], ["--help"], ["blowup classify"], ["intersectx"]):
+        assert cli._rows(argv) is cli.COMMANDS

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from nslattice import (
+    DivisorClass,
     InvalidParameterError,
     blowup_p2_lattice,
     enumerate_negative_rational_classes,
@@ -57,6 +58,15 @@ def test_degrees_past_an_infeasible_stretch_are_found():
 def test_standard_plane_lattices_enumerate(r):
     got = coeffs_of(r, -1, 2)
     assert len(got) == oracles.count_negative_rational_classes(r, -1, 2)
+
+
+@pytest.mark.parametrize("self_int,r,bound", [(-1, 10, 5), (-2, 9, 7)])
+def test_listed_classes_are_plain_divisor_classes(self_int, r, bound):
+    # built without DivisorClass.__init__: each must still be the value it names
+    for c in enumerate_negative_rational_classes(blowup_p2_lattice(r), self_int, bound):
+        same = DivisorClass(c.coeffs)
+        assert type(c) is DivisorClass and vars(c) == {"coeffs": c.coeffs}
+        assert c == same and hash(c) == hash(same) and repr(c) == repr(same)
 
 
 def test_enumeration_grid_digest():

@@ -3,6 +3,7 @@ lattice's parameters may take, and the classes drawn by the selfcheck sampler.""
 
 import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,8 @@ from nslattice import (
     blowup_hirzebruch_lattice,
     blowup_p2_lattice,
     hirzebruch_lattice,
+    lattice_from_json,
+    witness_from_json,
 )
 from nslattice.selfcheck import _random_class
 
@@ -151,6 +154,31 @@ class TestParameterTypes:
     def test_family_given_by_its_value(self):
         lat = dataclasses.replace(blowup_p2_lattice(2), family="blowup_p2")
         assert lat == blowup_p2_lattice(2) and lat.family is Family.BLOWUP_P2
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="needs the default limit of 4,300 digits on integer string conversion",
+)
+@pytest.mark.parametrize(
+    "read,error,message",
+    [
+        (lambda: witness_from_json({"coeffs": [1.5, 10**5000]}), InputError,
+         "coeffs must be a list of integers, got a list holding an integer past 4,300 digits"),
+        (lambda: witness_from_json({"coeffs": [1], "prime": -(10**5000)}), InputError,
+         "prime must be true or false, got an integer past 4,300 digits"),
+        (lambda: lattice_from_json({"family": "blowup_p2", "r": 10**5000}), InvalidParameterError,
+         "number of blown-up points must be in 0..10,000, got an integer past 4,300 digits"),
+        (lambda: lattice_from_json({"family": "hirzebruch", "n": 1, "r": 10**5000}), InputError,
+         "hirzebruch lattice takes no r, got r = an integer past 4,300 digits"),
+    ],
+    ids=["coeffs", "prime", "r-range", "r-not-taken"],
+)
+def test_value_past_the_digit_limit_is_refused_by_name(read, error, message):
+    # repr() of such an integer raises ValueError, which escaped the refusal
+    with pytest.raises(error) as info:
+        read()
+    assert str(info.value) == message
 
 
 class TestBasisClassRange:
