@@ -11,15 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, NotEffectiveError
-from .lattice import DivisorClass, _new, _set
+from .lattice import DivisorClass, _new, _set, _shown
 
 
 def _checked(n: int, a: int, b: int) -> None:
     """Refuse a non-integer n, a or b (bool included) and a negative n."""
     if type(n) is not int or type(a) is not int or type(b) is not int:
-        raise TypeError(f"n, a and b must be integers, got {(n, a, b)!r}")
+        raise TypeError(f"n, a and b must be integers, got {_shown((n, a, b))}")
     if n < 0:
-        raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {n}")
+        raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {_shown(n)}")
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,8 @@ def fixed_mobile_decompose(n: int, a: int, b: int) -> FixedMobileDecomposition:
     _checked(n, a, b)
     if a < 0 or b < 0:
         raise NotEffectiveError(
-            f"{a}*C{n} + {b}*F is not effective; its complete linear system is empty"
+            f"{_shown(a)}*C{_shown(n)} + {_shown(b)}*F is not effective; "
+            "its complete linear system is empty"
         )
     j = 0 if n == 0 or b >= a * n else a - b // n
     return FixedMobileDecomposition(_exact(n, j, 0), _exact(n, a - j, b), j)

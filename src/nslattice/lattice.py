@@ -57,7 +57,7 @@ class DivisorClass:
         # written out so that each class costs one store, not __init__ plus __post_init__
         coeffs = tuple(coeffs)
         if not _INT.issuperset(map(type, coeffs)):
-            raise TypeError(f"coefficients must be integers, got {coeffs!r}")
+            raise TypeError(f"coefficients must be integers, got {_shown(coeffs)}")
         _set(self, "coeffs", coeffs)
 
     def __len__(self) -> int:
@@ -83,7 +83,7 @@ class DivisorClass:
 
     def __mul__(self, k: int) -> "DivisorClass":
         if type(k) is not int:
-            raise TypeError(f"a class is multiplied by an integer, got {k!r}")
+            raise TypeError(f"a class is multiplied by an integer, got {_shown(k)}")
         return _exact_class(tuple([k * a for a in self.coeffs]))
 
     __rmul__ = __mul__
@@ -257,19 +257,6 @@ class SurfaceLattice:
             total += a[i] * g * b[j]
         return total
 
-    def _half_adjoint(self, c: tuple[int, ...], sign: int) -> int:
-        """1 + (D.D + sign * K.D)/2 for sign = +-1, on checked coefficients.
-
-        One pass: D.D + sign * K.D = -sum_i c_i (c_i - sign * kg_i) + the head terms.
-        K is characteristic on every family, so the numerator is even:
-        D.D + K.D = d(d - 3) - sum m_i(m_i - 1) on Bl_r P^2, and
-        -n a(a - 1) + 2ab - 2a - 2b on F_n.
-        """
-        total = -sum(map(mul, c, map(sub if sign > 0 else add, c, self._kg)))
-        for i, j, g in self._head:
-            total += c[i] * g * c[j]
-        return 1 + total // 2
-
     def intersect(self, d1: DivisorClass, d2: DivisorClass) -> int:
         """Intersection number D1.D2, bilinear and symmetric."""
         return self._pair(self._check(d1), self._check(d2))
@@ -286,17 +273,28 @@ class SurfaceLattice:
         return self._k_dot(self._check(d))
 
     def arithmetic_genus(self, d: DivisorClass) -> int:
-        """Adjunction genus p_a(D) = 1 + (D.D + K.D)/2."""
-        return self._half_adjoint(self._check(d), 1)
+        """Adjunction genus p_a(D) = 1 + (D.D + K.D)/2, in one frame.
+
+        One pass: D.D + K.D = -sum_i c_i (c_i - kg_i) + the head terms.
+        K is characteristic on every family, so the numerator is even:
+        D.D + K.D = d(d - 3) - sum m_i(m_i - 1) on Bl_r P^2, and
+        -n a(a - 1) + 2ab - 2a - 2b on F_n.
+        """
+        c = d.coeffs
+        if len(c) != self.rank:
+            self._check(d)  # raises its DimensionError
+        total = -sum(map(mul, c, map(sub, c, self._kg)))
+        for i, j, g in self._head:
+            total += c[i] * g * c[j]
+        return 1 + total // 2
 
     def euler_characteristic(self, d: DivisorClass) -> int:
-        """chi(O(D)) = 1 + (D.D - K.D)/2 on a rational surface."""
-        return self._half_adjoint(self._check(d), -1)
+        """chi(O(D)) = 1 + (D.D - K.D)/2 = p_a(-D) on a rational surface."""
+        return self.arithmetic_genus(_exact_class(tuple(map(neg, d.coeffs))))
 
     def h0_lower_bound(self, d: DivisorClass) -> int:
         """max(0, chi(O(D))) when K - D is certified not effective, else 0."""
-        c = self._check(d)
-        return self._h0_bound(c, self._half_adjoint(c, -1))
+        return self._h0_bound(d.coeffs, self.euler_characteristic(d))
 
     def _h0_bound(self, c: tuple[int, ...], chi: int) -> int:
         """The bound of ``h0_lower_bound`` for checked coefficients c of chi(D) = chi.
@@ -317,7 +315,7 @@ class SurfaceLattice:
     def basis_class(self, index: int) -> DivisorClass:
         if not 0 <= index < self.rank:
             raise InvalidParameterError(
-                f"basis index {index} is out of range for rank {self.rank}"
+                f"basis index {_shown(index)} is out of range for rank {self.rank}"
             )
         return _exact_class(tuple(1 if i == index else 0 for i in range(self.rank)))
 
@@ -570,11 +568,11 @@ def enumerate_negative_rational_classes(
     if lattice.family is not Family.BLOWUP_P2:
         raise FamilyError("enumeration is defined on blowups of the plane only")
     if type(self_int) is not int or type(degree_bound) is not int:
-        raise TypeError(f"enumeration arguments must be integers: {(self_int, degree_bound)!r}")
+        raise TypeError(f"enumeration arguments must be integers: {_shown((self_int, degree_bound))}")
     if self_int > -1:
-        raise InvalidParameterError(f"self-intersection must be <= -1, got {self_int}")
+        raise InvalidParameterError(f"self-intersection must be <= -1, got {_shown(self_int)}")
     if degree_bound < 1:
-        raise InvalidParameterError(f"degree bound must be >= 1, got {degree_bound}")
+        raise InvalidParameterError(f"degree bound must be >= 1, got {_shown(degree_bound)}")
     r = lattice.r
     if r == 0:
         return []
@@ -592,7 +590,7 @@ def enumerate_negative_rational_classes(
 
 def _int_rows(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     if not all(_INT.issuperset(map(type, row)) for row in matrix):
-        raise TypeError(f"matrix entries must be integers, got {matrix!r}")
+        raise TypeError(f"matrix entries must be integers, got {_shown(matrix)}")
     return [list(row) for row in matrix]
 
 

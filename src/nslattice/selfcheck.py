@@ -36,6 +36,9 @@ from .lattice import (
     DivisorClass,
     SurfaceLattice,
     _exact_class,
+    _new,
+    _set,
+    _shown,
     basis_change_blf0_to_p2,
     basis_change_f1_to_p2,
     blowup_hirzebruch_lattice,
@@ -77,7 +80,7 @@ class SelfcheckConfig:
         # range is refused before they are read); the enumeration refuses 0
         r, top = self.enum_r_max, len(MINUS_ONE_MAX_DEGREE) - 1
         least = max(1, MINUS_ONE_MAX_DEGREE[r]) if 0 <= r <= top else 1
-        degree = (least, inf, f" when enum_r_max is {r}")
+        degree = (least, inf, f" when enum_r_max is {_shown(r)}")
         # each field's least and most value, checked in field order, so a limit read
         # from another field comes after that field; every field but the seed is a
         # bound, a range end or a count, so at least 0
@@ -94,10 +97,9 @@ class SelfcheckConfig:
         for f in fields(self):
             least, most, why = limits.get(f.name, (0, inf, ""))
             value = getattr(self, f.name)
-            if value < least:
-                raise InputError(f"selfcheck config {f.name} must be >= {least}{why}, got {value}")
-            if value > most:
-                raise InputError(f"selfcheck config {f.name} must be <= {most:,}, got {value}")
+            if not least <= value <= most:
+                limit = f">= {_shown(least)}{why}" if value < least else f"<= {most:,}"
+                raise InputError(f"selfcheck config {f.name} must be {limit}, got {_shown(value)}")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SelfcheckConfig":
@@ -413,9 +415,10 @@ def check_negative_curve_adjunction(cfg: SelfcheckConfig) -> CheckResult:
     """For p_a = 0 classes, self-int = -2 - K.D; K.D >= 1 then forces <= -3."""
     rng = random.Random(cfg.seed + 2)
     failures = []
-    pool = _family_sweep(cfg)
+    # each lattice with its coordinate range, built once; rng.randrange(size) and
+    # rank calls of rng.randint(-4, 4) are inlined as in _random_class
+    pool = [(lat, range(lat.rank)) for lat in _family_sweep(cfg)]
     size = len(pool)
-    # rng.randrange(size), inlined as in _random_class
     getrandbits = rng.getrandbits
     k = size.bit_length()
     accepted = 0
@@ -426,8 +429,15 @@ def check_negative_curve_adjunction(cfg: SelfcheckConfig) -> CheckResult:
         i = getrandbits(k)
         while i >= size:
             i = getrandbits(k)
-        lat = pool[i]
-        d = _random_class(rng, lat.rank, 4)
+        lat, coords = pool[i]
+        coeffs = []
+        for _ in coords:
+            x = getrandbits(4)
+            while x >= 9:
+                x = getrandbits(4)
+            coeffs.append(x - 4)
+        d = _new(DivisorClass)
+        _set(d, "coeffs", tuple(coeffs))
         if lat.arithmetic_genus(d) != 0:
             continue
         s = lat.self_intersection(d)

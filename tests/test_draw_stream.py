@@ -62,8 +62,11 @@ def test_adjunction_parity_draws(monkeypatch, cfg):
         # the two smallest valid pools: F_0, P^2 and Bl_0 F_0, then Bl_1 P^2 and Bl_1 F_0 too
         (SelfcheckConfig(family_n_max=0, family_r_max=0, random_classes=2), 3),
         (SelfcheckConfig(family_n_max=0, family_r_max=1, random_classes=2), 5),
+        # powers of two, where size.bit_length() and (size - 1).bit_length() differ
+        (SelfcheckConfig(family_n_max=1, family_r_max=1, random_classes=20), 8),
+        (SelfcheckConfig(family_n_max=1, family_r_max=9, random_classes=20), 32),
     ],
-    ids=["quick", "default-capped", "pool-1", "pool-2"],
+    ids=["quick", "default-capped", "pool-1", "pool-2", "pool-8", "pool-32"],
 )
 def test_negative_curve_draws(monkeypatch, cfg, pool_size):
     assert len(selfcheck._family_sweep(cfg)) == pool_size
