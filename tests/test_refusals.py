@@ -74,7 +74,7 @@ LAT = blowup_p2_lattice(2)
 
 # (name, error, strategy of the refused arguments, the call)
 CASES = [
-    ("class-coeffs", TypeError, with_non_int, lambda c: DivisorClass(c)),
+    ("class-coeffs", TypeError, with_non_int, DivisorClass),
     ("class-scalar", TypeError, not_int | with_non_int, lambda k: DivisorClass((1,)) * k),
     ("basis-index", NSLatticeError, below(0) | above(LAT.rank - 1), LAT.basis_class),
     ("enumerate-self-int-type", TypeError, not_int,
