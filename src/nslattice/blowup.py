@@ -34,7 +34,7 @@ GENUS_ONE = "genus_one"
 THEOREM_VIOLATION = "theorem_violation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CurveWitness:
     """A divisor class the caller asserts to contain a prime divisor.
 
@@ -46,13 +46,22 @@ class CurveWitness:
     cls: DivisorClass
     asserted_prime: bool = True
 
+    def __init__(self, cls: DivisorClass, asserted_prime: bool = True) -> None:
+        # written out, as DivisorClass's is, so that the check costs no __post_init__ call
+        if not isinstance(cls, DivisorClass):
+            raise _refuse(cls, "cls", "a DivisorClass")
+        if type(asserted_prime) is not bool:
+            raise _refuse(asserted_prime, "prime", "true or false")
+        _set(self, "cls", cls)
+        _set(self, "asserted_prime", asserted_prime)
+
     def to_json_dict(self) -> dict:
         return {"coeffs": list(self.cls.coeffs), "prime": self.asserted_prime}
 
 
 def witness_from_json(doc: dict) -> CurveWitness:
-    """The checks and messages of json_object, divisor_from_json, then json_bool
-    on ``prime`` (null or absent is true), with no call to the first or last."""
+    """The checks and messages of json_object, divisor_from_json, then CurveWitness on
+    ``prime`` (null or absent is true), with no call to json_object or CurveWitness."""
     if not isinstance(doc, dict):
         raise _refuse(doc, "witness", "a JSON object")
     # both fields are read exactly, so the witness skips the frozen __init__

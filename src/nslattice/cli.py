@@ -4,14 +4,14 @@ One subcommand per invocation, one JSON document on standard output.  Inputs
 come as flags or through ``--json FILE``, whose keys fill in anything not
 given as a flag.  A flag's text is read as the JSON its payload key would
 hold (``--d=null`` is absent), and a class flag's as the list's entries:
-``--d=-2,-5`` is ``"d": [-2, -5]``.  Only the library readers type a value:
-a float or string where an integer belongs (``--r 1.5``, ``--r 07``), or
-anything but ``true``/``false`` where a boolean belongs, is a usage error,
-never coerced.  Exit codes: 0 success, 1 domain error (or a selfcheck
-document with ``"passed": false``), 2 usage error (including a missing or
-malformed input), 3 theorem-violation verdict under ``--strict``.
-``COMMANDS`` declares every subcommand.  Each handler imports the computing
-module it runs, so a call loads no other.
+``--d=-2,-5`` is ``"d": [-2, -5]``.  The library types each value where it
+uses it and names it by its payload key: a float or string where an integer
+belongs (``--r 1.5``, ``--r 07``), or anything but ``true``/``false`` where a
+boolean belongs, is a usage error, never coerced.  Exit codes: 0 success, 1
+domain error (or a selfcheck document with ``"passed": false``), 2 usage
+error (including a missing or malformed input), 3 theorem-violation verdict
+under ``--strict``.  ``COMMANDS`` declares every subcommand.  Each handler
+imports the computing module it runs, so a call loads no other.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .lattice import (
     divisor_from_json,
     enumerate_negative_rational_classes,
     json_bool,
-    json_int,
     json_object,
     lattice_from_json,
 )
@@ -87,7 +86,7 @@ def _inputs(args: argparse.Namespace) -> dict:
 
 
 def _class(inputs: dict, key: str = "d"):
-    return divisor_from_json(inputs.get(key), "--" + key)
+    return divisor_from_json(inputs.get(key), key)
 
 
 def _lattice(inputs: dict):
@@ -114,13 +113,11 @@ def cmd_basis_change(inputs):
 
 
 def cmd_enumerate(inputs):
-    r = json_int(inputs.get("r"), "--r")
-    self_int = json_int(inputs.get("self_int"), "--self-int")
-    degree_bound = json_int(inputs.get("degree_bound", 7), "--degree-bound")
-    lattice = blowup_p2_lattice(r)
+    lattice = blowup_p2_lattice(inputs.get("r"))
+    self_int, degree_bound = inputs.get("self_int"), inputs.get("degree_bound", 7)
     classes = enumerate_negative_rational_classes(lattice, self_int, degree_bound)
     return {
-        "r": r,
+        "r": lattice.r,
         "self_int": self_int,
         "degree_bound": degree_bound,
         "count": len(classes),
@@ -128,28 +125,23 @@ def cmd_enumerate(inputs):
     }
 
 
-def _hirzebruch_inputs(inputs: dict) -> tuple[int, int, int]:
-    return tuple(json_int(inputs.get(key), "--" + key) for key in "nab")
-
-
 def cmd_hirzebruch_verdict(function, inputs):
     from . import hirzebruch
 
-    n, a, b = _hirzebruch_inputs(inputs)
+    n, a, b = map(inputs.get, "nab")
     return {"n": n, "a": a, "b": b, **getattr(hirzebruch, function)(n, a, b).to_json_dict()}
 
 
 def cmd_hirzebruch_fixed_mobile(inputs):
     from .hirzebruch import fixed_mobile_decompose
 
-    n, a, b = _hirzebruch_inputs(inputs)
-    return fixed_mobile_decompose(n, a, b).to_json_dict()
+    return fixed_mobile_decompose(*map(inputs.get, "nab")).to_json_dict()
 
 
 def cmd_hirzebruch_anticanonical(inputs):
     from .hirzebruch import anticanonical_class, anticanonical_fixed_locus
 
-    n = json_int(inputs.get("n"), "--n")
+    n = inputs.get("n")
     ac = anticanonical_class(n)
     dec = anticanonical_fixed_locus(n)
     return {"n": n, "class": {"a": ac.a, "b": ac.b}, **dec.to_json_dict()}
@@ -158,7 +150,7 @@ def cmd_hirzebruch_anticanonical(inputs):
 def _witness(inputs: dict) -> CurveWitness:
     from .blowup import CurveWitness
 
-    return CurveWitness(_class(inputs), json_bool(inputs.get("prime", True), "prime"))
+    return CurveWitness(_class(inputs), inputs.get("prime", True))
 
 
 def _witness_complete(inputs: dict) -> bool:

@@ -25,5 +25,5 @@ class PreconditionError(NSLatticeError):
     """A documented caller-side assertion does not hold."""
 
 
-class InputError(InvalidParameterError):
-    """An input value is missing or has the wrong JSON type; never coerced."""
+class InputError(InvalidParameterError, TypeError):
+    """An input value is missing or has the wrong type (so a TypeError too); never coerced."""

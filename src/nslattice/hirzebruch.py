@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, NotEffectiveError
-from .lattice import DivisorClass, _new, _set, _shown
+from .lattice import DivisorClass, _new, _refuse, _set, _shown
 
 
 def _checked(n: int, a: int, b: int) -> None:
-    """Refuse a non-integer n, a or b (bool included) and a negative n."""
+    """Refuse a non-integer n, a or b (bool included), the first by name, and a negative n."""
     if type(n) is not int or type(a) is not int or type(b) is not int:
-        raise TypeError(f"n, a and b must be integers, got {_shown((n, a, b))}")
+        name, value = next((k, v) for k, v in zip("nab", (n, a, b)) if type(v) is not int)
+        raise _refuse(value, name, "an integer")
     if n < 0:
         raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {_shown(n)}")
 
@@ -158,14 +159,18 @@ def nef_decompose(n: int, a: int, b: int) -> NefDecomposition | NotNef:
 
     x.F = a and x.C_n = b - n*a must both be nonnegative; when they are,
     x = a*(C_n + n*F) + (b - n*a)*F exhibits x in the nef monoid.  Otherwise
-    the verdict names the generator whose pairing fails.
+    the verdict names the generator whose pairing fails: F, or C_n as
+    ``C<n>``, or as ``C_n`` when n has too many digits for a decimal form.
     """
     _checked(n, a, b)
     if a < 0:
         return NotNef("F", a)
     section_pairing = b - n * a
     if section_pairing < 0:
-        return NotNef(f"C{n}", section_pairing)
+        try:
+            return NotNef(f"C{n}", section_pairing)
+        except ValueError:
+            return NotNef("C_n", section_pairing)
     return NefDecomposition(n, a, section_pairing)
 
 
@@ -190,7 +195,8 @@ def fixed_mobile_decompose(n: int, a: int, b: int) -> FixedMobileDecomposition:
 
 def anticanonical_class(n: int) -> HirzebruchClass:
     """-K on F_n, namely 2*C_n + (n + 2)*F."""
-    return HirzebruchClass(n, 2, n + 2)
+    _checked(n, 2, 2)
+    return _exact(n, 2, n + 2)
 
 
 def anticanonical_fixed_locus(n: int) -> FixedMobileDecomposition:
@@ -198,4 +204,5 @@ def anticanonical_fixed_locus(n: int) -> FixedMobileDecomposition:
 
     The fixed part is zero for n <= 2 and exactly one copy of C_n for n >= 3.
     """
+    _checked(n, 2, 2)
     return fixed_mobile_decompose(n, 2, n + 2)

@@ -57,7 +57,7 @@ class DivisorClass:
         # written out so that each class costs one store, not __init__ plus __post_init__
         coeffs = tuple(coeffs)
         if not _INT.issuperset(map(type, coeffs)):
-            raise TypeError(f"coefficients must be integers, got {_shown(coeffs)}")
+            raise _refuse(coeffs, "coeffs", "a list of integers")
         _set(self, "coeffs", coeffs)
 
     def __len__(self) -> int:
@@ -83,7 +83,7 @@ class DivisorClass:
 
     def __mul__(self, k: int) -> "DivisorClass":
         if type(k) is not int:
-            raise TypeError(f"a class is multiplied by an integer, got {_shown(k)}")
+            raise _refuse(k, "a class's multiplier", "an integer")
         return _exact_class(tuple([k * a for a in self.coeffs]))
 
     __rmul__ = __mul__
@@ -105,9 +105,8 @@ def _exact_class(coeffs: tuple[int, ...]) -> DivisorClass:
     return d
 
 
-# The JSON readers below are the only way outside input enters the package.  A
-# value of the wrong JSON type is refused, never coerced; None (JSON null) means
-# "absent", a rule json_object alone applies.
+# A value of the wrong type is refused where it is used, through _refuse under its
+# payload key, never coerced; None (JSON null) means "absent" (json_object's rule).
 
 
 def _shown(value) -> str:
@@ -122,16 +121,10 @@ def _shown(value) -> str:
 
 
 def _refuse(value, name: str, kind: str) -> InputError:
+    """The one refusal of a missing or wrong-type value, named ``name``."""
     if value is None:
         return InputError(f"missing required input {name}")
     return InputError(f"{name} must be {kind}, got {_shown(value)}")
-
-
-def json_int(value, name: str) -> int:
-    """``value`` if it is an integer; bool, float and str are refused."""
-    if type(value) is not int:
-        raise _refuse(value, name, "an integer")
-    return value
 
 
 def json_bool(value, name: str) -> bool:
@@ -211,7 +204,7 @@ class SurfaceLattice:
                 raise InputError(f"{family.value} lattice takes no {p}, got {p} = {_shown(value)}")
         for p, value in given:
             if value is not None and type(value) is not int:
-                raise TypeError(f"{p} must be an integer, got {_shown(value)}")
+                raise _refuse(value, p, "an integer")
         if n is not None and n < 0:
             raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {_shown(n)}")
         if r is not None and not 0 <= r <= MAX_BLOWUP_POINTS:
@@ -313,6 +306,8 @@ class SurfaceLattice:
         return _exact_class((0,) * self.rank)
 
     def basis_class(self, index: int) -> DivisorClass:
+        if type(index) is not int:
+            raise _refuse(index, "index", "an integer")
         if not 0 <= index < self.rank:
             raise InvalidParameterError(
                 f"basis index {_shown(index)} is out of range for rank {self.rank}"
@@ -374,20 +369,14 @@ def blowup_hirzebruch_lattice(n: int, r: int) -> SurfaceLattice:
     return SurfaceLattice(Family.BLOWUP_HIRZEBRUCH, n, r)
 
 
-def make_lattice(family: Family | str, n: int | None = None, r: int | None = None) -> SurfaceLattice:
-    """Build a lattice from a family descriptor; deterministic for equal inputs."""
-    return SurfaceLattice(family, n, r)
+# the constructor under its earlier name, which callers still use
+make_lattice = SurfaceLattice
 
 
 def lattice_from_json(doc: dict) -> SurfaceLattice:
     """Read a lattice from ``{"family": ..., "n": ..., "r": ...}``."""
     doc = json_object(doc, "lattice")
-    n, r = doc.get("n"), doc.get("r")
-    return make_lattice(
-        doc.get("family"),
-        n=None if n is None else json_int(n, "n"),
-        r=None if r is None else json_int(r, "r"),
-    )
+    return SurfaceLattice(doc.get("family"), doc.get("n"), doc.get("r"))
 
 
 def basis_change_f1_to_p2(lattice: SurfaceLattice, d: DivisorClass) -> DivisorClass:
@@ -567,8 +556,9 @@ def enumerate_negative_rational_classes(
     """
     if lattice.family is not Family.BLOWUP_P2:
         raise FamilyError("enumeration is defined on blowups of the plane only")
-    if type(self_int) is not int or type(degree_bound) is not int:
-        raise TypeError(f"enumeration arguments must be integers: {_shown((self_int, degree_bound))}")
+    for name, value in (("self_int", self_int), ("degree_bound", degree_bound)):
+        if type(value) is not int:
+            raise _refuse(value, name, "an integer")
     if self_int > -1:
         raise InvalidParameterError(f"self-intersection must be <= -1, got {_shown(self_int)}")
     if degree_bound < 1:
@@ -590,7 +580,7 @@ def enumerate_negative_rational_classes(
 
 def _int_rows(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     if not all(_INT.issuperset(map(type, row)) for row in matrix):
-        raise TypeError(f"matrix entries must be integers, got {_shown(matrix)}")
+        raise _refuse(matrix, "matrix", "a list of integer rows")
     return [list(row) for row in matrix]
 
 

@@ -37,6 +37,7 @@ from .lattice import (
     SurfaceLattice,
     _exact_class,
     _new,
+    _refuse,
     _set,
     _shown,
     basis_change_blf0_to_p2,
@@ -46,7 +47,6 @@ from .lattice import (
     determinant,
     enumerate_negative_rational_classes,
     hirzebruch_lattice,
-    json_int,
     json_object,
     signature,
 )
@@ -74,7 +74,8 @@ class SelfcheckConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):  # every field is an int before any limit reads one
-            json_int(getattr(self, f.name), f.name)
+            if type(value := getattr(self, f.name)) is not int:
+                raise _refuse(value, f.name, "an integer")
         # (-1)-classes are finite only up to r = 8, and the stability check needs both
         # degree bounds at the largest degree of one at enum_r_max (a value out of
         # range is refused before they are read); the enumeration refuses 0
@@ -106,7 +107,7 @@ class SelfcheckConfig:
         doc = json_object(doc, "selfcheck config")
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
-            raise InputError(f"unknown selfcheck config keys: {sorted(unknown)}")
+            raise InputError(f"unknown selfcheck config keys: {_shown(sorted(unknown))}")
         return cls(**doc)
 
     def to_json_dict(self) -> dict:

@@ -304,7 +304,7 @@ class TestExitCodes:
     def test_missing_input_is_two(self, capsys):
         code, _, err = run_cli(capsys, ["intersect", "--family", "hirzebruch", "--n", "2"])
         assert code == 2
-        assert "--d1" in err
+        assert err == "nslattice: missing required input d1\n"
 
     def test_unknown_flag_is_two(self, capsys):
         code, _, _ = run_cli(capsys, ["intersect", "--bogus", "1"])
@@ -618,10 +618,10 @@ def test_refused_value_is_echoed_up_to_100_characters(capsys):
     code, out, err = run_cli(capsys, ["hirzebruch", "anticanonical", "--n", long_text])
     assert code == 2 and out == ""
     echoed = repr(long_text)[:99] + "…"
-    assert err == f"nslattice: --n must be an integer, got {echoed}\n"
+    assert err == f"nslattice: n must be an integer, got {echoed}\n"
     # a value whose repr fits is echoed whole, as before
     code, out, err = run_cli(capsys, ["hirzebruch", "anticanonical", "--n", "1_0"])
-    assert err == "nslattice: --n must be an integer, got '1_0'\n"
+    assert err == "nslattice: n must be an integer, got '1_0'\n"
 
 
 def test_long_family_and_curves_are_echoed_up_to_100_characters(capsys, tmp_path):
@@ -799,7 +799,7 @@ def test_null_required_key_is_missing(capsys, tmp_path):
     path = tmp_path / "payload.json"
     path.write_text('{"r": null}')
     code, out, err = run_cli(capsys, ["enumerate", "--self-int=-1", "--json", str(path)])
-    assert (code, out, err) == (2, "", "nslattice: missing required input --r\n")
+    assert (code, out, err) == (2, "", "nslattice: blowup_p2 lattice requires r\n")
 
 
 def test_explicit_json_wins_over_config_env(capsys, tmp_path, monkeypatch):
@@ -855,7 +855,7 @@ USAGE_ERROR_MESSAGES = {
     "non-integer-coefficient": (
         ["intersect", "--family", "hirzebruch", "--n", "1", "--d1", "1,x", "--d2", "1,0"],
         None,
-        "--d1 must be a list of integers, got '1,x'",
+        "nslattice: d1 must be a list of integers, got '1,x'\n",
     ),
     "curves-object": (
         ["blowup", "forced-fixed", "--json", "FILE"],
@@ -877,6 +877,45 @@ def test_cli_error_path_is_usage_error(capsys, tmp_path, argv, payload, message)
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+# each command: its argv with valid values of its other inputs, its payload, the
+# payload key of a bad input, that input's flag text and JSON value, and its refusal
+BAD_INPUTS = {
+    "intersect": (["intersect", "--family", "hirzebruch", "--d1", "1,0", "--d2", "1,0"], {},
+                  "n", "1.5", 1.5, "n must be an integer, got 1.5"),
+    "genus": (["genus", "--family", "blowup_p2", "--d=3,1"], {},
+              "r", "1_0", "1_0", "r must be an integer, got '1_0'"),
+    "enumerate": (["enumerate", "--r", "2", "--self-int=-1"], {},
+                  "degree_bound", "true", True, "degree_bound must be an integer, got True"),
+    "hirzebruch nef": (["hirzebruch", "nef", "--n", "3", "--b", "5"], {},
+                       "a", "[2]", [2], "a must be an integer, got [2]"),
+    "blowup classify": (["blowup", "classify"], {"lattice": {"family": "hirzebruch", "n": 1}},
+                        "d", "1.5,0", [1.5, 0], "d must be a list of integers, got [1.5, 0]"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,payload,key,text,value,message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys()
+)
+def test_bad_input_is_refused_alike_as_flag_and_payload_key(
+    capsys, tmp_path, argv, payload, key, text, value, message
+):
+    # the library names the value by its payload key, however it arrived
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    flag = argv + ["--json", str(path), f"--{key.replace('_', '-')}={text}"]
+    as_flag = run_cli(capsys, flag)
+    path.write_text(json.dumps({**payload, key: value}))
+    as_key = run_cli(capsys, argv + ["--json", str(path)])
+    assert as_flag == as_key == (2, "", f"nslattice: {message}\n")
+
+
+def test_a_flag_is_named_alike_by_every_command(capsys):
+    # enumerate named it "--r", genus "r"
+    genus = run_cli(capsys, ["genus", "--family", "blowup_p2", "--r", "1_0", "--d=3,1"])
+    enumerate_ = run_cli(capsys, ["enumerate", "--r", "1_0", "--self-int=-1"])
+    assert genus == enumerate_ == (2, "", "nslattice: r must be an integer, got '1_0'\n")
 
 
 # each value flag: a command that reads it, and valid values of that command's other inputs

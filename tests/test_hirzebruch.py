@@ -47,8 +47,9 @@ def test_negative_n_rejected():
 @pytest.mark.parametrize("args", [(3, True, False), (True, 0, 0), (3, 1.0, 2)])
 def test_inexact_parameters_rejected(args):
     # bool is a subclass of int: is_effective(3, True, False) once said
-    # effective, with multiplicities [1, 0]
-    message = f"n, a and b must be integers, got {args!r}"
+    # effective, with multiplicities [1, 0]; the first non-integer is named
+    name, value = next((k, v) for k, v in zip("nab", args) if type(v) is not int)
+    message = f"{name} must be an integer, got {value!r}"
     for function in CHECKED:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             function(*args)

@@ -1,6 +1,7 @@
 """Every constructor, reader and verdict that takes outside values refuses a
 value it must refuse with the error its API documents and a bounded message:
-an NSLatticeError, or a TypeError where the API documents one."""
+an NSLatticeError, and for a missing or wrong-type value an InputError, which
+is also the TypeError the Python API documents."""
 
 import sys
 from dataclasses import fields
@@ -11,10 +12,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nslattice import (
+    CurveWitness,
     DivisorClass,
     HirzebruchClass,
+    InputError,
+    NotNef,
     NSLatticeError,
     SelfcheckConfig,
+    anticanonical_class,
+    anticanonical_fixed_locus,
     blowup_hirzebruch_lattice,
     blowup_p2_lattice,
     determinant,
@@ -74,21 +80,23 @@ LAT = blowup_p2_lattice(2)
 
 # (name, error, strategy of the refused arguments, the call)
 CASES = [
-    ("class-coeffs", TypeError, with_non_int, DivisorClass),
-    ("class-scalar", TypeError, not_int | with_non_int, lambda k: DivisorClass((1,)) * k),
+    ("class-coeffs", InputError, with_non_int, DivisorClass),
+    ("class-scalar", InputError, not_int | with_non_int, lambda k: DivisorClass((1,)) * k),
     ("basis-index", NSLatticeError, below(0) | above(LAT.rank - 1), LAT.basis_class),
-    ("enumerate-self-int-type", TypeError, not_int,
+    # a float or bool index gave the zero class or E_1
+    ("basis-index-type", InputError, not_int, LAT.basis_class),
+    ("enumerate-self-int-type", InputError, not_int,
      lambda s: enumerate_negative_rational_classes(LAT, s, 1)),
     ("enumerate-self-int-range", NSLatticeError, above(-1),
      lambda s: enumerate_negative_rational_classes(LAT, s, 1)),
-    ("enumerate-bound-type", TypeError, not_int,
+    ("enumerate-bound-type", InputError, not_int,
      lambda b: enumerate_negative_rational_classes(LAT, -1, b)),
     ("enumerate-bound-range", NSLatticeError, below(1),
      lambda b: enumerate_negative_rational_classes(LAT, -1, b)),
-    ("determinant", TypeError, with_non_int, lambda row: determinant([row])),
-    ("signature", TypeError, with_non_int, lambda row: signature([row])),
+    ("determinant", InputError, with_non_int, lambda row: determinant([row])),
+    ("signature", InputError, with_non_int, lambda row: signature([row])),
     *[
-        (f"{call.__name__}-type", TypeError, one_non_int(), lambda args, call=call: call(*args))
+        (f"{call.__name__}-type", InputError, one_non_int(), lambda args, call=call: call(*args))
         for call in HIRZEBRUCH_CALLS
     ],
     *[
@@ -96,11 +104,14 @@ CASES = [
          lambda args, call=call: call(*args))
         for call in HIRZEBRUCH_CALLS
     ],
+    # each computed n + 2 before any check
+    ("anticanonical_class-type", InputError, not_int, anticanonical_class),
+    ("anticanonical_fixed_locus-type", InputError, not_int, anticanonical_fixed_locus),
     ("fixed_mobile_decompose-not-effective", NSLatticeError,
      hirzebruch_args(a=below(0)) | hirzebruch_args(b=below(0)),
      lambda args: fixed_mobile_decompose(*args)),
-    ("lattice-n-type", TypeError, present, hirzebruch_lattice),
-    ("lattice-r-type", TypeError, present, blowup_p2_lattice),
+    ("lattice-n-type", InputError, present, hirzebruch_lattice),
+    ("lattice-r-type", InputError, present, blowup_p2_lattice),
     ("lattice-n-range", NSLatticeError, below(0), lambda n: blowup_hirzebruch_lattice(n, 1)),
     ("lattice-r-range", NSLatticeError, below(0) | above(10_000), blowup_p2_lattice),
     ("lattice_from_json-doc", NSLatticeError, scalar | st.lists(any_int), lattice_from_json),
@@ -119,6 +130,10 @@ CASES = [
     ("witness_from_json-prime", NSLatticeError,
      present.filter(lambda p: type(p) is not bool) | any_int,
      lambda p: witness_from_json({"coeffs": [1, 0], "prime": p})),
+    # a list failed later, on .coeffs, and "no" was read as prime
+    ("CurveWitness-class", InputError, not_int | st.lists(any_int), CurveWitness),
+    ("CurveWitness-prime", InputError, not_int.filter(lambda p: type(p) is not bool) | any_int,
+     lambda p: CurveWitness(DivisorClass((1, 0)), p)),
     ("model_from_json-doc", NSLatticeError, scalar | st.lists(any_int), model_from_json),
     ("model_from_json-curves", NSLatticeError,
      scalar.filter(lambda c: c is not None) | st.dictionaries(st.text(max_size=3), any_int),
@@ -138,6 +153,9 @@ CASES = [
      | st.tuples(st.sampled_from(CONFIG_BOUNDED), present | below(0))
      .map(lambda kv: dict([kv])),
      SelfcheckConfig.from_json_dict),
+    # an unknown key was echoed whole
+    ("config_from_json-unknown-key", InputError,
+     st.text(max_size=3).map(lambda k: {"x" * 5000 + k: 1}), SelfcheckConfig.from_json_dict),
 ]
 
 
@@ -150,17 +168,24 @@ def test_refused_with_the_documented_error_and_a_bounded_message(error, values, 
     assert len(str(info.value)) < MAX_MESSAGE
 
 
-@pytest.mark.skipif(
+def test_input_error_is_a_domain_error_and_a_type_error():
+    assert issubclass(InputError, NSLatticeError) and issubclass(InputError, TypeError)
+
+
+default_digit_limit = pytest.mark.skipif(
     getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
     reason="needs the default limit of 4,300 digits on integer string conversion",
 )
+
+
+@default_digit_limit
 @pytest.mark.parametrize(
     "call,error,message",
     [
         (lambda: DivisorClass((1.5, 10**5000)), TypeError,
-         "coefficients must be integers, got a tuple holding an integer past 4,300 digits"),
+         "coeffs must be a list of integers, got a tuple holding an integer past 4,300 digits"),
         (lambda: DivisorClass((1,)) * (1.5, 10**5000), TypeError,
-         "a class is multiplied by an integer, got a tuple holding an integer past 4,300 digits"),
+         "a class's multiplier must be an integer, got a tuple holding an integer past 4,300 digits"),
         (lambda: LAT.basis_class(10**5000), NSLatticeError,
          "basis index an integer past 4,300 digits is out of range for rank 3"),
         (lambda: enumerate_negative_rational_classes(LAT, 10**5000, 1), NSLatticeError,
@@ -168,11 +193,10 @@ def test_refused_with_the_documented_error_and_a_bounded_message(error, values, 
         (lambda: enumerate_negative_rational_classes(LAT, -1, -(10**5000)), NSLatticeError,
          "degree bound must be >= 1, got an integer past 4,300 digits"),
         (lambda: determinant([[1.5, 10**5000]]), TypeError,
-         "matrix entries must be integers, got a list holding an integer past 4,300 digits"),
+         "matrix must be a list of integer rows, got a list holding an integer past 4,300 digits"),
         (lambda: is_effective(-(10**5000), 0, 0), NSLatticeError,
          "Hirzebruch parameter n must be >= 0, got an integer past 4,300 digits"),
-        (lambda: HirzebruchClass(1, 10**5000, 1.5), TypeError,
-         "n, a and b must be integers, got a tuple holding an integer past 4,300 digits"),
+        (lambda: HirzebruchClass(1, 10**5000, 1.5), TypeError, "b must be an integer, got 1.5"),
         (lambda: fixed_mobile_decompose(1, -(10**5000), 0), NSLatticeError,
          "an integer past 4,300 digits*C1 + 0*F is not effective; "
          "its complete linear system is empty"),
@@ -190,3 +214,11 @@ def test_value_past_the_digit_limit_is_named_by_its_size(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+    assert isinstance(info.value, NSLatticeError)
+
+
+@default_digit_limit
+def test_nef_verdict_past_the_digit_limit_names_its_generator_c_n():
+    # formatting C<n> raised ValueError; a verdict is not a refusal
+    assert nef_decompose(10**5000, 1, 0) == NotNef("C_n", -(10**5000))
+    assert nef_decompose(4, 1, 0) == NotNef("C4", -4)
