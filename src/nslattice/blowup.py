@@ -64,7 +64,7 @@ def witness_from_json(doc: dict) -> CurveWitness:
     ``prime`` (null or absent is true), with no call to json_object or CurveWitness."""
     if not isinstance(doc, dict):
         raise _refuse(doc, "witness", "a JSON object")
-    # both fields are read exactly, so the witness skips the frozen __init__
+    # both fields are read exactly, so the witness skips the checking __init__
     w = _new(CurveWitness)
     _set(w, "cls", divisor_from_json(doc))
     if (prime := doc.get("prime")) is None:
