@@ -25,6 +25,7 @@ from .lattice import (
     _refuse,
     _set,
     divisor_from_json,
+    json_bool,
     json_object,
     lattice_from_json,
 )
@@ -50,10 +51,8 @@ class CurveWitness:
         # written out, as DivisorClass's is, so that the check costs no __post_init__ call
         if not isinstance(cls, DivisorClass):
             raise _refuse(cls, "cls", "a DivisorClass")
-        if type(asserted_prime) is not bool:
-            raise _refuse(asserted_prime, "prime", "true or false")
         _set(self, "cls", cls)
-        _set(self, "asserted_prime", asserted_prime)
+        _set(self, "asserted_prime", json_bool(asserted_prime, "prime"))
 
     def to_json_dict(self) -> dict:
         return {"coeffs": list(self.cls.coeffs), "prime": self.asserted_prime}
@@ -269,8 +268,9 @@ def anticanonical_consequence_check(model: SurfaceModel, witness_complete: bool)
     blocks -K and K.K >= 0, the forced fixed components are listed with
     their arithmetic genus and self-intersection.  Each one of genus zero
     is a (-n)-curve with n >= 3 by adjunction alone, so that case is never
-    a theorem violation.
+    a theorem violation.  ``witness_complete`` is true or false, nothing else.
     """
+    json_bool(witness_complete, "witness_complete")
     lat = model.lattice
     k2 = 10 - lat.rank  # Noether's formula on a rational surface
     forced = model._forced()

@@ -21,16 +21,16 @@ import json
 import os
 import sys
 from functools import partial
+from operator import methodcaller
 
 from .errors import InputError, NSLatticeError
 from .lattice import (
     Family,
-    basis_change_blf0_to_p2,
-    basis_change_f1_to_p2,
+    _indexed,
+    basis_change_to_p2,
     blowup_p2_lattice,
     divisor_from_json,
     enumerate_negative_rational_classes,
-    json_bool,
     json_object,
     lattice_from_json,
 )
@@ -102,14 +102,10 @@ def cmd_value(method, keys, inputs):
 
 def cmd_basis_change(inputs):
     lattice = _lattice(inputs)
-    d = _class(inputs)
-    if lattice.family is Family.HIRZEBRUCH:
-        out = basis_change_f1_to_p2(lattice, d)
-        name, target = "f1_to_p2", blowup_p2_lattice(1)
-    else:
-        out = basis_change_blf0_to_p2(lattice, d)
-        name, target = "blf0_to_p2", blowup_p2_lattice(2)
-    return {"map": name, "target": target.to_json_dict(), "coeffs": list(out.coeffs)}
+    out = basis_change_to_p2(lattice, _class(inputs)).coeffs
+    source = ("bl" if lattice.family is Family.BLOWUP_HIRZEBRUCH else "") + _indexed("f", lattice.n)
+    target = blowup_p2_lattice(len(out) - 1)
+    return {"map": f"{source}_to_p2", "target": target.to_json_dict(), "coeffs": list(out)}
 
 
 def cmd_enumerate(inputs):
@@ -151,10 +147,6 @@ def _witness(inputs: dict) -> CurveWitness:
     from .blowup import CurveWitness
 
     return CurveWitness(_class(inputs), inputs.get("prime", True))
-
-
-def _witness_complete(inputs: dict) -> bool:
-    return json_bool(inputs.get("witness_complete", False), "witness_complete")
 
 
 def cmd_blowup_verdict(function, read, inputs):
@@ -202,7 +194,8 @@ COMMANDS = (
     ("h0-bound", _LATTICE_D,
      "lower bound for h^0: max(0, chi) if K - D is certified not effective, else 0",
      partial(cmd_value, "h0_lower_bound", ("d",))),
-    ("basis-change", _LATTICE_D, "rebase a class onto a plane-blowup basis", cmd_basis_change),
+    ("basis-change", _LATTICE_D, "rebase a class on F_n (n odd) or Bl_r F_n (r >= 1) onto "
+     "Bl_(r+1) P^2, numerically only for n >= 2", cmd_basis_change),
     ("enumerate", ("r", "self-int", "degree-bound"), "negative rational classes on a plane blowup",
      cmd_enumerate),
     ("hirzebruch", (), "monoids and fixed loci on F_n", None),
@@ -220,7 +213,8 @@ COMMANDS = (
     ("blowup classify", ("d",), "classify a fixed component of |-K|",
      partial(cmd_blowup_verdict, "classify_fixed_component", _witness)),
     ("blowup consequences", (), "consistency checks driven by -K",
-     partial(cmd_blowup_verdict, "anticanonical_consequence_check", _witness_complete)),
+     partial(cmd_blowup_verdict, "anticanonical_consequence_check",
+             methodcaller("get", "witness_complete", False))),
     ("blowup lemma-move", ("d",), "check that a curve of positive square moves",
      partial(cmd_blowup_verdict, "lemma_move_check", _witness)),
     ("selfcheck", (), "run the brute-force oracle suite", cmd_selfcheck),

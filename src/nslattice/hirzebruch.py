@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, NotEffectiveError
-from .lattice import DivisorClass, _new, _refuse, _set, _shown
+from .lattice import DivisorClass, _indexed, _new, _refuse, _set, _shown
 
 
 def _checked(n: int, a: int, b: int) -> None:
@@ -167,10 +167,7 @@ def nef_decompose(n: int, a: int, b: int) -> NefDecomposition | NotNef:
         return NotNef("F", a)
     section_pairing = b - n * a
     if section_pairing < 0:
-        try:
-            return NotNef(f"C{n}", section_pairing)
-        except ValueError:
-            return NotNef("C_n", section_pairing)
+        return NotNef(_indexed("C", n), section_pairing)
     return NefDecomposition(n, a, section_pairing)
 
 

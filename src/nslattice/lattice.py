@@ -55,9 +55,12 @@ class DivisorClass:
 
     def __init__(self, coeffs: Iterable[int]) -> None:
         # written out so that each class costs one store, not __init__ plus __post_init__
-        coeffs = tuple(coeffs)
-        if not _INT.issuperset(map(type, coeffs)):
-            raise _refuse(coeffs, "coeffs", "a list of integers")
+        try:
+            coeffs = tuple(coeffs)
+            if not _INT.issuperset(map(type, coeffs)):
+                raise TypeError
+        except TypeError:  # not iterable, or an entry no int
+            raise _refuse(coeffs, "coeffs", "a list of integers") from None
         _set(self, "coeffs", coeffs)
 
     def __len__(self) -> int:
@@ -125,6 +128,14 @@ def _refuse(value, name: str, kind: str) -> InputError:
     if value is None:
         return InputError(f"missing required input {name}")
     return InputError(f"{name} must be {kind}, got {_shown(value)}")
+
+
+def _indexed(stem: str, n: int) -> str:
+    """``stem`` then n, as ``C3``, or then ``_n`` when n is too long for a decimal form."""
+    try:
+        return f"{stem}{n}"
+    except ValueError:
+        return f"{stem}_n"
 
 
 def json_bool(value, name: str) -> bool:
@@ -224,7 +235,7 @@ class SurfaceLattice:
     @property
     def basis_labels(self) -> tuple[str, ...]:
         """H, or C_n and F, then E_1..E_r: built on each read, as few callers read them."""
-        head = ("H",) if self.n is None else (f"C{self.n}", "F")
+        head = ("H",) if self.n is None else (_indexed("C", self.n), "F")
         return head + tuple(f"E{i}" for i in range(1, (self.r or 0) + 1))
 
     @property
@@ -237,11 +248,12 @@ class SurfaceLattice:
         return tuple(map(tuple, rows))
 
     def _check(self, d: DivisorClass) -> tuple[int, ...]:
-        c = d.coeffs
+        try:
+            c = d.coeffs
+        except AttributeError:
+            raise _refuse(d, "d", "a DivisorClass") from None
         if len(c) != self.rank:
-            raise DimensionError(
-                f"class of length {len(c)} on a lattice of rank {self.rank}"
-            )
+            raise DimensionError(f"class of length {len(c)} on a lattice of rank {self.rank}")
         return c
 
     def _pair(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -273,7 +285,10 @@ class SurfaceLattice:
         D.D + K.D = d(d - 3) - sum m_i(m_i - 1) on Bl_r P^2, and
         -n a(a - 1) + 2ab - 2a - 2b on F_n.
         """
-        c = d.coeffs
+        try:
+            c = d.coeffs
+        except AttributeError:
+            raise _refuse(d, "d", "a DivisorClass") from None
         if len(c) != self.rank:
             self._check(d)  # raises its DimensionError
         total = -sum(map(mul, c, map(sub, c, self._kg)))
@@ -283,11 +298,15 @@ class SurfaceLattice:
 
     def euler_characteristic(self, d: DivisorClass) -> int:
         """chi(O(D)) = 1 + (D.D - K.D)/2 = p_a(-D) on a rational surface."""
-        return self.arithmetic_genus(_exact_class(tuple(map(neg, d.coeffs))))
+        try:
+            return self.arithmetic_genus(_exact_class(tuple(map(neg, d.coeffs))))
+        except AttributeError:
+            raise _refuse(d, "d", "a DivisorClass") from None
 
     def h0_lower_bound(self, d: DivisorClass) -> int:
         """max(0, chi(O(D))) when K - D is certified not effective, else 0."""
-        return self._h0_bound(d.coeffs, self.euler_characteristic(d))
+        chi = self.euler_characteristic(d)  # refuses a d that is no class
+        return self._h0_bound(d.coeffs, chi)
 
     def _h0_bound(self, c: tuple[int, ...], chi: int) -> int:
         """The bound of ``h0_lower_bound`` for checked coefficients c of chi(D) = chi.
@@ -315,12 +334,8 @@ class SurfaceLattice:
         return _exact_class(tuple(1 if i == index else 0 for i in range(self.rank)))
 
     def to_json_dict(self) -> dict:
-        doc: dict = {"family": self.family.value}
-        if self.n is not None:
-            doc["n"] = self.n
-        if self.r is not None:
-            doc["r"] = self.r
-        return doc
+        params = {p: getattr(self, p) for p in _PARAMETERS[self.family]}
+        return {"family": self.family.value, **params}
 
 
 # a family by its value; a dict lookup is cheaper than the Enum call Family(value)
@@ -369,45 +384,37 @@ def blowup_hirzebruch_lattice(n: int, r: int) -> SurfaceLattice:
     return SurfaceLattice(Family.BLOWUP_HIRZEBRUCH, n, r)
 
 
-# the constructor under its earlier name, which callers still use
-make_lattice = SurfaceLattice
-
-
 def lattice_from_json(doc: dict) -> SurfaceLattice:
     """Read a lattice from ``{"family": ..., "n": ..., "r": ...}``."""
     doc = json_object(doc, "lattice")
     return SurfaceLattice(doc.get("family"), doc.get("n"), doc.get("r"))
 
 
-def basis_change_f1_to_p2(lattice: SurfaceLattice, d: DivisorClass) -> DivisorClass:
-    """Rebase a class from NS(F_1) to NS(Bl_1 P^2): C_1 -> E_1, F -> H - E_1.
-
-    F_1 is the plane blown up at one point, so this is an isometry taking
-    canonical class to canonical class.
+def basis_change_to_p2(lattice: SurfaceLattice, d: DivisorClass) -> DivisorClass:
+    """Rebase a class from NS(Bl_r F_n), or NS(F_n) with r = 0, onto NS(Bl_(r+1) P^2)
+    by an isometry taking K to K, on (a, b, e..) = aC_n + bF + sum e_i E_i:
+    C_(n-2) = C_n + F gives b <- b - a*floor(n/2); for n even, the elementary
+    transformation at E_1 gives F_1 (C_1 = C_0 - E_1, E_1' = F - E_1); then
+    C_1 -> E_1, F -> H - E_1 and E_i -> E_(i+1).  Geometric for n <= 1 at general
+    points; for n >= 2, C_n maps to no curve, so numerical only.  FamilyError on
+    Bl_r P^2, already a plane model, and on F_n with n even and no point: U is even.
     """
-    if lattice.family is not Family.HIRZEBRUCH or lattice.n != 1:
-        raise FamilyError("source lattice must be the Hirzebruch lattice with n = 1")
-    a, b = lattice._check(d)
-    # a*E_1 + b*(H - E_1) = b*H + (a - b)*E_1
-    return _exact_class((b, a - b))
+    n, r = lattice.n, lattice.r
+    if n is None or not (n & 1 or r):
+        raise FamilyError("basis change needs F_n with n odd or a blowup of F_n at r >= 1 points")
+    if r == MAX_BLOWUP_POINTS:
+        raise InvalidParameterError(f"a blowup at r = {r:,} points has its plane model at r + 1, "
+                                    f"past the limit of {MAX_BLOWUP_POINTS:,}")
+    a, b, *e = lattice._check(d)
+    b -= a * (n >> 1)
+    if not n & 1:
+        b, e[0] = a + b + e[0], -(a + e[0])
+    return _exact_class((b, a - b, *e))
 
 
-def basis_change_blf0_to_p2(lattice: SurfaceLattice, d: DivisorClass) -> DivisorClass:
-    """Rebase a class from NS(Bl_1 F_0) to NS(Bl_2 P^2).
-
-    The quadric blown up once dominates the plane blown up twice:
-    C_0 -> H - E_2, F -> H - E_1, E -> H - E_1 - E_2.
-    """
-    if (
-        lattice.family is not Family.BLOWUP_HIRZEBRUCH
-        or lattice.n != 0
-        or lattice.r != 1
-    ):
-        raise FamilyError(
-            "source lattice must be the blowup of the Hirzebruch surface with n = 0 at one point"
-        )
-    c, f, e = lattice._check(d)
-    return _exact_class((c + f + e, -(f + e), -(c + e)))
+# earlier names, which callers still use: the constructor's, and the map's first two cases
+make_lattice = SurfaceLattice
+basis_change_f1_to_p2 = basis_change_blf0_to_p2 = basis_change_to_p2
 
 
 # Work allowed for one enumeration: search nodes visited plus the coefficients
@@ -579,17 +586,19 @@ def enumerate_negative_rational_classes(
 
 
 def _int_rows(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    if not all(_INT.issuperset(map(type, row)) for row in matrix):
+    if not isinstance(matrix, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and _INT.issuperset(map(type, row)) for row in matrix
+    ):
         raise _refuse(matrix, "matrix", "a list of integer rows")
     return [list(row) for row in matrix]
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant (fraction-free Bareiss elimination)."""
-    n = len(matrix)
+    m = _int_rows(matrix)
+    n = len(m)
     if n == 0:
         return 1
-    m = _int_rows(matrix)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -615,8 +624,8 @@ def signature(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     by a positive square and therefore preserves all signs.  No floating
     point and no rationals are involved.
     """
-    n = len(matrix)
     m = _int_rows(matrix)
+    n = len(m)
     pos = neg = zero = 0
     for i in range(n):
         if m[i][i] == 0:

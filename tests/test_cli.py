@@ -301,6 +301,34 @@ class TestExitCodes:
         assert code == 1
         assert ">= 0" in err
 
+    def test_plane_model_past_the_blowup_bound_is_one(self, capsys):
+        argv = ["basis-change", "--family", "blowup_hirzebruch", "--n", "3", "--r", "10000", "--d=1,0"]
+        assert run_cli(capsys, argv) == (
+            1,
+            "",
+            "nslattice: a blowup at r = 10,000 points has its plane model at r + 1, "
+            "past the limit of 10,000\n",
+        )
+
+    @pytest.mark.parametrize(
+        "flags,map_name,r",
+        [
+            (["--family", "hirzebruch", "--n", "3", "--d", "1,0"], "f3_to_p2", 1),
+            (["--family", "blowup_hirzebruch", "--n", "2", "--r", "1", "--d", "1,0,0"], "blf2_to_p2", 2),
+        ],
+    )
+    def test_basis_change_names_its_map_by_the_source(self, capsys, flags, map_name, r):
+        code, out, _ = run_cli(capsys, ["basis-change", *flags])
+        doc = json.loads(out)
+        assert (code, doc["map"], doc["target"]) == (0, map_name, {"family": "blowup_p2", "r": r})
+
+    def test_basis_change_from_the_plane_is_one(self, capsys):
+        assert run_cli(capsys, ["basis-change", "--family", "blowup_p2", "--r", "2", "--d=1,0,0"]) == (
+            1,
+            "",
+            "nslattice: basis change needs F_n with n odd or a blowup of F_n at r >= 1 points\n",
+        )
+
     def test_missing_input_is_two(self, capsys):
         code, _, err = run_cli(capsys, ["intersect", "--family", "hirzebruch", "--n", "2"])
         assert code == 2
@@ -739,7 +767,7 @@ def test_every_public_name_is_its_module_object():
         "    assert getattr(nslattice, name) is obj, name\n"
         "print(len(nslattice.__all__), hasattr(nslattice, 'no_such_name'))\n"
     )
-    assert lines == ["51 False"]
+    assert lines == ["52 False"]
 
 
 def test_one_blowup_name_binds_the_whole_module():

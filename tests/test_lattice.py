@@ -9,8 +9,10 @@ from nslattice import (
     Family,
     FamilyError,
     InvalidParameterError,
+    SurfaceLattice,
     basis_change_blf0_to_p2,
     basis_change_f1_to_p2,
+    basis_change_to_p2,
     blowup_hirzebruch_lattice,
     blowup_p2_lattice,
     determinant,
@@ -225,14 +227,17 @@ class TestBasisChanges:
         img_f = basis_change_blf0_to_p2(lat, DivisorClass((0, 1, 0)))
         assert blowup_p2_lattice(2).intersect(img_c, img_f) == 1
 
+    # by name: the two names are one function now, so its __name__ would name both cases
     @pytest.mark.parametrize(
         "fn,src,dst",
         [
-            (basis_change_f1_to_p2, hirzebruch_lattice(1), blowup_p2_lattice(1)),
-            (basis_change_blf0_to_p2, blowup_hirzebruch_lattice(0, 1), blowup_p2_lattice(2)),
+            ("basis_change_f1_to_p2", hirzebruch_lattice(1), blowup_p2_lattice(1)),
+            ("basis_change_blf0_to_p2", blowup_hirzebruch_lattice(0, 1), blowup_p2_lattice(2)),
         ],
     )
     def test_isometry_on_basis(self, fn, src, dst):
+        fn = {"basis_change_f1_to_p2": basis_change_f1_to_p2,
+              "basis_change_blf0_to_p2": basis_change_blf0_to_p2}[fn]
         basis = [src.basis_class(i) for i in range(src.rank)]
         for x in basis:
             for y in basis:
@@ -250,11 +255,67 @@ class TestBasisChanges:
 
     def test_wrong_family_rejected(self):
         with pytest.raises(FamilyError):
-            basis_change_f1_to_p2(hirzebruch_lattice(2), DivisorClass((1, 0)))
+            basis_change_to_p2(hirzebruch_lattice(2), DivisorClass((1, 0)))
         with pytest.raises(FamilyError):
-            basis_change_blf0_to_p2(blowup_hirzebruch_lattice(1, 1), DivisorClass((1, 0, 0)))
-        with pytest.raises(FamilyError):
-            basis_change_blf0_to_p2(blowup_hirzebruch_lattice(0, 2), DivisorClass((1, 0, 0, 0)))
+            basis_change_to_p2(blowup_p2_lattice(2), DivisorClass((1, 0, 0)))
+        # C_1 + 2F - E_1 on Bl_1 F_1 is 2H - E_1 - E_2: n odd, so step 3 alone
+        bl1f1 = blowup_hirzebruch_lattice(1, 1)
+        assert basis_change_to_p2(bl1f1, DivisorClass((1, 2, -1))).coeffs == (2, -1, -1)
+        # C_0 + 2F + 3E_1 + 4E_2 on Bl_2 F_0: the elementary transformation gives
+        # (1, 6, -4, 4) on Bl_2 F_1, so 6H - 5E_1 - 4E_2 + 4E_3 (square -21 on both)
+        bl2f0 = blowup_hirzebruch_lattice(0, 2)
+        assert basis_change_to_p2(bl2f0, DivisorClass((1, 2, 3, 4))).coeffs == (6, -5, -4, 4)
+
+    def test_plane_model_past_the_blowup_bound_names_the_source(self):
+        with pytest.raises(InvalidParameterError) as info:
+            basis_change_to_p2(blowup_hirzebruch_lattice(3, 10_000), DivisorClass((1, 0)))
+        assert str(info.value) == (
+            "a blowup at r = 10,000 points has its plane model at r + 1, past the limit of 10,000"
+        )
+
+    @given(st.sampled_from(list(Family)), st.integers(0, 40), st.integers(0, 12), st.data())
+    def test_one_map_is_a_k_fixing_isometry_on_every_ruled_family(self, family, n, r, data):
+        src = SurfaceLattice(
+            family,
+            None if family is Family.BLOWUP_P2 else n,
+            None if family is Family.HIRZEBRUCH else r,
+        )
+        # the plane itself, and the even form U of F_n, n even, with no point blown up
+        if family is Family.BLOWUP_P2 or (n % 2 == 0 and not src.r):
+            with pytest.raises(FamilyError):
+                basis_change_to_p2(src, src.canonical)
+            return
+        dst = blowup_p2_lattice(src.rank - 1)
+        assert basis_change_to_p2(src, src.canonical) == dst.canonical
+        vector = st.lists(coeff, min_size=src.rank, max_size=src.rank).map(DivisorClass)
+        for _ in range(3):
+            d1, d2 = data.draw(vector), data.draw(vector)
+            assert dst.intersect(basis_change_to_p2(src, d1), basis_change_to_p2(src, d2)) == (
+                src.intersect(d1, d2)
+            )
+        images = [basis_change_to_p2(src, src.basis_class(i)).coeffs for i in range(src.rank)]
+        assert determinant(images) in (1, -1)  # so the map is invertible over the integers
+
+    def test_every_ruled_lattice_up_to_n_40_and_r_12_maps_its_gram_and_k(self):
+        accepted = 0
+        for family in Family:
+            for n in (None,) if family is Family.BLOWUP_P2 else range(41):
+                for r in (None,) if family is Family.HIRZEBRUCH else range(13):
+                    src = SurfaceLattice(family, n, r)
+                    if family is Family.BLOWUP_P2 or (n % 2 == 0 and not r):
+                        with pytest.raises(FamilyError):
+                            basis_change_to_p2(src, src.zero_class())
+                        continue
+                    dst = blowup_p2_lattice(src.rank - 1)
+                    basis = [src.basis_class(i) for i in range(src.rank)]
+                    images = [basis_change_to_p2(src, x) for x in basis]
+                    assert [[dst.intersect(x, y) for y in images] for x in images] == [
+                        list(row) for row in src.gram
+                    ]
+                    assert basis_change_to_p2(src, src.canonical) == dst.canonical
+                    assert determinant([x.coeffs for x in images]) in (1, -1)
+                    accepted += 1
+        assert accepted == 532
 
 
 class TestEnumeration:

@@ -20,6 +20,7 @@ from nslattice import (
     NSLatticeError,
     SelfcheckConfig,
     anticanonical_class,
+    anticanonical_consequence_check,
     anticanonical_fixed_locus,
     blowup_hirzebruch_lattice,
     blowup_p2_lattice,
@@ -73,14 +74,27 @@ def one_non_int():
 
 
 HIRZEBRUCH_CALLS = (HirzebruchClass, is_effective, nef_decompose, fixed_mobile_decompose)
+# the lattice methods that read a class
+CLASS_METHODS = (
+    "intersect", "self_intersection", "canonical_pairing", "arithmetic_genus",
+    "euler_characteristic", "h0_lower_bound",
+)
+# not a list of rows, or rows that are no lists; "" and {} were read as the empty matrix
+not_matrix = scalar | any_int | st.lists(any_int, min_size=1) | st.dictionaries(st.text(max_size=3), any_int)
 # the fields every config refuses below 0, and the two with a largest value
 CONFIG_BOUNDED = [f.name for f in fields(SelfcheckConfig) if f.name != "seed"]
 CONFIG_MOST = {"family_r_max": 10_000, "enum_r_max": 8}
 LAT = blowup_p2_lattice(2)
+F1_WITH_F = model_from_json(
+    {"lattice": {"family": "hirzebruch", "n": 1}, "curves": [{"coeffs": [0, 1]}]}
+)
 
 # (name, error, strategy of the refused arguments, the call)
 CASES = [
     ("class-coeffs", InputError, with_non_int, DivisorClass),
+    # not iterable: a builtin TypeError that named nothing
+    ("class-not-a-list", InputError, st.none() | st.booleans() | st.floats() | any_int,
+     DivisorClass),
     ("class-scalar", InputError, not_int | with_non_int, lambda k: DivisorClass((1,)) * k),
     ("basis-index", NSLatticeError, below(0) | above(LAT.rank - 1), LAT.basis_class),
     # a float or bool index gave the zero class or E_1
@@ -95,6 +109,14 @@ CASES = [
      lambda b: enumerate_negative_rational_classes(LAT, -1, b)),
     ("determinant", InputError, with_non_int, lambda row: determinant([row])),
     ("signature", InputError, with_non_int, lambda row: signature([row])),
+    ("determinant-matrix", InputError, not_matrix, determinant),
+    ("signature-matrix", InputError, not_matrix, signature),
+    # a list for a class failed with AttributeError on .coeffs
+    *[
+        (f"{method}-class", InputError, scalar | st.lists(any_int, max_size=3),
+         lambda d, method=method: getattr(LAT, method)(*[d] * (method == "intersect"), d))
+        for method in CLASS_METHODS
+    ],
     *[
         (f"{call.__name__}-type", InputError, one_non_int(), lambda args, call=call: call(*args))
         for call in HIRZEBRUCH_CALLS
@@ -134,6 +156,10 @@ CASES = [
     ("CurveWitness-class", InputError, not_int | st.lists(any_int), CurveWitness),
     ("CurveWitness-prime", InputError, not_int.filter(lambda p: type(p) is not bool) | any_int,
      lambda p: CurveWitness(DivisorClass((1, 0)), p)),
+    # any truthy value read as "witness list asserted complete"
+    ("consequence_check-witness_complete", InputError,
+     not_int.filter(lambda w: type(w) is not bool) | any_int,
+     lambda w: anticanonical_consequence_check(F1_WITH_F, w)),
     ("model_from_json-doc", NSLatticeError, scalar | st.lists(any_int), model_from_json),
     ("model_from_json-curves", NSLatticeError,
      scalar.filter(lambda c: c is not None) | st.dictionaries(st.text(max_size=3), any_int),
@@ -215,6 +241,13 @@ def test_value_past_the_digit_limit_is_named_by_its_size(call, error, message):
         call()
     assert str(info.value) == message
     assert isinstance(info.value, NSLatticeError)
+
+
+@default_digit_limit
+def test_basis_labels_past_the_digit_limit_name_c_n():
+    # formatting C<n> raised ValueError, as in nef_decompose below
+    assert hirzebruch_lattice(10**5000).basis_labels == ("C_n", "F")
+    assert blowup_hirzebruch_lattice(4, 1).basis_labels == ("C4", "F", "E1")
 
 
 @default_digit_limit

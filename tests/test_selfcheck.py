@@ -149,7 +149,7 @@ WRONG = {
         (SurfaceLattice, "arithmetic_genus", lambda f: lambda lat, d: f(lat, d) + 1, ["p_a("]),
     ],
     "basis_change_isometries": [
-        (selfcheck, "basis_change_f1_to_p2", lambda f: lambda lat, d: f(lat, d) * 2,
+        (selfcheck, "basis_change_to_p2", lambda f: lambda lat, d: f(lat, d) * 2,
          ["canonical class not preserved", "basis pairing broken", "random pairing broken"]),
     ],
     "minus_one_enumeration_stability": [
