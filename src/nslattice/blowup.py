@@ -87,19 +87,26 @@ class SurfaceModel:
     _kc: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        lat, curves, kcs = self.lattice, tuple(self.curves), []
-        for w in curves:
-            c = w.cls.coeffs
-            if len(c) != lat.rank:
-                raise DimensionError(f"witness {list(c)} does not match lattice rank {lat.rank}")
-            kc = lat._k_dot(c)
-            # p_a = 1 + (C.C + K.C)/2 >= 0 by adjunction
-            if w.asserted_prime and lat._pair(c, c) + kc < -2:
-                raise PreconditionError(
-                    f"class {list(c)} has negative arithmetic genus and "
-                    "cannot contain a prime divisor"
-                )
-            kcs.append(kc)
+        lat, kcs = self.lattice, []
+        if not isinstance(lat, SurfaceLattice):
+            raise _refuse(lat, "lattice", "a SurfaceLattice")
+        # a witness's class and flag are checked, so only a non-witness raises these here
+        try:
+            curves = tuple(self.curves)
+            for w in curves:
+                c = w.cls.coeffs
+                if len(c) != lat.rank:
+                    raise DimensionError(f"witness {list(c)} does not match lattice rank {lat.rank}")
+                kc = lat._k_dot(c)
+                # p_a = 1 + (C.C + K.C)/2 >= 0 by adjunction
+                if w.asserted_prime and lat._pair(c, c) + kc < -2:
+                    raise PreconditionError(
+                        f"class {list(c)} has negative arithmetic genus and "
+                        "cannot contain a prime divisor"
+                    )
+                kcs.append(kc)
+        except (TypeError, AttributeError):
+            raise _refuse(self.curves, "curves", "a list of CurveWitness values") from None
         _set(self, "curves", curves)
         _set(self, "_kc", tuple(kcs))
 
@@ -224,6 +231,19 @@ def forced_fixed_components(model: SurfaceModel) -> list[CurveWitness]:
     return [w for w, _ in model._forced()]
 
 
+def _prime_class(model: SurfaceModel, witness: CurveWitness, user: str) -> tuple:
+    """The lattice, coefficients and square of a witness that ``user`` requires asserted prime."""
+    try:
+        prime = witness.asserted_prime
+    except AttributeError:
+        raise _refuse(witness, "witness", "a CurveWitness") from None
+    if not prime:
+        raise PreconditionError(f"{user} requires a witness asserted to be prime")
+    lat = model.lattice
+    c = lat._check(witness.cls)
+    return lat, c, lat._pair(c, c)
+
+
 def classify_fixed_component(model: SurfaceModel, witness: CurveWitness) -> FixedComponentKind:
     """Classify a fixed component of an anticanonical system by (p_a, self-int).
 
@@ -232,11 +252,7 @@ def classify_fixed_component(model: SurfaceModel, witness: CurveWitness) -> Fixe
     self-intersection 0 only when K.K = 0, and not at all when K.K > 0.  Any
     other combination is impossible and reported as a theorem violation.
     """
-    if not witness.asserted_prime:
-        raise PreconditionError("classification requires a witness asserted to be prime")
-    lat = model.lattice
-    c = lat._check(witness.cls)
-    s = lat._pair(c, c)
+    lat, c, s = _prime_class(model, witness, "classification")
     # adjunction, and Noether's formula K.K = 10 - rho on a rational surface
     pa, k2 = 1 + (s + lat._k_dot(c)) // 2, 10 - lat.rank
     if pa == 0 and s <= -1:
@@ -331,11 +347,7 @@ def lemma_move_check(model: SurfaceModel, witness: CurveWitness) -> Report:
     so a computed bound below 2 contradicts the hypotheses (the surface is
     not anticanonical, or the class is not prime): a violation.
     """
-    if not witness.asserted_prime:
-        raise PreconditionError("the check requires a witness asserted to be prime")
-    lat = model.lattice
-    c = lat._check(witness.cls)
-    s = lat._pair(c, c)
+    lat, c, s = _prime_class(model, witness, "the check")
     if s <= 0:
         return Report(
             "not applicable",

@@ -23,32 +23,25 @@ def _checked(n: int, a: int, b: int) -> None:
         raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {_shown(n)}")
 
 
-@dataclass(frozen=True)
-class HirzebruchClass:
-    """The class a*C_n + b*F on F_n."""
+@dataclass(frozen=True, init=False)
+class HirzebruchClass(DivisorClass):
+    """The class a*C_n + b*F on F_n: the class (a, b) of ``hirzebruch_lattice(n)``
+    that also names n, so == and hash compare (coeffs, n)."""
 
     n: int
-    a: int
-    b: int
 
-    def __post_init__(self) -> None:
-        _checked(self.n, self.a, self.b)
+    def __init__(self, n: int, a: int, b: int) -> None:
+        _checked(n, a, b)
+        _set(self, "coeffs", (a, b))
+        _set(self, "n", n)
 
-    @property
-    def self_intersection(self) -> int:
-        # (aC_n + bF)^2 = -n a^2 + 2ab
-        return -self.n * self.a * self.a + 2 * self.a * self.b
+    a = property(lambda self: self.coeffs[0], doc="The multiple of C_n.")
+    b = property(lambda self: self.coeffs[1], doc="The multiple of F.")
 
-    def to_divisor(self) -> DivisorClass:
-        return DivisorClass((self.a, self.b))
-
-    def __add__(self, other: "HirzebruchClass") -> "HirzebruchClass":
-        if self.n != other.n:
+    def _match(self, other: DivisorClass) -> None:
+        if getattr(other, "n", self.n) != self.n:
             raise InvalidParameterError("classes live on different Hirzebruch surfaces")
-        return HirzebruchClass(self.n, self.a + other.a, self.b + other.b)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        super()._match(other)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "a": self.a, "b": self.b}
@@ -58,9 +51,8 @@ def _exact(n: int, a: int, b: int) -> HirzebruchClass:
     """A class on integers already checked: each verdict checks its inputs
     once, at entry, and builds its results without the constructor's check."""
     h = _new(HirzebruchClass)
+    _set(h, "coeffs", (a, b))
     _set(h, "n", n)
-    _set(h, "a", a)
-    _set(h, "b", b)
     return h
 
 
@@ -87,12 +79,8 @@ class EffectiveWitness:
 class NefDecomposition:
     """x = s*(C_n + n*F) + t*F with s, t >= 0."""
 
-    n: int
     s: int
     t: int
-
-    def reconstruct(self) -> HirzebruchClass:
-        return HirzebruchClass(self.n, self.s, self.s * self.n + self.t)
 
     def to_json_dict(self) -> dict:
         return {"nef": True, "s": self.s, "t": self.t}
@@ -119,9 +107,6 @@ class FixedMobileDecomposition:
     fixed: HirzebruchClass
     mobile: HirzebruchClass
     j: int
-
-    def total(self) -> HirzebruchClass:
-        return self.fixed + self.mobile
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,7 +153,7 @@ def nef_decompose(n: int, a: int, b: int) -> NefDecomposition | NotNef:
     section_pairing = b - n * a
     if section_pairing < 0:
         return NotNef(_indexed("C", n), section_pairing)
-    return NefDecomposition(n, a, section_pairing)
+    return NefDecomposition(a, section_pairing)
 
 
 def fixed_mobile_decompose(n: int, a: int, b: int) -> FixedMobileDecomposition:

@@ -23,7 +23,7 @@ from itertools import repeat
 from math import isqrt
 from operator import add, mul, neg, sub
 
-from .errors import DimensionError, FamilyError, InputError, InvalidParameterError
+from .errors import DimensionError, FamilyError, InputError, InvalidParameterError, PreconditionError
 
 
 class Family(str, Enum):
@@ -590,11 +590,13 @@ def _int_rows(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
         isinstance(row, (list, tuple)) and _INT.issuperset(map(type, row)) for row in matrix
     ):
         raise _refuse(matrix, "matrix", "a list of integer rows")
+    if any(len(row) != len(matrix) for row in matrix):
+        raise DimensionError(f"matrix is not square: its row lengths are {_shown([*map(len, matrix)])}")
     return [list(row) for row in matrix]
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
+    """Exact integer determinant of a square matrix (fraction-free Bareiss elimination)."""
     m = _int_rows(matrix)
     n = len(m)
     if n == 0:
@@ -626,6 +628,8 @@ def signature(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """
     m = _int_rows(matrix)
     n = len(m)
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+        raise PreconditionError(f"matrix of shape {n:,} x {n:,} is not symmetric")
     pos = neg = zero = 0
     for i in range(n):
         if m[i][i] == 0:

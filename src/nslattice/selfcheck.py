@@ -168,8 +168,7 @@ def check_monoid_minimal_generation(cfg: SelfcheckConfig) -> CheckResult:
             ("effective", effective_generators(n)),
             ("nef", nef_generators(n)),
         ):
-            det = g1.a * g2.b - g1.b * g2.a
-            if det == 0:
+            if g1.a * g2.b - g1.b * g2.a == 0:
                 failures.append(f"{tag} generators dependent at n={n}")
     return _result(
         "monoid_minimal_generation",
@@ -204,7 +203,7 @@ def check_anticanonical_sweep(cfg: SelfcheckConfig) -> CheckResult:
     failures = []
     for n in range(cfg.anticanonical_n_max + 1):
         dec = anticanonical_fixed_locus(n)
-        if dec.total().to_json_dict() != {"n": n, "a": 2, "b": n + 2}:
+        if (dec.fixed.n, dec.mobile.n, *(dec.fixed + dec.mobile).coeffs) != (n, n, 2, n + 2):
             failures.append(f"decomposition does not resum at n={n}")
         if n <= 2:
             if dec.j != 0 or not dec.fixed.is_zero():

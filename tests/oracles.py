@@ -24,6 +24,11 @@ def pairing_hirzebruch(n, x, y):
     return -n * a1 * a2 + a1 * b2 + b1 * a2
 
 
+def self_intersection_hirzebruch(n, a, b):
+    """(a C_n + b F)^2 in closed form on F_n."""
+    return -n * a * a + 2 * a * b
+
+
 def pairing_blowup_p2(x, y):
     """Expansion on (H, E_1..E_r): H.H = 1, E_i.E_i = -1, mixed terms vanish."""
     return x[0] * y[0] - sum(a * b for a, b in zip(x[1:], y[1:]))

@@ -6,15 +6,22 @@ from hypothesis import strategies as st
 
 import oracles
 from nslattice import (
+    CurveWitness,
+    DivisorClass,
     HirzebruchClass,
     InvalidParameterError,
     NefDecomposition,
     NotEffectiveError,
     NotNef,
+    SurfaceModel,
     anticanonical_class,
     anticanonical_fixed_locus,
+    basis_change_to_p2,
+    blowup_p2_lattice,
+    classify_fixed_component,
     effective_generators,
     fixed_mobile_decompose,
+    forced_fixed_components,
     hirzebruch_lattice,
     is_effective,
     nef_decompose,
@@ -27,9 +34,10 @@ small = st.integers(-12, 12)
 
 @given(n_values, small, small)
 def test_self_intersection_matches_lattice(n, a, b):
-    cls = HirzebruchClass(n, a, b)
     lat = hirzebruch_lattice(n)
-    assert cls.self_intersection == lat.self_intersection(cls.to_divisor())
+    assert oracles.self_intersection_hirzebruch(n, a, b) == lat.self_intersection(
+        HirzebruchClass(n, a, b)
+    )
 
 
 # the constructor and each verdict that checks n, a and b
@@ -86,7 +94,8 @@ class TestNef:
         d = nef_decompose(2, 3, 7)
         assert isinstance(d, NefDecomposition)
         assert (d.s, d.t) == (3, 1)
-        assert d.reconstruct() == HirzebruchClass(2, 3, 7)
+        g1, g2 = nef_generators(2)
+        assert (d.s * g1 + d.t * g2).coeffs == (3, 7)
 
     def test_violator_example(self):
         v = nef_decompose(4, 1, 3)
@@ -107,7 +116,7 @@ class TestNef:
     @given(n_values, small, small)
     def test_against_pairing_predicate(self, n, a, b):
         lat = hirzebruch_lattice(n)
-        cls = HirzebruchClass(n, a, b).to_divisor()
+        cls = HirzebruchClass(n, a, b)
         fiber_pairing = lat.intersect(cls, lat.basis_class(1))
         section_pairing = lat.intersect(cls, lat.basis_class(0))
         verdict = nef_decompose(n, a, b)
@@ -167,14 +176,13 @@ class TestFixedMobile:
     @given(n_values, st.integers(0, 12), st.integers(0, 40))
     def test_reconstruction_and_mobility(self, n, a, b):
         dec = fixed_mobile_decompose(n, a, b)
-        total = dec.total()
-        assert (total.a, total.b) == (a, b)
+        assert (dec.fixed + dec.mobile).coeffs == (a, b)
         assert (dec.fixed.a, dec.fixed.b) == (dec.j, 0)
         assert dec.j >= 0
         lat = hirzebruch_lattice(n)
         section = lat.basis_class(0)
-        assert lat.intersect(dec.mobile.to_divisor(), section) >= 0
-        assert lat.intersect(dec.mobile.to_divisor(), lat.basis_class(1)) >= 0
+        assert lat.intersect(dec.mobile, section) >= 0
+        assert lat.intersect(dec.mobile, lat.basis_class(1)) >= 0
 
     @given(n_values, st.integers(0, 12), st.integers(0, 40))
     def test_parts_are_constructor_values(self, n, a, b):
@@ -184,6 +192,21 @@ class TestFixedMobile:
         assert (dec.fixed, dec.mobile) == (fixed, mobile)
         assert (hash(dec.fixed), hash(dec.mobile)) == (hash(fixed), hash(mobile))
         assert dec == type(dec)(fixed, mobile, dec.j)
+
+    @given(n_values, st.integers(0, 12), st.integers(0, 40))
+    def test_lattice_takes_the_parts_directly(self, n, a, b):
+        # a part is a class of hirzebruch_lattice(n), read as its coefficients alone
+        dec = fixed_mobile_decompose(n, a, b)
+        lat = hirzebruch_lattice(n)
+        fixed, mobile = DivisorClass(dec.fixed.coeffs), DivisorClass(dec.mobile.coeffs)
+        assert lat.intersect(dec.fixed, dec.mobile) == oracles.pairing_hirzebruch(
+            n, fixed.coeffs, mobile.coeffs
+        )
+        for part, plain in ((dec.fixed, fixed), (dec.mobile, mobile)):
+            assert lat.self_intersection(part) == oracles.self_intersection_hirzebruch(n, *plain.coeffs)
+            for method in ("canonical_pairing", "arithmetic_genus", "euler_characteristic",
+                           "h0_lower_bound"):
+                assert getattr(lat, method)(part) == getattr(lat, method)(plain)
 
     @given(st.integers(1, 10), st.integers(1, 10))
     def test_unique_bracketing_multiple(self, n, a):
@@ -207,7 +230,19 @@ class TestAnticanonical:
     def test_matches_lattice_canonical(self):
         for n in range(20):
             lat = hirzebruch_lattice(n)
-            assert anticanonical_class(n).to_divisor() == -lat.canonical
+            assert anticanonical_class(n).coeffs == (-lat.canonical).coeffs
+
+    def test_plane_model_takes_it_to_minus_k(self):
+        plane = blowup_p2_lattice(1)
+        for n in range(1, 16, 2):
+            assert basis_change_to_p2(hirzebruch_lattice(n), anticanonical_class(n)) == -plane.canonical
+
+    def test_section_is_a_witness(self):
+        section, fiber = effective_generators(3)
+        model = SurfaceModel(hirzebruch_lattice(3), (CurveWitness(section), CurveWitness(fiber)))
+        assert forced_fixed_components(model) == [CurveWitness(section)]
+        kind = classify_fixed_component(model, CurveWitness(section))
+        assert kind.to_json_dict() == {"kind": "negative_rational", "n": 3}
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_no_fixed_component_small_n(self, n):
@@ -232,7 +267,7 @@ H0_GRID = [(n, a, b) for n in range(10) for a in range(-8, 9) for b in range(-12
 
 
 def h0_bound(n, a, b):
-    return hirzebruch_lattice(n).h0_lower_bound(HirzebruchClass(n, a, b).to_divisor())
+    return hirzebruch_lattice(n).h0_lower_bound(HirzebruchClass(n, a, b))
 
 
 class TestExactH0:
@@ -254,7 +289,7 @@ class TestExactH0:
     def test_h0_is_chi_on_nef_classes(self):
         for n, a, b in H0_GRID:
             if nef_decompose(n, a, b):
-                chi = hirzebruch_lattice(n).euler_characteristic(HirzebruchClass(n, a, b).to_divisor())
+                chi = hirzebruch_lattice(n).euler_characteristic(HirzebruchClass(n, a, b))
                 assert oracles.h0_hirzebruch(n, a, b) == chi, (n, a, b)
 
     def test_bound_is_never_above_h0(self):

@@ -13,17 +13,21 @@ from hypothesis import strategies as st
 
 from nslattice import (
     CurveWitness,
+    DimensionError,
     DivisorClass,
     HirzebruchClass,
     InputError,
     NotNef,
     NSLatticeError,
+    PreconditionError,
     SelfcheckConfig,
+    SurfaceModel,
     anticanonical_class,
     anticanonical_consequence_check,
     anticanonical_fixed_locus,
     blowup_hirzebruch_lattice,
     blowup_p2_lattice,
+    classify_fixed_component,
     determinant,
     divisor_from_json,
     enumerate_negative_rational_classes,
@@ -31,6 +35,7 @@ from nslattice import (
     hirzebruch_lattice,
     is_effective,
     lattice_from_json,
+    lemma_move_check,
     model_from_json,
     nef_decompose,
     signature,
@@ -81,6 +86,16 @@ CLASS_METHODS = (
 )
 # not a list of rows, or rows that are no lists; "" and {} were read as the empty matrix
 not_matrix = scalar | any_int | st.lists(any_int, min_size=1) | st.dictionaries(st.text(max_size=3), any_int)
+# integer matrices of up to 4 rows, some row of another length than the row count
+not_square = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(any_int, max_size=5), min_size=n, max_size=n)
+).filter(lambda m: any(len(row) != len(m) for row in m))
+# square integer matrices of 2 to 4 rows that differ from their transpose
+not_symmetric = st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.lists(any_int, min_size=n, max_size=n), min_size=n, max_size=n)
+).filter(lambda m: [list(col) for col in zip(*m)] != m)
+# anything but a CurveWitness, where the blowup API takes one; a class lacks the flag
+not_witness = not_int | st.lists(any_int) | st.just(DivisorClass((0, 1)))
 # the fields every config refuses below 0, and the two with a largest value
 CONFIG_BOUNDED = [f.name for f in fields(SelfcheckConfig) if f.name != "seed"]
 CONFIG_MOST = {"family_r_max": 10_000, "enum_r_max": 8}
@@ -111,6 +126,11 @@ CASES = [
     ("signature", InputError, with_non_int, lambda row: signature([row])),
     ("determinant-matrix", InputError, not_matrix, determinant),
     ("signature-matrix", InputError, not_matrix, signature),
+    # an IndexError, or for a 2 x 3 matrix a determinant, as if it were square
+    ("determinant-not-square", DimensionError, not_square, determinant),
+    ("signature-not-square", DimensionError, not_square, signature),
+    # the inertia of a matrix that has none
+    ("signature-not-symmetric", PreconditionError, not_symmetric, signature),
     # a list for a class failed with AttributeError on .coeffs
     *[
         (f"{method}-class", InputError, scalar | st.lists(any_int, max_size=3),
@@ -160,6 +180,16 @@ CASES = [
     ("consequence_check-witness_complete", InputError,
      not_int.filter(lambda w: type(w) is not bool) | any_int,
      lambda w: anticanonical_consequence_check(F1_WITH_F, w)),
+    # a lattice of no type was accepted, and curves that hold no witnesses failed on .cls
+    ("SurfaceModel-lattice", InputError, not_int | st.lists(any_int), lambda lat: SurfaceModel(lat, ())),
+    ("SurfaceModel-curves", InputError,
+     st.none() | st.booleans() | st.floats() | any_int | st.lists(not_witness, min_size=1),
+     lambda c: SurfaceModel(LAT, c)),
+    # a class for a witness failed on .asserted_prime
+    ("classify_fixed_component-witness", InputError, not_witness,
+     lambda w: classify_fixed_component(SurfaceModel(LAT), w)),
+    ("lemma_move_check-witness", InputError, not_witness,
+     lambda w: lemma_move_check(SurfaceModel(LAT), w)),
     ("model_from_json-doc", NSLatticeError, scalar | st.lists(any_int), model_from_json),
     ("model_from_json-curves", NSLatticeError,
      scalar.filter(lambda c: c is not None) | st.dictionaries(st.text(max_size=3), any_int),
@@ -192,6 +222,35 @@ def test_refused_with_the_documented_error_and_a_bounded_message(error, values, 
     with pytest.raises(error) as info:
         call(value)
     assert len(str(info.value)) < MAX_MESSAGE
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: determinant([[]]), DimensionError,
+         "matrix is not square: its row lengths are [0]"),
+        (lambda: determinant([[1, 2], [3]]), DimensionError,
+         "matrix is not square: its row lengths are [2, 1]"),
+        (lambda: signature([[1], [2]]), DimensionError,
+         "matrix is not square: its row lengths are [1, 1]"),
+        (lambda: determinant([[1, 2, 3], [4, 5, 6]]), DimensionError,
+         "matrix is not square: its row lengths are [3, 3]"),
+        (lambda: signature([[1, 2], [0, 1]]), PreconditionError,
+         "matrix of shape 2 x 2 is not symmetric"),
+        (lambda: SurfaceModel("x", ()), InputError, "lattice must be a SurfaceLattice, got 'x'"),
+        (lambda: SurfaceModel(LAT, None), InputError, "missing required input curves"),
+        (lambda: SurfaceModel(LAT, [DivisorClass((0, 1, 0))]), InputError,
+         "curves must be a list of CurveWitness values, got [DivisorClass(coeffs=(0, 1, 0))]"),
+        (lambda: classify_fixed_component(SurfaceModel(LAT), DivisorClass((0, 1, 0))), InputError,
+         "witness must be a CurveWitness, got DivisorClass(coeffs=(0, 1, 0))"),
+    ],
+    ids=["empty-row", "ragged", "column", "wide", "asymmetric", "lattice", "curves-none",
+         "curves-class", "witness-class"],
+)
+def test_refusal_names_the_shape_or_the_parameter(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_input_error_is_a_domain_error_and_a_type_error():
