@@ -180,10 +180,12 @@ CASES = [
     ("consequence_check-witness_complete", InputError,
      not_int.filter(lambda w: type(w) is not bool) | any_int,
      lambda w: anticanonical_consequence_check(F1_WITH_F, w)),
-    # a lattice of no type was accepted, and curves that hold no witnesses failed on .cls
+    # a lattice of no type was accepted, and curves that hold no witnesses failed on .cls;
+    # an empty iterable of any type, such as "", still reads as no witnesses (CHANGES.md FOUND)
     ("SurfaceModel-lattice", InputError, not_int | st.lists(any_int), lambda lat: SurfaceModel(lat, ())),
     ("SurfaceModel-curves", InputError,
-     st.none() | st.booleans() | st.floats() | any_int | st.lists(not_witness, min_size=1),
+     st.none() | st.booleans() | st.floats() | any_int | st.text(min_size=1)
+     | st.lists(not_witness, min_size=1),
      lambda c: SurfaceModel(LAT, c)),
     # a class for a witness failed on .asserted_prime
     ("classify_fixed_component-witness", InputError, not_witness,
