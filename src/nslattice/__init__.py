@@ -24,9 +24,8 @@ _EAGER = {
     "lattice": (
         "DivisorClass", "Family", "SurfaceLattice", "basis_change_blf0_to_p2",
         "basis_change_f1_to_p2", "basis_change_to_p2", "blowup_hirzebruch_lattice",
-        "blowup_p2_lattice", "determinant", "divisor_from_json",
-        "enumerate_negative_rational_classes", "hirzebruch_lattice", "lattice_from_json",
-        "make_lattice", "signature",
+        "blowup_p2_lattice", "divisor_from_json", "enumerate_negative_rational_classes",
+        "hirzebruch_lattice", "lattice_from_json", "make_lattice",
     ),
 }
 _LAZY = {

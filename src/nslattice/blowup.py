@@ -90,13 +90,19 @@ class SurfaceModel:
         lat, kcs = self.lattice, []
         if not isinstance(lat, SurfaceLattice):
             raise _refuse(lat, "lattice", "a SurfaceLattice")
-        # a witness's class and flag are checked, so only a non-witness raises these here
+        # a witness's class and flag are checked, so only a non-witness raises these here;
+        # curves must be a list or tuple, as in model_from_json: "" and {} are no witnesses
         try:
+            if not isinstance(self.curves, (list, tuple)):
+                raise TypeError
             curves = tuple(self.curves)
             for w in curves:
-                c = w.cls.coeffs
+                d = w.cls
+                c = d.coeffs
                 if len(c) != lat.rank:
                     raise DimensionError(f"witness {list(c)} does not match lattice rank {lat.rank}")
+                if type(d) is not DivisorClass:
+                    lat._check(d)  # refuses a class of another n
                 kc = lat._k_dot(c)
                 # p_a = 1 + (C.C + K.C)/2 >= 0 by adjunction
                 if w.asserted_prime and lat._pair(c, c) + kc < -2:
@@ -208,7 +214,10 @@ def nef_against_witnesses(model: SurfaceModel, d: DivisorClass) -> NefVerdict:
     Returns the first witness (in list order) pairing negatively with D.  An
     empty witness list yields a vacuous nef verdict flagged as empty evidence.
     """
-    lat = model.lattice
+    try:
+        lat = model.lattice
+    except AttributeError:
+        raise _refuse(model, "model", "a SurfaceModel") from None
     c = lat._check(d)
     if not model.curves:
         return NefVerdict(True, empty_evidence=True)
@@ -228,7 +237,11 @@ def forced_fixed_components(model: SurfaceModel) -> list[CurveWitness]:
     ``asserted_prime`` is not read: on F_3 a witness 2C_3 (p_a = -4) marked
     not prime is listed, though the fixed part of |-K| is C_3 once.
     """
-    return [w for w, _ in model._forced()]
+    try:
+        forced = model._forced
+    except AttributeError:
+        raise _refuse(model, "model", "a SurfaceModel") from None
+    return [w for w, _ in forced()]
 
 
 def _prime_class(model: SurfaceModel, witness: CurveWitness, user: str) -> tuple:
@@ -239,7 +252,10 @@ def _prime_class(model: SurfaceModel, witness: CurveWitness, user: str) -> tuple
         raise _refuse(witness, "witness", "a CurveWitness") from None
     if not prime:
         raise PreconditionError(f"{user} requires a witness asserted to be prime")
-    lat = model.lattice
+    try:
+        lat = model.lattice
+    except AttributeError:
+        raise _refuse(model, "model", "a SurfaceModel") from None
     c = lat._check(witness.cls)
     return lat, c, lat._pair(c, c)
 
@@ -287,7 +303,10 @@ def anticanonical_consequence_check(model: SurfaceModel, witness_complete: bool)
     a theorem violation.  ``witness_complete`` is true or false, nothing else.
     """
     json_bool(witness_complete, "witness_complete")
-    lat = model.lattice
+    try:
+        lat = model.lattice
+    except AttributeError:
+        raise _refuse(model, "model", "a SurfaceModel") from None
     k2 = 10 - lat.rank  # Noether's formula on a rational surface
     forced = model._forced()
     details: list[str] = []

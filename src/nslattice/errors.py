@@ -10,7 +10,7 @@ class InvalidParameterError(NSLatticeError):
 
 
 class DimensionError(NSLatticeError):
-    """A coefficient vector does not match the rank of its lattice, or a matrix is not square."""
+    """A coefficient vector does not match the rank of its lattice."""
 
 
 class FamilyError(NSLatticeError):

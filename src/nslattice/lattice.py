@@ -23,7 +23,7 @@ from itertools import repeat
 from math import isqrt
 from operator import add, mul, neg, sub
 
-from .errors import DimensionError, FamilyError, InputError, InvalidParameterError, PreconditionError
+from .errors import DimensionError, FamilyError, InputError, InvalidParameterError
 
 
 class Family(str, Enum):
@@ -254,6 +254,11 @@ class SurfaceLattice:
             raise _refuse(d, "d", "a DivisorClass") from None
         if len(c) != self.rank:
             raise DimensionError(f"class of length {len(c)} on a lattice of rank {self.rank}")
+        # a subclass may name its F_n, as a HirzebruchClass does: C_5 is no C_3
+        if type(d) is not DivisorClass and getattr(d, "n", self.n) != self.n:
+            raise InvalidParameterError(
+                f"class with n = {_shown(d.n)} on a lattice with n = {_shown(self.n)}"
+            )
         return c
 
     def _pair(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -289,8 +294,8 @@ class SurfaceLattice:
             c = d.coeffs
         except AttributeError:
             raise _refuse(d, "d", "a DivisorClass") from None
-        if len(c) != self.rank:
-            self._check(d)  # raises its DimensionError
+        if len(c) != self.rank or type(d) is not DivisorClass:
+            self._check(d)  # raises its DimensionError, or refuses a class of another n
         total = -sum(map(mul, c, map(sub, c, self._kg)))
         for i, j, g in self._head:
             total += c[i] * g * c[j]
@@ -298,10 +303,9 @@ class SurfaceLattice:
 
     def euler_characteristic(self, d: DivisorClass) -> int:
         """chi(O(D)) = 1 + (D.D - K.D)/2 = p_a(-D) on a rational surface."""
-        try:
-            return self.arithmetic_genus(_exact_class(tuple(map(neg, d.coeffs))))
-        except AttributeError:
-            raise _refuse(d, "d", "a DivisorClass") from None
+        if type(d) is not DivisorClass:
+            self._check(d)  # refuses a d that is no class, or a class of another n
+        return self.arithmetic_genus(_exact_class(tuple(map(neg, d.coeffs))))
 
     def h0_lower_bound(self, d: DivisorClass) -> int:
         """max(0, chi(O(D))) when K - D is certified not effective, else 0."""
@@ -399,7 +403,10 @@ def basis_change_to_p2(lattice: SurfaceLattice, d: DivisorClass) -> DivisorClass
     points; for n >= 2, C_n maps to no curve, so numerical only.  FamilyError on
     Bl_r P^2, already a plane model, and on F_n with n even and no point: U is even.
     """
-    n, r = lattice.n, lattice.r
+    try:
+        n, r = lattice.n, lattice.r
+    except AttributeError:
+        raise _refuse(lattice, "lattice", "a SurfaceLattice") from None
     if n is None or not (n & 1 or r):
         raise FamilyError("basis change needs F_n with n odd or a blowup of F_n at r >= 1 points")
     if r == MAX_BLOWUP_POINTS:
@@ -561,7 +568,11 @@ def enumerate_negative_rational_classes(
     coefficients of every class listed, charged before any class is built);
     a request beyond it raises InvalidParameterError.
     """
-    if lattice.family is not Family.BLOWUP_P2:
+    try:
+        family = lattice.family
+    except AttributeError:
+        raise _refuse(lattice, "lattice", "a SurfaceLattice") from None
+    if family is not Family.BLOWUP_P2:
         raise FamilyError("enumeration is defined on blowups of the plane only")
     for name, value in (("self_int", self_int), ("degree_bound", degree_bound)):
         if type(value) is not int:
@@ -584,82 +595,3 @@ def enumerate_negative_rational_classes(
     deque(map(_set, classes, repeat("coeffs"), found), 0)
     return classes
 
-
-def _int_rows(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    if not isinstance(matrix, (list, tuple)) or not all(
-        isinstance(row, (list, tuple)) and _INT.issuperset(map(type, row)) for row in matrix
-    ):
-        raise _refuse(matrix, "matrix", "a list of integer rows")
-    if any(len(row) != len(matrix) for row in matrix):
-        raise DimensionError(f"matrix is not square: its row lengths are {_shown([*map(len, matrix)])}")
-    return [list(row) for row in matrix]
-
-
-def determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant of a square matrix (fraction-free Bareiss elimination)."""
-    m = _int_rows(matrix)
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def signature(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Inertia (positive, negative, zero) of a symmetric integer matrix.
-
-    Symmetric congruence reduction over the integers: the elimination step
-    rescales a basis vector by the pivot, which multiplies its diagonal entry
-    by a positive square and therefore preserves all signs.  No floating
-    point and no rationals are involved.
-    """
-    m = _int_rows(matrix)
-    n = len(m)
-    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
-        raise PreconditionError(f"matrix of shape {n:,} x {n:,} is not symmetric")
-    pos = neg = zero = 0
-    for i in range(n):
-        if m[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
-            if j is not None:
-                m[i], m[j] = m[j], m[i]
-                for row in m:
-                    row[i], row[j] = row[j], row[i]
-            else:
-                j = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
-                if j is None:
-                    zero += 1
-                    continue
-                # all-zero diagonal: adding basis vector j to i makes the
-                # pivot 2 * m[i][j] != 0
-                for k in range(n):
-                    m[i][k] += m[j][k]
-                for k in range(n):
-                    m[k][i] += m[k][j]
-        p = m[i][i]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(i + 1, n):
-            f = m[i][j]
-            if f == 0:
-                continue
-            for k in range(n):
-                m[j][k] = p * m[j][k] - f * m[i][k]
-            for k in range(n):
-                m[k][j] = p * m[k][j] - f * m[k][i]
-    return pos, neg, zero

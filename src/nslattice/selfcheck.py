@@ -43,11 +43,9 @@ from .lattice import (
     basis_change_to_p2,
     blowup_hirzebruch_lattice,
     blowup_p2_lattice,
-    determinant,
     enumerate_negative_rational_classes,
     hirzebruch_lattice,
     json_object,
-    signature,
 )
 
 
@@ -279,6 +277,74 @@ def check_adjunction_parity(cfg: SelfcheckConfig) -> CheckResult:
     )
 
 
+def _determinant(rows) -> int:
+    """Exact integer determinant of a square matrix (fraction-free Bareiss elimination)."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _signature(rows) -> tuple[int, int, int]:
+    """Inertia (positive, negative, zero) of a symmetric integer matrix.
+
+    Symmetric congruence reduction over the integers: the elimination step
+    rescales a basis vector by the pivot, which multiplies its diagonal entry
+    by a positive square and therefore preserves all signs.  No floating
+    point and no rationals are involved.
+    """
+    m = [list(row) for row in rows]
+    n = len(m)
+    pos = neg = zero = 0
+    for i in range(n):
+        if m[i][i] == 0:
+            j = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
+            if j is not None:
+                m[i], m[j] = m[j], m[i]
+                for row in m:
+                    row[i], row[j] = row[j], row[i]
+            else:
+                j = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
+                if j is None:
+                    zero += 1
+                    continue
+                # all-zero diagonal: adding basis vector j to i makes the
+                # pivot 2 * m[i][j] != 0
+                for k in range(n):
+                    m[i][k] += m[j][k]
+                for k in range(n):
+                    m[k][i] += m[k][j]
+        p = m[i][i]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(i + 1, n):
+            f = m[i][j]
+            if f == 0:
+                continue
+            for k in range(n):
+                m[j][k] = p * m[j][k] - f * m[i][k]
+            for k in range(n):
+                m[k][j] = p * m[k][j] - f * m[k][i]
+    return pos, neg, zero
+
+
 def check_lattice_invariants(cfg: SelfcheckConfig) -> CheckResult:
     """Unimodularity, signature (1, rank-1) and K.K = 10 - rank on every family."""
     failures = []
@@ -286,9 +352,9 @@ def check_lattice_invariants(cfg: SelfcheckConfig) -> CheckResult:
     for lat in _family_sweep(cfg):
         count += 1
         gram = lat.gram
-        if abs(determinant(gram)) != 1:
+        if abs(_determinant(gram)) != 1:
             failures.append(f"Gram determinant not unimodular for {lat.to_json_dict()}")
-        if signature(gram) != (1, lat.rank - 1, 0):
+        if _signature(gram) != (1, lat.rank - 1, 0):
             failures.append(f"signature not (1, rank-1) for {lat.to_json_dict()}")
         k2 = lat.self_intersection(lat.canonical)
         expected = 10 - lat.rank  # Noether's formula: K.K + rho = 10 on a rational surface

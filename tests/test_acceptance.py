@@ -20,16 +20,15 @@ from nslattice import (
     blowup_hirzebruch_lattice,
     blowup_p2_lattice,
     classify_fixed_component,
-    determinant,
     enumerate_negative_rational_classes,
     fixed_mobile_decompose,
     forced_fixed_components,
     hirzebruch_lattice,
     is_effective,
     nef_decompose,
-    signature,
 )
 from nslattice.cli import main
+from nslattice.selfcheck import _determinant, _signature
 from test_cli import GOLDEN, MODEL_B9, MODEL_BH51
 
 
@@ -112,11 +111,11 @@ def test_criterion_4_lattice_invariants():
                 blowup_p2_lattice(r),
                 blowup_hirzebruch_lattice(n, r),
             ):
-                if abs(determinant(lat.gram)) != 1:
+                if abs(_determinant(lat.gram)) != 1:
                     failures.append(f"not unimodular: {lat.to_json_dict()}")
-                if signature(lat.gram) != (1, lat.rank - 1, 0):
+                if _signature(lat.gram) != (1, lat.rank - 1, 0):
                     failures.append(f"wrong signature: {lat.to_json_dict()}")
-                if signature(lat.gram) != oracles.fraction_signature(lat.gram):
+                if _signature(lat.gram) != oracles.fraction_signature(lat.gram):
                     failures.append(f"signature routes disagree: {lat.to_json_dict()}")
             k2 = {
                 hirzebruch_lattice(n): 8,

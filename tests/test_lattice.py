@@ -15,14 +15,13 @@ from nslattice import (
     basis_change_to_p2,
     blowup_hirzebruch_lattice,
     blowup_p2_lattice,
-    determinant,
     divisor_from_json,
     enumerate_negative_rational_classes,
     hirzebruch_lattice,
     lattice_from_json,
     make_lattice,
-    signature,
 )
+from nslattice.selfcheck import _determinant, _signature
 
 coeff = st.integers(min_value=-30, max_value=30)
 
@@ -294,7 +293,8 @@ class TestBasisChanges:
                 src.intersect(d1, d2)
             )
         images = [basis_change_to_p2(src, src.basis_class(i)).coeffs for i in range(src.rank)]
-        assert determinant(images) in (1, -1)  # so the map is invertible over the integers
+        # so the map is invertible over the integers
+        assert oracles.fraction_determinant(images) in (1, -1)
 
     def test_every_ruled_lattice_up_to_n_40_and_r_12_maps_its_gram_and_k(self):
         accepted = 0
@@ -313,7 +313,7 @@ class TestBasisChanges:
                         list(row) for row in src.gram
                     ]
                     assert basis_change_to_p2(src, src.canonical) == dst.canonical
-                    assert determinant([x.coeffs for x in images]) in (1, -1)
+                    assert oracles.fraction_determinant([x.coeffs for x in images]) in (1, -1)
                     accepted += 1
         assert accepted == 532
 
@@ -380,25 +380,18 @@ class TestMatrixHelpers:
             blowup_p2_lattice(r),
             blowup_hirzebruch_lattice(n, r),
         ):
-            assert abs(determinant(lat.gram)) == 1
-            assert determinant(lat.gram) == oracles.fraction_determinant(lat.gram)
-            assert signature(lat.gram) == (1, lat.rank - 1, 0)
-            assert signature(lat.gram) == oracles.fraction_signature(lat.gram)
+            assert abs(_determinant(lat.gram)) == 1
+            assert _determinant(lat.gram) == oracles.fraction_determinant(lat.gram)
+            assert _signature(lat.gram) == (1, lat.rank - 1, 0)
+            assert _signature(lat.gram) == oracles.fraction_signature(lat.gram)
 
     def test_degenerate_matrix(self):
-        assert determinant([[2, 1], [4, 2]]) == 0
+        assert _determinant([[2, 1], [4, 2]]) == 0
         # the empty matrix, a zero column (no pivot) and a row swap
         for matrix in ((), [[0, 1], [0, 2]], [[0, 3, 1], [3, 0, 2], [1, 2, 1]]):
-            assert determinant(matrix) == oracles.fraction_determinant(matrix)
-        assert signature([[0, 0], [0, 0]]) == (0, 0, 2)
-        assert signature([[0, 1], [1, 0]]) == (1, 1, 0)
-
-    @pytest.mark.parametrize("matrix", [[[1.0]], [[True]], [[1, 0], [0, 1.5]]])
-    def test_entries_must_be_integers(self, matrix):
-        with pytest.raises(TypeError):
-            determinant(matrix)
-        with pytest.raises(TypeError):
-            signature(matrix)
+            assert _determinant(matrix) == oracles.fraction_determinant(matrix)
+        assert _signature([[0, 0], [0, 0]]) == (0, 0, 2)
+        assert _signature([[0, 1], [1, 0]]) == (1, 1, 0)
 
     def test_k_squared_by_family(self):
         for n in range(21):

@@ -13,32 +13,32 @@ from hypothesis import strategies as st
 
 from nslattice import (
     CurveWitness,
-    DimensionError,
     DivisorClass,
     HirzebruchClass,
     InputError,
+    InvalidParameterError,
     NotNef,
     NSLatticeError,
-    PreconditionError,
     SelfcheckConfig,
     SurfaceModel,
     anticanonical_class,
     anticanonical_consequence_check,
     anticanonical_fixed_locus,
+    basis_change_to_p2,
     blowup_hirzebruch_lattice,
     blowup_p2_lattice,
     classify_fixed_component,
-    determinant,
     divisor_from_json,
     enumerate_negative_rational_classes,
     fixed_mobile_decompose,
+    forced_fixed_components,
     hirzebruch_lattice,
     is_effective,
     lattice_from_json,
     lemma_move_check,
     model_from_json,
+    nef_against_witnesses,
     nef_decompose,
-    signature,
     witness_from_json,
 )
 
@@ -84,24 +84,28 @@ CLASS_METHODS = (
     "intersect", "self_intersection", "canonical_pairing", "arithmetic_genus",
     "euler_characteristic", "h0_lower_bound",
 )
-# not a list of rows, or rows that are no lists; "" and {} were read as the empty matrix
-not_matrix = scalar | any_int | st.lists(any_int, min_size=1) | st.dictionaries(st.text(max_size=3), any_int)
-# integer matrices of up to 4 rows, some row of another length than the row count
-not_square = st.integers(0, 4).flatmap(
-    lambda n: st.lists(st.lists(any_int, max_size=5), min_size=n, max_size=n)
-).filter(lambda m: any(len(row) != len(m) for row in m))
-# square integer matrices of 2 to 4 rows that differ from their transpose
-not_symmetric = st.integers(2, 4).flatmap(
-    lambda n: st.lists(st.lists(any_int, min_size=n, max_size=n), min_size=n, max_size=n)
-).filter(lambda m: [list(col) for col in zip(*m)] != m)
 # anything but a CurveWitness, where the blowup API takes one; a class lacks the flag
 not_witness = not_int | st.lists(any_int) | st.just(DivisorClass((0, 1)))
 # the fields every config refuses below 0, and the two with a largest value
 CONFIG_BOUNDED = [f.name for f in fields(SelfcheckConfig) if f.name != "seed"]
 CONFIG_MOST = {"family_r_max": 10_000, "enum_r_max": 8}
 LAT = blowup_p2_lattice(2)
+F3 = hirzebruch_lattice(3)
 F1_WITH_F = model_from_json(
     {"lattice": {"family": "hirzebruch", "n": 1}, "curves": [{"coeffs": [0, 1]}]}
+)
+ZERO_WITNESS = CurveWitness(LAT.zero_class())
+# the verdicts that read a model, and the functions that read a lattice
+MODEL_CALLS = (
+    forced_fixed_components,
+    lambda m: nef_against_witnesses(m, LAT.zero_class()),
+    lambda m: anticanonical_consequence_check(m, True),
+    lambda m: classify_fixed_component(m, ZERO_WITNESS),
+    lambda m: lemma_move_check(m, ZERO_WITNESS),
+)
+LATTICE_CALLS = (
+    lambda lat: enumerate_negative_rational_classes(lat, -1, 1),
+    lambda lat: basis_change_to_p2(lat, LAT.zero_class()),
 )
 
 # (name, error, strategy of the refused arguments, the call)
@@ -122,15 +126,17 @@ CASES = [
      lambda b: enumerate_negative_rational_classes(LAT, -1, b)),
     ("enumerate-bound-range", NSLatticeError, below(1),
      lambda b: enumerate_negative_rational_classes(LAT, -1, b)),
-    ("determinant", InputError, with_non_int, lambda row: determinant([row])),
-    ("signature", InputError, with_non_int, lambda row: signature([row])),
-    ("determinant-matrix", InputError, not_matrix, determinant),
-    ("signature-matrix", InputError, not_matrix, signature),
-    # an IndexError, or for a 2 x 3 matrix a determinant, as if it were square
-    ("determinant-not-square", DimensionError, not_square, determinant),
-    ("signature-not-square", DimensionError, not_square, signature),
-    # the inertia of a matrix that has none
-    ("signature-not-symmetric", PreconditionError, not_symmetric, signature),
+    # these failed with AttributeError on '_forced', 'lattice', 'family' or 'n'
+    ("verdict-model", InputError,
+     st.tuples(st.sampled_from(MODEL_CALLS), not_int | st.lists(any_int)), lambda t: t[0](t[1])),
+    ("lattice-argument", InputError,
+     st.tuples(st.sampled_from(LATTICE_CALLS), not_int | st.lists(any_int)), lambda t: t[0](t[1])),
+    # C_5 was paired on F_3 as C_3, and Bl_1 P^2, whose n is None, took a class of any F_n
+    ("class-of-another-n", InvalidParameterError,
+     st.tuples(st.sampled_from((F3, blowup_p2_lattice(1))), st.sampled_from(CLASS_METHODS),
+               st.integers(0) | huge).filter(lambda t: t[2] != t[0].n),
+     lambda t: getattr(t[0], t[1])(*[t[0].zero_class()] * (t[1] == "intersect"),
+                                   HirzebruchClass(t[2], 1, 0))),
     # a list for a class failed with AttributeError on .coeffs
     *[
         (f"{method}-class", InputError, scalar | st.lists(any_int, max_size=3),
@@ -180,12 +186,12 @@ CASES = [
     ("consequence_check-witness_complete", InputError,
      not_int.filter(lambda w: type(w) is not bool) | any_int,
      lambda w: anticanonical_consequence_check(F1_WITH_F, w)),
-    # a lattice of no type was accepted, and curves that hold no witnesses failed on .cls;
-    # an empty iterable of any type, such as "", still reads as no witnesses (CHANGES.md FOUND)
+    # a lattice of no type was accepted, curves that hold no witnesses failed on .cls,
+    # and "" and {} were read as no witnesses
     ("SurfaceModel-lattice", InputError, not_int | st.lists(any_int), lambda lat: SurfaceModel(lat, ())),
     ("SurfaceModel-curves", InputError,
-     st.none() | st.booleans() | st.floats() | any_int | st.text(min_size=1)
-     | st.lists(not_witness, min_size=1),
+     st.none() | st.booleans() | st.floats() | any_int | st.text()
+     | st.dictionaries(st.just(ZERO_WITNESS), st.booleans()) | st.lists(not_witness, min_size=1),
      lambda c: SurfaceModel(LAT, c)),
     # a class for a witness failed on .asserted_prime
     ("classify_fixed_component-witness", InputError, not_witness,
@@ -229,25 +235,43 @@ def test_refused_with_the_documented_error_and_a_bounded_message(error, values, 
 @pytest.mark.parametrize(
     "call,error,message",
     [
-        (lambda: determinant([[]]), DimensionError,
-         "matrix is not square: its row lengths are [0]"),
-        (lambda: determinant([[1, 2], [3]]), DimensionError,
-         "matrix is not square: its row lengths are [2, 1]"),
-        (lambda: signature([[1], [2]]), DimensionError,
-         "matrix is not square: its row lengths are [1, 1]"),
-        (lambda: determinant([[1, 2, 3], [4, 5, 6]]), DimensionError,
-         "matrix is not square: its row lengths are [3, 3]"),
-        (lambda: signature([[1, 2], [0, 1]]), PreconditionError,
-         "matrix of shape 2 x 2 is not symmetric"),
         (lambda: SurfaceModel("x", ()), InputError, "lattice must be a SurfaceLattice, got 'x'"),
         (lambda: SurfaceModel(LAT, None), InputError, "missing required input curves"),
         (lambda: SurfaceModel(LAT, [DivisorClass((0, 1, 0))]), InputError,
          "curves must be a list of CurveWitness values, got [DivisorClass(coeffs=(0, 1, 0))]"),
         (lambda: classify_fixed_component(SurfaceModel(LAT), DivisorClass((0, 1, 0))), InputError,
          "witness must be a CurveWitness, got DivisorClass(coeffs=(0, 1, 0))"),
+        (lambda: SurfaceModel(LAT, ""), InputError,
+         "curves must be a list of CurveWitness values, got ''"),
+        (lambda: SurfaceModel(LAT, {}), InputError,
+         "curves must be a list of CurveWitness values, got {}"),
+        (lambda: forced_fixed_components("x"), InputError, "model must be a SurfaceModel, got 'x'"),
+        (lambda: nef_against_witnesses(LAT, LAT.zero_class()), InputError,
+         "model must be a SurfaceModel, got SurfaceLattice(family=<Family.BLOWUP_P2: 'blowup_p2'>, "
+         "n=None, r=2, rank=3, canonical=DivisorClass(…"),
+        (lambda: anticanonical_consequence_check(None, True), InputError,
+         "missing required input model"),
+        (lambda: classify_fixed_component([], ZERO_WITNESS), InputError,
+         "model must be a SurfaceModel, got []"),
+        (lambda: lemma_move_check(1, ZERO_WITNESS), InputError,
+         "model must be a SurfaceModel, got 1"),
+        (lambda: enumerate_negative_rational_classes("blowup_p2", -1, 1), InputError,
+         "lattice must be a SurfaceLattice, got 'blowup_p2'"),
+        (lambda: basis_change_to_p2({"family": "hirzebruch", "n": 1}, DivisorClass((1, 0))),
+         InputError, "lattice must be a SurfaceLattice, got {'family': 'hirzebruch', 'n': 1}"),
+        (lambda: F3.self_intersection(HirzebruchClass(5, 1, 0)), InvalidParameterError,
+         "class with n = 5 on a lattice with n = 3"),
+        (lambda: blowup_p2_lattice(1).euler_characteristic(HirzebruchClass(1, 0, 1)),
+         InvalidParameterError, "class with n = 1 on a lattice with n = None"),
+        (lambda: SurfaceModel(F3, [CurveWitness(HirzebruchClass(5, 0, 1))]), InvalidParameterError,
+         "class with n = 5 on a lattice with n = 3"),
+        (lambda: basis_change_to_p2(hirzebruch_lattice(1), HirzebruchClass(3, 1, 0)),
+         InvalidParameterError, "class with n = 3 on a lattice with n = 1"),
     ],
-    ids=["empty-row", "ragged", "column", "wide", "asymmetric", "lattice", "curves-none",
-         "curves-class", "witness-class"],
+    ids=["lattice", "curves-none", "curves-class", "witness-class", "curves-empty-string",
+         "curves-empty-dict", "forced-model", "nef-model", "consequence-model", "classify-model",
+         "lemma-model", "enumerate-lattice", "basis-change-lattice", "pairing-another-n",
+         "chi-on-the-plane", "witness-another-n", "basis-change-another-n"],
 )
 def test_refusal_names_the_shape_or_the_parameter(call, error, message):
     with pytest.raises(error) as info:
@@ -279,8 +303,6 @@ default_digit_limit = pytest.mark.skipif(
          "self-intersection must be <= -1, got an integer past 4,300 digits"),
         (lambda: enumerate_negative_rational_classes(LAT, -1, -(10**5000)), NSLatticeError,
          "degree bound must be >= 1, got an integer past 4,300 digits"),
-        (lambda: determinant([[1.5, 10**5000]]), TypeError,
-         "matrix must be a list of integer rows, got a list holding an integer past 4,300 digits"),
         (lambda: is_effective(-(10**5000), 0, 0), NSLatticeError,
          "Hirzebruch parameter n must be >= 0, got an integer past 4,300 digits"),
         (lambda: HirzebruchClass(1, 10**5000, 1.5), TypeError, "b must be an integer, got 1.5"),

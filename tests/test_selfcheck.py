@@ -141,8 +141,8 @@ WRONG = {
          ["odd adjunction"]),
     ],
     "lattice_invariants": [
-        (selfcheck, "determinant", lambda f: lambda gram: 2, ["Gram determinant not unimodular"]),
-        (selfcheck, "signature", lambda f: lambda gram: (1, 0, 0), ["signature not (1, rank-1)"]),
+        (selfcheck, "_determinant", lambda f: lambda gram: 2, ["Gram determinant not unimodular"]),
+        (selfcheck, "_signature", lambda f: lambda gram: (1, 0, 0), ["signature not (1, rank-1)"]),
         (SurfaceLattice, "self_intersection", lambda f: lambda lat, d: f(lat, d) + 1, ["K.K = "]),
     ],
     "canonical_convention": [
