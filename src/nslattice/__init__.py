@@ -10,25 +10,29 @@ anticanonical systems.
 
 __version__ = "0.1.0"
 
-# every public name, under the module that defines it.  errors and lattice hold
-# the value types every module shares and are bound at import; the modules of
-# _LAZY are imported on first use (PEP 562), so that importing the package, and
-# so each CLI call, builds only what it runs.  Binding a module binds all its
-# names here at once, so later lookups are plain attribute reads and every name
-# comes from the same copy of its module.
+# every public name, under the module that defines it.  errors and values hold
+# the exceptions, classes and families every module shares and are bound at
+# import; the modules of _LAZY are imported on first use (PEP 562), so that
+# importing the package, and so each CLI call, builds only what it runs.
+# Binding a module binds all its names here at once, so later lookups are plain
+# attribute reads and every name comes from the same copy of its module.  A lazy
+# module can be loaded twice, when a caller drops it from sys.modules, so each
+# identity test across modules (type(d) is DivisorClass, family is
+# Family.BLOWUP_P2) reads an eager name.
 _EAGER = {
     "errors": (
         "DimensionError", "FamilyError", "InputError", "InvalidParameterError",
         "NotEffectiveError", "NSLatticeError", "PreconditionError",
     ),
-    "lattice": (
-        "DivisorClass", "Family", "SurfaceLattice", "basis_change_blf0_to_p2",
-        "basis_change_f1_to_p2", "basis_change_to_p2", "blowup_hirzebruch_lattice",
-        "blowup_p2_lattice", "divisor_from_json", "enumerate_negative_rational_classes",
-        "hirzebruch_lattice", "lattice_from_json", "make_lattice",
-    ),
+    "values": ("DivisorClass", "Family", "divisor_from_json"),
 }
 _LAZY = {
+    "lattice": (
+        "SurfaceLattice", "basis_change_blf0_to_p2", "basis_change_f1_to_p2", "basis_change_to_p2",
+        "blowup_hirzebruch_lattice", "blowup_p2_lattice", "hirzebruch_lattice",
+        "lattice_from_json", "make_lattice",
+    ),
+    "enumeration": ("enumerate_negative_rational_classes",),
     "hirzebruch": (
         "EffectiveWitness", "FixedMobileDecomposition", "HirzebruchClass", "NefDecomposition",
         "NotNef", "anticanonical_class", "anticanonical_fixed_locus", "effective_generators",

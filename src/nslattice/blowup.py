@@ -17,17 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DimensionError, PreconditionError
-from .lattice import (
+from .lattice import SurfaceLattice, lattice_from_json
+from .values import (
     DivisorClass,
     Family,
-    SurfaceLattice,
     _new,
     _refuse,
     _set,
     divisor_from_json,
     json_bool,
     json_object,
-    lattice_from_json,
 )
 
 NEGATIVE_RATIONAL = "negative_rational"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, NotEffectiveError
-from .lattice import DivisorClass, _indexed, _new, _refuse, _set, _shown
+from .values import DivisorClass, _indexed, _new, _refuse, _set, _shown
 
 
 def _checked(n: int, a: int, b: int) -> None:
@@ -44,7 +44,8 @@ class HirzebruchClass(DivisorClass):
         super()._match(other)
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "a": self.a, "b": self.b}
+        a, b = self.coeffs
+        return {"n": self.n, "a": a, "b": b}
 
 
 def _exact(n: int, a: int, b: int) -> HirzebruchClass:
@@ -109,11 +110,12 @@ class FixedMobileDecomposition:
     j: int
 
     def to_json_dict(self) -> dict:
+        (fa, fb), (ma, mb) = self.fixed.coeffs, self.mobile.coeffs
         return {
             "n": self.fixed.n,
             "j": self.j,
-            "fixed": {"a": self.fixed.a, "b": self.fixed.b},
-            "mobile": {"a": self.mobile.a, "b": self.mobile.b},
+            "fixed": {"a": fa, "b": fb},
+            "mobile": {"a": ma, "b": mb},
         }
 
 

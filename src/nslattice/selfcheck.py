@@ -31,22 +31,16 @@ from .hirzebruch import (
     nef_decompose,
     nef_generators,
 )
+from .enumeration import enumerate_negative_rational_classes
 from .lattice import (
     MAX_BLOWUP_POINTS,
-    DivisorClass,
     SurfaceLattice,
-    _exact_class,
-    _new,
-    _refuse,
-    _set,
-    _shown,
     basis_change_to_p2,
     blowup_hirzebruch_lattice,
     blowup_p2_lattice,
-    enumerate_negative_rational_classes,
     hirzebruch_lattice,
-    json_object,
 )
+from .values import DivisorClass, _exact_class, _new, _refuse, _set, _shown, json_object
 
 
 @dataclass(frozen=True)

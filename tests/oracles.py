@@ -266,7 +266,7 @@ def reference_witness_from_json(doc):
     """witness_from_json as first written: json_object drops the document's
     nulls, then divisor_from_json reads the class and json_bool the flag."""
     from nslattice.blowup import CurveWitness
-    from nslattice.lattice import divisor_from_json, json_bool, json_object
+    from nslattice.values import divisor_from_json, json_bool, json_object
 
     doc = json_object(doc, "witness")
     return CurveWitness(divisor_from_json(doc), json_bool(doc.get("prime", True), "prime"))

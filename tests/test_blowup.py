@@ -31,7 +31,7 @@ from nslattice import (
     witness_from_json,
 )
 from nslattice.blowup import INCOMPLETE_VERDICT
-from nslattice.lattice import json_object
+from nslattice.values import json_object
 
 
 def hirzebruch_model(n):

@@ -730,19 +730,40 @@ def run_fresh(code: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
-LOADED_BY = {
-    "intersect": (["intersect", "--family", "hirzebruch", "--n", "2", "--d1", "1,0", "--d2", "1,0"], []),
-    "enumerate": (["enumerate", "--r", "3", "--self-int=-1"], []),
-    "hirzebruch": (["hirzebruch", "anticanonical", "--n", "3"], ["nslattice.hirzebruch"]),
-    "blowup": (["blowup", "forced-fixed", "--json", "MODEL"], ["nslattice.blowup"]),
+# a value for every input flag, on Bl_1 F_5: the lattice of MODEL_BH51, which
+# the blowup leaves read, and the selfcheck reads SMALL_SELFCHECK
+LEAF_FLAGS = {
+    "family": "blowup_hirzebruch", "n": "5", "r": "1", "d": "1,5,0", "d1": "1,0,0", "d2": "0,1,0",
+    "a": "1", "b": "2", "self-int": "-1", "degree-bound": "2",
 }
+LEAF_JSON = {"blowup": ["--json", "MODEL"], "selfcheck": ["--json", "CONFIG"]}
+# the modules each command group loads besides nslattice, cli, errors and values;
+# a lattice leaf loads the lattice alone
+GROUP_LOADS = {
+    "enumerate": ["nslattice.enumeration", "nslattice.lattice"],
+    "hirzebruch": ["nslattice.hirzebruch"],
+    "blowup": ["nslattice.blowup", "nslattice.lattice"],
+    "selfcheck": [f"nslattice.{m}" for m in ("blowup", "enumeration", "hirzebruch", "lattice", "selfcheck")],
+}
+LOADED_BY = {
+    path: (
+        [*path.split(), *(f"--{flag}={LEAF_FLAGS[flag]}" for flag in flags), *LEAF_JSON.get(group, [])],
+        GROUP_LOADS.get(group, ["nslattice.lattice"]),
+    )
+    for path, flags, _, handler in COMMANDS
+    if handler is not None
+    for group in [path.split()[0]]
+}
+# a hirzebruch document holds no verdict, so --strict loads no blowup
+LOADED_BY["hirzebruch nef --strict"] = (LOADED_BY["hirzebruch nef"][0] + ["--strict"], ["nslattice.hirzebruch"])
 
 
 @pytest.mark.parametrize("argv,extra", LOADED_BY.values(), ids=LOADED_BY.keys())
 def test_a_command_loads_only_its_own_module(tmp_path, argv, extra):
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(MODEL_BH51))
-    argv = [str(path) if arg == "MODEL" else arg for arg in argv]
+    files = {"MODEL": MODEL_BH51, "CONFIG": SMALL_SELFCHECK}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
     lines = run_fresh(
         "import contextlib, io, sys\n"
         "from nslattice.cli import main\n"
@@ -750,7 +771,7 @@ def test_a_command_loads_only_its_own_module(tmp_path, argv, extra):
         f"    assert main({argv!r}) == 0\n"
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'nslattice'))\n"
     )
-    base = ["nslattice", "nslattice.cli", "nslattice.errors", "nslattice.lattice"]
+    base = ["nslattice", "nslattice.cli", "nslattice.errors", "nslattice.values"]
     assert lines == [" ".join(sorted(base + extra))]
 
 
@@ -759,7 +780,7 @@ def test_every_public_name_is_its_module_object():
         "import sys, nslattice\n"
         "from nslattice import *\n"
         "mods = [sys.modules[f'nslattice.{m}'] for m in\n"
-        "        ('errors', 'lattice', 'hirzebruch', 'blowup', 'selfcheck')]\n"
+        "        ('errors', 'values', 'lattice', 'enumeration', 'hirzebruch', 'blowup', 'selfcheck')]\n"
         "for name in nslattice.__all__:\n"
         "    obj = globals()[name]\n"
         "    owners = [m for m in mods if name in vars(m)]\n"
@@ -775,8 +796,8 @@ def test_one_blowup_name_binds_the_whole_module():
         "import sys, nslattice\n"
         "before = set(vars(nslattice))\n"
         "nslattice.Report\n"
-        "blowup = sys.modules['nslattice.blowup']\n"
-        "own = {n for n in nslattice.__all__ if n in vars(blowup)} - before\n"
+        "blowup, lattice = sys.modules['nslattice.blowup'], sys.modules['nslattice.lattice']\n"
+        "own = {n for n in nslattice.__all__ if n in vars(blowup)} - before - set(vars(lattice))\n"
         "print(len(own), own <= set(vars(nslattice)), vars(nslattice)['blowup'] is blowup)\n"
         "print('nslattice.hirzebruch' in sys.modules, 'nslattice.selfcheck' in sys.modules)\n"
     )

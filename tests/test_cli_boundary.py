@@ -24,7 +24,7 @@ from nslattice import (
     lattice_from_json,
     model_from_json,
 )
-from nslattice import cli, lattice
+from nslattice import cli, enumeration, lattice
 from nslattice.selfcheck import SelfcheckConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -34,7 +34,7 @@ POINTS = 6
 @pytest.fixture
 def low_bounds(monkeypatch):
     monkeypatch.setattr(lattice, "MAX_BLOWUP_POINTS", POINTS)
-    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", 5_000)
+    monkeypatch.setattr(enumeration, "ENUMERATION_BUDGET", 5_000)
     monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
 
 

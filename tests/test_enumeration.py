@@ -13,7 +13,7 @@ from nslattice import (
     InvalidParameterError,
     blowup_p2_lattice,
     enumerate_negative_rational_classes,
-    lattice,
+    enumeration,
 )
 from nslattice.errors import InputError
 
@@ -102,7 +102,7 @@ def test_budget_is_charged_before_any_class_is_built(monkeypatch):
     # (-1)-classes at r = 60, bound 1: the degree-0 orbit of E_i costs
     # 60 * 61 units, the degree-1 orbit (1; 1, 1, 0^58) 1,770 * 61 = 107,970
     lat = blowup_p2_lattice(60)
-    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", 50_000)
+    monkeypatch.setattr(enumeration, "ENUMERATION_BUDGET", 50_000)
     tracemalloc.start()
     try:
         with pytest.raises(InvalidParameterError, match="budget"):
@@ -119,9 +119,9 @@ def test_budget_charge_is_exact(monkeypatch, r, units):
     # (-1)-classes at bound 7 take exactly README's units: they fit a budget of
     # that many and not one fewer
     lat = blowup_p2_lattice(r)
-    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", units)
+    monkeypatch.setattr(enumeration, "ENUMERATION_BUDGET", units)
     enumerate_negative_rational_classes(lat, -1, 7)
-    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", units - 1)
+    monkeypatch.setattr(enumeration, "ENUMERATION_BUDGET", units - 1)
     with pytest.raises(InvalidParameterError, match="budget"):
         enumerate_negative_rational_classes(lat, -1, 7)
 
@@ -130,7 +130,7 @@ def test_arrangement_count_matches_the_multinomial():
     # the search passes each orbit's multiplicities sorted
     for length in range(9):
         for values in itertools.combinations_with_replacement(range(-3, 4), length):
-            assert lattice._arrangement_count(values) == oracles.arrangement_count(values)
+            assert enumeration._arrangement_count(values) == oracles.arrangement_count(values)
 
 
 @pytest.mark.parametrize("r", (1, 2))
@@ -142,14 +142,14 @@ def test_inexact_arguments_are_refused_before_the_search(monkeypatch, r, self_in
     def search(*args):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr(lattice, "_square_constrained_vectors", search)
+    monkeypatch.setattr(enumeration, "_square_constrained_vectors", search)
     with pytest.raises(TypeError):
         enumerate_negative_rational_classes(blowup_p2_lattice(r), self_int, bound)
 
 
 def test_over_budget_is_a_domain_error(monkeypatch):
     # (-1)-classes at r = 8, bound 7 take about 2,200 units of work
-    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", 1_000)
+    monkeypatch.setattr(enumeration, "ENUMERATION_BUDGET", 1_000)
     with pytest.raises(InvalidParameterError, match="budget") as info:
         enumerate_negative_rational_classes(blowup_p2_lattice(8), -1, 7)
     # a domain error (exit 1), not a malformed input (exit 2)
@@ -175,6 +175,6 @@ KNOWN_REQUESTS = [(r, s, 7 if r <= 9 else 5) for s in (-1, -2) for r in range(1,
 
 def test_known_requests_stay_well_inside_the_budget(monkeypatch):
     # the largest, (-1)-classes at r = 10 and bound 5, takes about 111,000 units
-    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", lattice.ENUMERATION_BUDGET // 50)
+    monkeypatch.setattr(enumeration, "ENUMERATION_BUDGET", enumeration.ENUMERATION_BUDGET // 50)
     for r, self_int, bound in KNOWN_REQUESTS:
         enumerate_negative_rational_classes(blowup_p2_lattice(r), self_int, bound)
