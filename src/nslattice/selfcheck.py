@@ -21,6 +21,7 @@ from .blowup import (
     classify_fixed_component,
     forced_fixed_components,
 )
+from .enumeration import enumerate_negative_rational_classes
 from .errors import InputError
 from .hirzebruch import (
     NefDecomposition,
@@ -31,7 +32,6 @@ from .hirzebruch import (
     nef_decompose,
     nef_generators,
 )
-from .enumeration import enumerate_negative_rational_classes
 from .lattice import (
     MAX_BLOWUP_POINTS,
     SurfaceLattice,

@@ -730,8 +730,8 @@ def run_fresh(code: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
-# a value for every input flag, on Bl_1 F_5: the lattice of MODEL_BH51, which
-# the blowup leaves read, and the selfcheck reads SMALL_SELFCHECK
+# a value for every input flag, on Bl_1 F_5, the lattice of MODEL_BH51, which
+# the blowup leaves read; the selfcheck reads SMALL_SELFCHECK
 LEAF_FLAGS = {
     "family": "blowup_hirzebruch", "n": "5", "r": "1", "d": "1,5,0", "d1": "1,0,0", "d2": "0,1,0",
     "a": "1", "b": "2", "self-int": "-1", "degree-bound": "2",
