@@ -15,7 +15,7 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul, neg, sub
+from operator import mul
 
 from .errors import DimensionError, FamilyError, InputError, InvalidParameterError
 from .values import DivisorClass, Family, _exact_class, _indexed, _refuse, _set, _shown, json_object
@@ -33,17 +33,19 @@ class SurfaceLattice:
     the basis named by ``basis_labels``.  The form is unimodular of signature
     (1, rank - 1) and K.K equals 8, 9 - r and 8 - r respectively.
 
-    The Gram matrix G is stored once, as ``_head``: every nonzero entry of
-    G + I as a triple (i, j, G_ij + delta_ij), in row-major order.  Its
-    entries lie in the rows of the P^2 head H or the F_n head (C_n, F), as
-    each E_i adds -1 on the diagonal alone, so a lattice takes O(rank)
-    memory and time to build; ``gram`` builds G anew on each read, in
-    O(rank^2), and ``repr`` prints no matrix.  The pairing reads the triples
-    alone,
+    G and K.G are stored as five integers, ``_head`` = (a, b, e, k_0, k_1):
+    the head of G + I and of K.G + 1 on the H or (C_n, F) coordinates d_0
+    and d_1, past which both vanish, as each E_i adds -1 to the diagonal of
+    G and to K.G alone.  The record is (2, 0, 0, -2, 0) on Bl_r P^2 and
+    (1 - n, 1, 1, n - 1, -1) on F_n and Bl_r F_n.  A lattice takes O(rank)
+    memory, in K, and time to build; ``gram`` builds G anew on each read, in
+    O(rank^2), and ``repr`` prints no matrix.  The kernel is straight-line
+    arithmetic,
 
-        D1.D2 = -sum_i a_i b_i + sum_(i, j, g) in _head a_i g b_j,
+        D1.D2 = x_0 (a y_0 + b y_1) + x_1 (b y_0 + e y_1) - sum_i x_i y_i,
+        K.D = k_0 d_0 + k_1 d_1 - sum_i d_i,
 
-    and K.D is the dot product of D with the precomputed row K.G.
+    and adds the d_1 terms only when b != 0, as P^2 has no d_1.
     """
 
     family: Family
@@ -51,8 +53,7 @@ class SurfaceLattice:
     r: int | None
     rank: int = field(init=False, compare=False)
     canonical: DivisorClass = field(init=False, compare=False)
-    _head: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
-    _kg: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _head: tuple[int, int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, family: Family | str, n: int | None = None, r: int | None = None) -> None:
         # which parameters are given, then their types, then n, then r: all
@@ -80,12 +81,9 @@ class SurfaceLattice:
                 f"number of blown-up points must be in 0..{MAX_BLOWUP_POINTS:,}, got {_shown(r)}"
             )
         head, k = _standard_form(n, r)
-        kg = list(map(neg, k))
-        for i, j, g in head:
-            kg[j] += k[i] * g
         # one store per field, in declaration order: filling vars(self) at once
         # makes the kernel's later attribute reads slower
-        values = (family, n, r, len(k), _exact_class(k), head, tuple(kg))
+        values = (family, n, r, len(k), _exact_class(k), head)
         for name, value in zip(self.__dataclass_fields__, values):
             _set(self, name, value)
 
@@ -99,9 +97,12 @@ class SurfaceLattice:
     def gram(self) -> tuple[tuple[int, ...], ...]:
         """G = (G + I) - I, rebuilt from ``_head``."""
         rank = self.rank
+        a, b, e = self._head[:3]
         rows = [[-(i == j) for j in range(rank)] for i in range(rank)]
-        for i, j, g in self._head:
-            rows[i][j] += g
+        rows[0][0] += a
+        if b:
+            rows[0][1] = rows[1][0] = b
+            rows[1][1] += e
         return tuple(map(tuple, rows))
 
     def _check(self, d: DivisorClass) -> tuple[int, ...]:
@@ -118,10 +119,11 @@ class SurfaceLattice:
             )
         return c
 
-    def _pair(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        total = -sum(map(mul, a, b))
-        for i, j, g in self._head:
-            total += a[i] * g * b[j]
+    def _pair(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
+        a, b, e, _, _ = self._head
+        total = a * x[0] * y[0] - sum(map(mul, x, y))
+        if b:
+            total += b * (x[0] * y[1] + x[1] * y[0]) + e * x[1] * y[1]
         return total
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass) -> int:
@@ -133,19 +135,20 @@ class SurfaceLattice:
         return self._pair(c, c)
 
     def _k_dot(self, c: tuple[int, ...]) -> int:
-        return sum(map(mul, self._kg, c))
+        _, b, _, k0, k1 = self._head
+        return k0 * c[0] + (k1 * c[1] if b else 0) - sum(c)
 
     def canonical_pairing(self, d: DivisorClass) -> int:
         """K.D for the distinguished canonical class K."""
         return self._k_dot(self._check(d))
 
     def arithmetic_genus(self, d: DivisorClass) -> int:
-        """Adjunction genus p_a(D) = 1 + (D.D + K.D)/2, in one frame.
+        """Adjunction genus p_a(D) = 1 + (D.D + K.D)/2, in one frame, where
 
-        One pass: D.D + K.D = -sum_i c_i (c_i - kg_i) + the head terms.
-        K is characteristic on every family, so the numerator is even:
-        D.D + K.D = d(d - 3) - sum m_i(m_i - 1) on Bl_r P^2, and
-        -n a(a - 1) + 2ab - 2a - 2b on F_n.
+            D.D + K.D = d_0 (a d_0 + 2b d_1 + k_0) + d_1 (e d_1 + k_1) - sum_i d_i (d_i + 1).
+
+        K is characteristic on every family, so the numerator is even: it is
+        d(d - 3) - sum m_i(m_i - 1) on Bl_r P^2, and -n a(a - 1) + 2ab - 2a - 2b on F_n.
         """
         try:
             c = d.coeffs
@@ -153,16 +156,16 @@ class SurfaceLattice:
             raise _refuse(d, "d", "a DivisorClass") from None
         if len(c) != self.rank or type(d) is not DivisorClass:
             self._check(d)  # raises its DimensionError, or refuses a class of another n
-        total = -sum(map(mul, c, map(sub, c, self._kg)))
-        for i, j, g in self._head:
-            total += c[i] * g * c[j]
+        a, b, e, k0, k1 = self._head
+        d0 = c[0]
+        total = d0 * (a * d0 + k0) - sum(map(mul, c, c)) - sum(c)
+        if b:
+            total += c[1] * (2 * b * d0 + e * c[1] + k1)
         return 1 + total // 2
 
     def euler_characteristic(self, d: DivisorClass) -> int:
-        """chi(O(D)) = 1 + (D.D - K.D)/2 = p_a(-D) on a rational surface."""
-        if type(d) is not DivisorClass:
-            self._check(d)  # refuses a d that is no class, or a class of another n
-        return self.arithmetic_genus(_exact_class(tuple(map(neg, d.coeffs))))
+        """chi(O(D)) = 1 + (D.D - K.D)/2 = p_a(D) - K.D on a rational surface."""
+        return self.arithmetic_genus(d) - self._k_dot(d.coeffs)  # the genus checks d
 
     def h0_lower_bound(self, d: DivisorClass) -> int:
         """max(0, chi(O(D))) when K - D is certified not effective, else 0."""
@@ -210,15 +213,12 @@ _PARAMETERS = {
 
 
 def _standard_form(n: int | None, r: int | None) -> tuple[tuple, tuple]:
-    """The nonzero entries of G + I and K of the F_n head (C_n, F), or of
-    the P^2 head H when n is None, followed by E_1..E_r."""
+    """The head record (a, b, e, k_0, k_1) and K of the F_n head (C_n, F), or
+    of the P^2 head H when n is None, followed by E_1..E_r."""
     if n is None:
-        head, k = ((0, 0, 2),), (-3,)
+        head, k = (2, 0, 0, -2, 0), (-3,)
     else:
-        # 1 - n at (0, 0) is absent on F_1
-        head, k = ((0, 1, 1), (1, 0, 1), (1, 1, 1)), (-2, -(n + 2))
-        if n != 1:
-            head = ((0, 0, 1 - n),) + head
+        head, k = (1 - n, 1, 1, n - 1, -1), (-2, -(n + 2))
     if r:
         k += (1,) * r
     return head, k
@@ -281,6 +281,6 @@ make_lattice = SurfaceLattice
 basis_change_f1_to_p2 = basis_change_blf0_to_p2 = basis_change_to_p2
 
 
-# The most points a blowup lattice may have.  Its K and K.G hold r entries
-# each, so one large r in a request would be built before any class is read.
+# The most points a blowup lattice may have.  Its K holds r entries, so one
+# large r in a request would be built before any class is read.
 MAX_BLOWUP_POINTS = 10_000

@@ -210,6 +210,14 @@ def family_gram(family, n, r):
     return tuple(tuple(pair(x, y) for y in basis) for x in basis)
 
 
+def family_canonical(family, n, r):
+    """K of a built-in family: -3H + sum E_i on Bl_r P^2, and
+    -2C_n - (n + 2)F + sum E_i on F_n and Bl_r F_n."""
+    if family == "blowup_p2":
+        return (-3,) + (1,) * r
+    return (-2, -(n + 2)) + (1,) * (r or 0)
+
+
 def gram_pairing(gram, x, y):
     """sum_i sum_j x_i G_ij y_j over every entry of the Gram matrix."""
     return sum(x[i] * g * y[j] for i, row in enumerate(gram) for j, g in enumerate(row))

@@ -29,12 +29,16 @@ from nslattice.selfcheck import SelfcheckConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 POINTS = 6
+# no enumeration with r <= POINTS costs more than 538 units, the cost of
+# (6, -3): a budget of 5,000 was never reached under low_bounds
+BUDGET = 300
+PAST_BUDGET = ["enumerate", "--r", str(POINTS), "--self-int=-3", "--degree-bound", "3"]
 
 
 @pytest.fixture
 def low_bounds(monkeypatch):
     monkeypatch.setattr(lattice, "MAX_BLOWUP_POINTS", POINTS)
-    monkeypatch.setattr(enumeration, "ENUMERATION_BUDGET", 5_000)
+    monkeypatch.setattr(enumeration, "ENUMERATION_BUDGET", BUDGET)
     monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
 
 
@@ -75,6 +79,17 @@ def test_bound_through_the_cli(low_bounds, tmp_path):
         assert out == ""
         assert err.startswith("nslattice: ") and err.count("\n") == 1
         assert "blown-up points" in err
+
+
+def test_request_past_the_patched_budget_runs_under_the_real_one():
+    code, out, err = run(PAST_BUDGET)
+    assert (code, err) == (0, "") and json.loads(out)["count"] == 75
+
+
+def test_patched_budget_refuses_through_either_parser(low_bounds, monkeypatch):
+    refusal = (1, "", f"nslattice: enumeration exceeds its work budget of {BUDGET:,} search "
+                      "nodes and coefficients; lower r or the degree bound\n")
+    assert run_both(monkeypatch, PAST_BUDGET) == (refusal, refusal)
 
 
 def test_huge_r_is_refused_before_the_lattice_is_built():

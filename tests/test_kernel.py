@@ -1,5 +1,6 @@
-"""The lattice kernel against the naive Gram-matrix pairing, the types a
-lattice's parameters may take, and the classes drawn by the selfcheck sampler."""
+"""The lattice kernel against the naive pairing of each family's own Gram
+matrix and K, the types a lattice's parameters may take, and the classes
+drawn by the selfcheck sampler."""
 
 import dataclasses
 import random
@@ -39,7 +40,10 @@ def class_pair(lat):
 
 
 def assert_kernel_matches_oracle(lat, x, y):
-    gram, k = lat.gram, lat.canonical.coeffs
+    # G and K from the bilinear expansions in oracles, not from the lattice's record
+    gram = oracles.family_gram(lat.family, lat.n, lat.r)
+    k = oracles.family_canonical(lat.family, lat.n, lat.r)
+    assert lat.canonical.coeffs == k
     d1, d2 = DivisorClass(x), DivisorClass(y)
     dd = oracles.gram_pairing(gram, x, x)
     kd = oracles.gram_pairing(gram, k, x)
@@ -61,15 +65,43 @@ class TestKernelOracle:
     def test_families(self, case):
         assert_kernel_matches_oracle(*case)
 
+    @pytest.mark.parametrize(
+        "lat,x,y",
+        [
+            # P^2 has no d_1: its kernel must not read one
+            (blowup_p2_lattice(0), (3,), (-2,)),
+            (blowup_p2_lattice(0), (0,), (7,)),
+            (blowup_p2_lattice(0), (-(2**65) - 3,), (2**64 + 1,)),
+            # coefficients past 2^64 on every family
+            (blowup_p2_lattice(2), (2**64 + 1, -(2**65), 3), (-(2**70), 2**64, 2**66 - 1)),
+            (hirzebruch_lattice(5), (2**64, -(2**64) - 1), (-(2**80) + 7, 2**65)),
+            (hirzebruch_lattice(1), (-(2**64), 2**64 + 9), (3, 2**99)),
+            (blowup_hirzebruch_lattice(0, 2), (2**64, 1 - 2**64, 2**70, -5), (7, -(2**66), 1, 2**64)),
+        ],
+        ids=["p2", "p2-zero", "p2-past-2^64", "bl2p2", "f5", "f1", "bl2f0"],
+    )
+    def test_examples(self, lat, x, y):
+        assert_kernel_matches_oracle(lat, x, y)
+
+    def test_plane_values(self):
+        # a plane cubic has genus 1, two lines meet once, h^0(O(2)) = 6
+        p2 = blowup_p2_lattice(0)
+        assert p2.arithmetic_genus(DivisorClass((3,))) == 1
+        assert p2.intersect(DivisorClass((1,)), DivisorClass((2,))) == 2
+        assert p2.euler_characteristic(DivisorClass((2,))) == 6
+        assert p2.canonical_pairing(DivisorClass((1,))) == -3
+        assert p2.h0_lower_bound(DivisorClass((2,))) == 6
+
     def test_family_splits(self):
-        # the head is H on blowup_p2 and the (C_n, F) block on the F_n families
-        assert blowup_p2_lattice(9)._head == ((0, 0, 2),)
-        assert blowup_hirzebruch_lattice(3, 12)._head == ((0, 0, -2), (0, 1, 1), (1, 0, 1), (1, 1, 1))
-        assert hirzebruch_lattice(1)._head == ((0, 1, 1), (1, 0, 1), (1, 1, 1))
+        # the head record (a, b, e, k_0, k_1): G + I and K.G + 1 on H, or on the
+        # (C_n, F) block of the F_n families
+        assert blowup_p2_lattice(0)._head == blowup_p2_lattice(9)._head == (2, 0, 0, -2, 0)
+        assert blowup_hirzebruch_lattice(3, 12)._head == (-2, 1, 1, 2, -1)
+        assert hirzebruch_lattice(1)._head == (0, 1, 1, 0, -1)
 
     def test_derived_tables_stay_out_of_equality_and_repr(self):
         lat = blowup_hirzebruch_lattice(2, 3)
-        assert "_head" not in repr(lat) and "_kg" not in repr(lat)
+        assert "_head" not in repr(lat)
         assert lat == blowup_hirzebruch_lattice(2, 3)
         assert hash(lat) == hash(blowup_hirzebruch_lattice(2, 3))
         assert lat.to_json_dict() == {"family": "blowup_hirzebruch", "n": 2, "r": 3}

@@ -1,6 +1,7 @@
-"""A lattice stores only the nonzero entries of G + I, as _head: the matrix it
-builds on demand against the naive one, equality by (family, n, r),
-dataclasses.replace, memory at high rank and the parameters each family takes."""
+"""A lattice stores G and K.G as the five integers of its head record, _head,
+and no table of its rank but K: the matrix it builds on demand against the
+naive one, equality by (family, n, r), dataclasses.replace, memory at high
+rank and the parameters each family takes."""
 
 import dataclasses
 import tracemalloc
@@ -30,7 +31,7 @@ def test_gram_and_hand_built_twin(lat):
     # the constructor called directly, with the family by its value
     twin = SurfaceLattice(lat.family.value, lat.n, lat.r)
     assert twin == lat and hash(twin) == hash(lat)
-    assert twin._head == lat._head and twin._kg == lat._kg
+    assert twin._head == lat._head
     # a lattice is its (family, n, r): changing any of them gives another one
     others = [
         dataclasses.replace(lat, **{p: getattr(lat, p) + 1})
@@ -61,6 +62,13 @@ def test_replace_keeps_the_block(r):
 def test_repr_prints_no_matrix():
     text = repr(blowup_hirzebruch_lattice(2, 3))
     assert "gram" not in text and "_head" not in text and "-1" not in text
+
+
+@given(family_lattices)
+def test_no_table_of_the_rank_but_k(lat):
+    fields = vars(lat)
+    assert set(fields) == {"family", "n", "r", "rank", "canonical", "_head"}
+    assert len(fields["_head"]) == 5 and len(lat.canonical.coeffs) == lat.rank
 
 
 def test_rank_2001_lattices_are_small():
