@@ -471,9 +471,10 @@ def check_negative_curve_adjunction(cfg: SelfcheckConfig) -> CheckResult:
     """For p_a = 0 classes, self-int = -2 - K.D; K.D >= 1 then forces <= -3."""
     rng = random.Random(cfg.seed + 2)
     failures = []
-    # each lattice with its coordinate range, built once; rng.randrange(size) and
-    # rank calls of rng.randint(-4, 4) are inlined as in _random_class
-    pool = [(lat, range(lat.rank)) for lat in _family_sweep(cfg)]
+    # each lattice with its genus kernel and coordinate range, built once;
+    # rng.randrange(size) and rank calls of rng.randint(-4, 4) are inlined as in
+    # _random_class, and only a draw with p_a = 0 is made a class
+    pool = [(lat, lat._genus, range(lat.rank)) for lat in _family_sweep(cfg)]
     size = len(pool)
     getrandbits = rng.getrandbits
     k = size.bit_length()
@@ -485,17 +486,17 @@ def check_negative_curve_adjunction(cfg: SelfcheckConfig) -> CheckResult:
         i = getrandbits(k)
         while i >= size:
             i = getrandbits(k)
-        lat, coords = pool[i]
+        lat, genus, coords = pool[i]
         coeffs = []
         for _ in coords:
             x = getrandbits(4)
             while x >= 9:
                 x = getrandbits(4)
             coeffs.append(x - 4)
+        if genus(coeffs) != 0:
+            continue
         d = _new(DivisorClass)
         _set(d, "coeffs", tuple(coeffs))
-        if lat.arithmetic_genus(d) != 0:
-            continue
         s = lat.self_intersection(d)
         kd = lat.canonical_pairing(d)
         if s != -2 - kd:
@@ -528,5 +529,9 @@ ALL_CHECKS: tuple[Callable[[SelfcheckConfig], CheckResult], ...] = (
 
 
 def run_selfcheck(cfg: SelfcheckConfig | None = None) -> list[CheckResult]:
-    cfg = cfg or SelfcheckConfig()
+    """Every check under cfg, or under the default config when cfg is None."""
+    if cfg is None:
+        cfg = SelfcheckConfig()
+    elif not isinstance(cfg, SelfcheckConfig):
+        raise _refuse(cfg, "cfg", "a SelfcheckConfig")
     return [check(cfg) for check in ALL_CHECKS]

@@ -107,13 +107,16 @@ def _exact_class(coeffs: tuple[int, ...]) -> DivisorClass:
 
 
 def _shown(value) -> str:
-    """``repr(value)`` cut to 100 characters, or, when it holds an integer past
-    the interpreter's digit limit and so has no repr, its type and that limit."""
+    """``repr(value)`` cut to 100 characters, or, when it has no repr, its type and
+    why: it holds an integer past the interpreter's digit limit, or it is nested
+    past the recursion limit."""
     try:
         text = repr(value)
     except ValueError:
         kind = "an integer" if type(value) is int else f"a {type(value).__name__} holding an integer"
         return f"{kind} past {sys.get_int_max_str_digits():,} digits"
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deeply to show"
     return text if len(text) <= 100 else text[:99] + "…"
 
 

@@ -24,12 +24,14 @@ DEFAULT_CAPPED = SelfcheckConfig(random_classes=100)
 
 def record_draws(monkeypatch, method):
     """Log ((family, n, r), coeffs) for each call of ``SurfaceLattice.<method>``,
-    and every generator the selfcheck makes."""
+    which takes a class or, as ``_genus`` does, its raw coefficients, and every
+    generator the selfcheck makes."""
     draws, generators = [], []
     original = getattr(SurfaceLattice, method)
 
     def logged(lat, d):
-        draws.append(((lat.family.value, lat.n, lat.r), d.coeffs))
+        coeffs = getattr(d, "coeffs", d)
+        draws.append(((lat.family.value, lat.n, lat.r), tuple(coeffs)))
         return original(lat, d)
 
     class Logged(random.Random):
@@ -70,8 +72,8 @@ def test_adjunction_parity_draws(monkeypatch, cfg):
 )
 def test_negative_curve_draws(monkeypatch, cfg, pool_size):
     assert len(selfcheck._family_sweep(cfg)) == pool_size
-    # each attempt calls arithmetic_genus exactly once
-    draws, generators = record_draws(monkeypatch, "arithmetic_genus")
+    # each attempt screens its raw draw with the genus kernel exactly once
+    draws, generators = record_draws(monkeypatch, "_genus")
     selfcheck.check_negative_curve_adjunction(cfg)
     assert draws
     expected, plain = oracles.replay_negative_curve_draws(

@@ -51,6 +51,9 @@ def assert_kernel_matches_oracle(lat, x, y):
     assert lat.intersect(d2, d1) == oracles.gram_pairing(gram, y, x)
     assert lat.self_intersection(d1) == dd
     assert lat.canonical_pairing(d1) == kd
+    # the unchecked kernel, on a tuple as the public genus passes it and on a
+    # list as the selfcheck sampler does
+    assert lat._genus(list(x)) == lat._genus(tuple(x)) == 1 + (dd + kd) // 2
     for method, total in (
         (lat.arithmetic_genus, dd + kd),
         (lat.euler_characteristic, dd - kd),

@@ -39,6 +39,7 @@ from nslattice import (
     model_from_json,
     nef_against_witnesses,
     nef_decompose,
+    run_selfcheck,
     witness_from_json,
 )
 
@@ -220,6 +221,8 @@ CASES = [
     # an unknown key was echoed whole
     ("config_from_json-unknown-key", InputError,
      st.text(max_size=3).map(lambda k: {"x" * 5000 + k: 1}), SelfcheckConfig.from_json_dict),
+    # a string failed with AttributeError, and a falsy value ran the default config
+    ("run_selfcheck-cfg", InputError, present, run_selfcheck),
 ]
 
 
@@ -267,11 +270,17 @@ def test_refused_with_the_documented_error_and_a_bounded_message(error, values, 
          "class with n = 5 on a lattice with n = 3"),
         (lambda: basis_change_to_p2(hirzebruch_lattice(1), HirzebruchClass(3, 1, 0)),
          InvalidParameterError, "class with n = 3 on a lattice with n = 1"),
+        # "x" failed with AttributeError; {}, 0 and "" ran the default config
+        (lambda: run_selfcheck("x"), InputError, "cfg must be a SelfcheckConfig, got 'x'"),
+        (lambda: run_selfcheck({}), InputError, "cfg must be a SelfcheckConfig, got {}"),
+        (lambda: run_selfcheck(0), InputError, "cfg must be a SelfcheckConfig, got 0"),
+        (lambda: run_selfcheck(""), InputError, "cfg must be a SelfcheckConfig, got ''"),
     ],
     ids=["lattice", "curves-none", "curves-class", "witness-class", "curves-empty-string",
          "curves-empty-dict", "forced-model", "nef-model", "consequence-model", "classify-model",
          "lemma-model", "enumerate-lattice", "basis-change-lattice", "pairing-another-n",
-         "chi-on-the-plane", "witness-another-n", "basis-change-another-n"],
+         "chi-on-the-plane", "witness-another-n", "basis-change-another-n", "selfcheck-string",
+         "selfcheck-empty-dict", "selfcheck-zero", "selfcheck-empty-string"],
 )
 def test_refusal_names_the_shape_or_the_parameter(call, error, message):
     with pytest.raises(error) as info:
@@ -324,6 +333,33 @@ def test_value_past_the_digit_limit_is_named_by_its_size(call, error, message):
         call()
     assert str(info.value) == message
     assert isinstance(info.value, NSLatticeError)
+
+
+def nested(depth):
+    """A list holding a list, ``depth`` levels down: past the recursion limit of repr()."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda deep: DivisorClass([1, deep]),
+         "coeffs must be a list of integers, got a tuple nested too deeply to show"),
+        (lambda deep: divisor_from_json({"coeffs": deep}),
+         "coeffs must be a list of integers, got a list nested too deeply to show"),
+        (lambda deep: hirzebruch_lattice(deep), "n must be an integer, got a list nested too deeply to show"),
+    ],
+    ids=["class", "divisor_from_json", "lattice-n"],
+)
+def test_value_nested_too_deeply_is_named_by_its_type(call, message):
+    # repr() of such a value raises RecursionError, which escaped these refusals;
+    # the CLI's JSON decoder refuses such nesting first, the Python API does not
+    with pytest.raises(InputError) as info:
+        call(nested(10**5))
+    assert str(info.value) == message
 
 
 @default_digit_limit

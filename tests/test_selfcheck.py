@@ -178,7 +178,10 @@ WRONG = {
         (SurfaceLattice, "canonical_pairing", lambda f: lambda lat, d: f(lat, d) + 1,
          ["adjunction identity broken", "K.D = "]),
         # no class qualifies, so the sampler stops at its cap of 500 draws per class
-        (SurfaceLattice, "arithmetic_genus", lambda f: lambda lat, d: 1, ["only 0 qualifying"]),
+        (SurfaceLattice, "_genus", lambda f: lambda lat, c: 1, ["only 0 qualifying"]),
+        # the screening kernel is off by one: the public pairings it hands on disagree
+        (SurfaceLattice, "_genus", lambda f: lambda lat, c: f(lat, c) - 1,
+         ["adjunction identity broken"]),
     ],
 }
 
