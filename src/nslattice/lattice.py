@@ -152,14 +152,14 @@ class SurfaceLattice:
             self._check(d)  # raises its DimensionError, or refuses a class of another n
         return self._genus(c)
 
-    def _genus(self, c: tuple[int, ...] | list[int]) -> int:
-        """p_a for checked coefficients c, a tuple or a list of rank ints, where
+    def _genus(self, c: tuple[int, ...]) -> int:
+        """p_a for checked coefficients c, a tuple of rank ints, where
 
             D.D + K.D = d_0 (a d_0 + 2b d_1 + k_0) + d_1 (e d_1 + k_1) - sum_i d_i (d_i + 1).
 
         K is characteristic on every family, so the numerator is even: it is
         d(d - 3) - sum m_i(m_i - 1) on Bl_r P^2, and -n a(a - 1) + 2ab - 2a - 2b on F_n.
-        The selfcheck sampler screens its raw draws with it, before any class is built.
+        The selfcheck sampler builds the genus tables that screen its raw draws with it.
         """
         a, b, e, k0, k1 = self._head
         d0 = c[0]

@@ -42,6 +42,8 @@ from .lattice import (
 )
 from .values import DivisorClass, _exact_class, _new, _refuse, _set, _shown, json_object
 
+_TRI = bytes((x - 4) * (x - 3) // 2 if x < 9 else 0 for x in range(256))  # C(e + 1, 2), e = x - 4 <= 4
+
 
 @dataclass(frozen=True)
 class SelfcheckConfig:
@@ -467,36 +469,46 @@ def check_classifier_cases(cfg: SelfcheckConfig) -> CheckResult:
     )
 
 
+def _genus_table(lat: SurfaceLattice) -> list[list[int]]:
+    """p_a(D) + sum(_TRI[x]) at [x_0][x_h] for a raw draw x = D + 4 (h = 1, or 0 on P^2): each
+    later d_i is on an E_i, orthogonal to the rest with E_i.E_i = K.E_i = -1: it adds -_TRI[x_i]."""
+    if lat.rank == 1:
+        return [[lat._genus((x - 4,)) + _TRI[x]] * 9 for x in range(9)]
+    tail = (0,) * (lat.rank - 2)
+    return [[lat._genus((x - 4, y - 4, *tail)) + _TRI[x] + _TRI[y] for y in range(9)] for x in range(9)]
+
+
 def check_negative_curve_adjunction(cfg: SelfcheckConfig) -> CheckResult:
     """For p_a = 0 classes, self-int = -2 - K.D; K.D >= 1 then forces <= -3."""
     rng = random.Random(cfg.seed + 2)
     failures = []
-    # each lattice with its genus kernel and coordinate range, built once;
-    # rng.randrange(size) and rank calls of rng.randint(-4, 4) are inlined as in
-    # _random_class, and only a draw with p_a = 0 is made a class
-    pool = [(lat, lat._genus, range(lat.rank)) for lat in _family_sweep(cfg)]
+    # each lattice with its genus table (one per n, built per call: d_1 is E_1 on Bl_r P^2),
+    # h = rank > 1 and its coordinates; randrange and randint are inlined as in _random_class
+    tables, pool = {}, []
+    for lat in _family_sweep(cfg):
+        table = tables[lat.n] = tables.get(lat.n) or _genus_table(lat)
+        pool.append((lat, table, lat.rank > 1, range(lat.rank)))
     size = len(pool)
     getrandbits = rng.getrandbits
     k = size.bit_length()
-    accepted = 0
-    attempts = 0
+    accepted = attempts = 0
     cap = cfg.random_classes * 500
     while accepted < cfg.random_classes and attempts < cap:
         attempts += 1
         i = getrandbits(k)
         while i >= size:
             i = getrandbits(k)
-        lat, genus, coords = pool[i]
-        coeffs = []
+        lat, table, h, coords = pool[i]
+        raw = bytearray()
         for _ in coords:
             x = getrandbits(4)
             while x >= 9:
                 x = getrandbits(4)
-            coeffs.append(x - 4)
-        if genus(coeffs) != 0:
+            raw.append(x)
+        if table[raw[0]][raw[h]] != sum(raw.translate(_TRI)):
             continue
         d = _new(DivisorClass)
-        _set(d, "coeffs", tuple(coeffs))
+        _set(d, "coeffs", tuple([x - 4 for x in raw]))
         s = lat.self_intersection(d)
         kd = lat.canonical_pairing(d)
         if s != -2 - kd:

@@ -1,6 +1,9 @@
-"""The selfcheck's random checks draw exactly the classes, and leave exactly
-the generator state, that plain randint/randrange calls give."""
+"""The selfcheck's random checks draw exactly the classes, make exactly the
+getrandbits calls and leave exactly the generator state that plain
+randint/randrange calls give, and the negative-curve check's screen passes
+exactly the draws with p_a = 0."""
 
+import functools
 import random
 import types
 
@@ -22,26 +25,71 @@ from test_selfcheck import QUICK
 DEFAULT_CAPPED = SelfcheckConfig(random_classes=100)
 
 
-def record_draws(monkeypatch, method):
-    """Log ((family, n, r), coeffs) for each call of ``SurfaceLattice.<method>``,
-    which takes a class or, as ``_genus`` does, its raw coefficients, and every
-    generator the selfcheck makes."""
-    draws, generators = [], []
-    original = getattr(SurfaceLattice, method)
-
-    def logged(lat, d):
-        coeffs = getattr(d, "coeffs", d)
-        draws.append(((lat.family.value, lat.n, lat.r), tuple(coeffs)))
-        return original(lat, d)
+def logged_generators(monkeypatch, module):
+    """Make ``module``'s random.Random a generator that logs each getrandbits(k)
+    call as (k, value), and return the list of the generators it makes."""
+    generators = []
 
     class Logged(random.Random):
         def __init__(self, seed):
+            self.calls = []
             super().__init__(seed)
             generators.append(self)
 
+        def getrandbits(self, k):
+            value = super().getrandbits(k)
+            self.calls.append((k, value))
+            return value
+
+    monkeypatch.setattr(module, "random", types.SimpleNamespace(Random=Logged))
+    return generators
+
+
+def record_draws(monkeypatch, method):
+    """Log ((family, n, r), coeffs) for each class passed to
+    ``SurfaceLattice.<method>``, and every generator the selfcheck makes."""
+    draws = []
+    original = getattr(SurfaceLattice, method)
+
+    def logged(lat, d):
+        draws.append(((lat.family.value, lat.n, lat.r), d.coeffs))
+        return original(lat, d)
+
     monkeypatch.setattr(SurfaceLattice, method, logged)
-    monkeypatch.setattr(selfcheck, "random", types.SimpleNamespace(Random=Logged))
-    return draws, generators
+    return draws, logged_generators(monkeypatch, selfcheck)
+
+
+@functools.cache
+def oracle_form(spec):
+    """G and K of a family's lattice, as oracles builds them, once per (family, n, r)."""
+    return oracles.family_gram(*spec), oracles.family_canonical(*spec)
+
+
+def oracle_genus_and_k_dot(spec, coeffs):
+    """p_a and K.D of a replayed draw, from the family's own Gram matrix and K."""
+    gram, k = oracle_form(spec)
+    dd, kd = oracles.gram_pairing(gram, coeffs, coeffs), oracles.gram_pairing(gram, k, coeffs)
+    return 1 + (dd + kd) // 2, kd
+
+
+def replayed_attempts(cfg):
+    """How many draws the negative-curve check makes: replayed with plain
+    randrange and randint until cfg.random_classes of them have p_a = 0 and
+    K.D >= 1, or until its cap of 500 draws per class."""
+    cap, attempts = cfg.random_classes * 500, 64
+    while True:
+        draws, _ = oracles.replay_negative_curve_draws(
+            cfg.seed + 2, cfg.family_n_max, cfg.family_r_max, min(attempts, cap)
+        )
+        accepted = 0
+        for i, (spec, coeffs) in enumerate(draws):
+            genus, kd = oracle_genus_and_k_dot(spec, coeffs)
+            accepted += genus == 0 and kd >= 1
+            if accepted == cfg.random_classes:
+                return i + 1
+        if attempts >= cap:
+            return cap
+        attempts *= 2
 
 
 @pytest.mark.parametrize("cfg", [QUICK, DEFAULT_CAPPED], ids=["quick", "default-capped"])
@@ -72,14 +120,19 @@ def test_adjunction_parity_draws(monkeypatch, cfg):
 )
 def test_negative_curve_draws(monkeypatch, cfg, pool_size):
     assert len(selfcheck._family_sweep(cfg)) == pool_size
-    # each attempt screens its raw draw with the genus kernel exactly once
-    draws, generators = record_draws(monkeypatch, "_genus")
-    selfcheck.check_negative_curve_adjunction(cfg)
-    assert draws
+    # the check makes exactly the getrandbits calls of plain randrange and
+    # randint draws, and only the draws with p_a = 0 reach the pairings
+    screened, generators = record_draws(monkeypatch, "self_intersection")
+    assert selfcheck.check_negative_curve_adjunction(cfg).passed
+    attempts = replayed_attempts(cfg)
+    replays = logged_generators(monkeypatch, oracles)
     expected, plain = oracles.replay_negative_curve_draws(
-        cfg.seed + 2, cfg.family_n_max, cfg.family_r_max, len(draws)
+        cfg.seed + 2, cfg.family_n_max, cfg.family_r_max, attempts
     )
-    assert draws == expected
+    assert replays == [plain]
+    assert [g.calls for g in generators] == [plain.calls]
+    assert screened == [(s, c) for s, c in expected if oracle_genus_and_k_dot(s, c)[0] == 0]
+    assert screened
     assert [g.getstate() for g in generators] == [plain.getstate()]
 
 

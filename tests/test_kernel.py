@@ -1,13 +1,13 @@
 """The lattice kernel against the naive pairing of each family's own Gram
 matrix and K, the types a lattice's parameters may take, and the classes
-drawn by the selfcheck sampler."""
+drawn and screened by the selfcheck sampler."""
 
 import dataclasses
 import random
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -22,7 +22,7 @@ from nslattice import (
     lattice_from_json,
     witness_from_json,
 )
-from nslattice.selfcheck import _random_class
+from nslattice.selfcheck import _TRI, _genus_table, _random_class
 
 coeff = st.integers(min_value=-30, max_value=30)
 
@@ -51,9 +51,9 @@ def assert_kernel_matches_oracle(lat, x, y):
     assert lat.intersect(d2, d1) == oracles.gram_pairing(gram, y, x)
     assert lat.self_intersection(d1) == dd
     assert lat.canonical_pairing(d1) == kd
-    # the unchecked kernel, on a tuple as the public genus passes it and on a
-    # list as the selfcheck sampler does
-    assert lat._genus(list(x)) == lat._genus(tuple(x)) == 1 + (dd + kd) // 2
+    # the unchecked kernel, on a tuple as the public genus and the selfcheck's
+    # genus tables pass it
+    assert lat._genus(tuple(x)) == 1 + (dd + kd) // 2
     for method, total in (
         (lat.arithmetic_genus, dd + kd),
         (lat.euler_characteristic, dd - kd),
@@ -129,6 +129,49 @@ class TestH0Duality:
             nef = [lat.basis_class(1), lat.basis_class(0) + lat.n * lat.basis_class(1)]
         certified = any(lat.intersect(c, residual) < 0 for c in nef)
         assert lat.h0_lower_bound(d) == (max(0, chi) if certified else 0)
+
+
+# every family with n <= 12 and r <= 14, beside an r' for a lattice of the same
+# n, whose genus table the negative-curve check may share
+screened_lattices = st.one_of(
+    st.builds(hirzebruch_lattice, st.integers(0, 12)),
+    st.builds(blowup_p2_lattice, st.integers(0, 14)),
+    st.builds(blowup_hirzebruch_lattice, st.integers(0, 12), st.integers(0, 14)),
+)
+raw_draws = st.lists(st.integers(0, 8), min_size=16, max_size=16)
+
+
+class TestScreenTable:
+    @given(screened_lattices, st.integers(0, 14), raw_draws)
+    @example(blowup_p2_lattice(0), 3, [0] * 16)
+    @example(blowup_p2_lattice(0), 0, [8] * 16)
+    @example(blowup_p2_lattice(1), 12, [0, 8] * 8)
+    @example(blowup_p2_lattice(1), 1, [5, 3] * 8)
+    @example(hirzebruch_lattice(0), 14, [5, 2] * 8)
+    def test_table_less_tail_sum_is_the_genus(self, lat, other_r, raw):
+        h = lat.rank > 1
+        if lat.n is None:  # d_1 is E_1 on Bl_r P^2, so P^2 shares its table too
+            sibling = blowup_p2_lattice(other_r)
+        else:
+            sibling = blowup_hirzebruch_lattice(lat.n, other_r)
+        table = _genus_table(lat)
+        assert table == _genus_table(sibling)
+        assert len(table) == 9 and all(len(row) == 9 for row in table)
+        # a raw draw x in 0..8 is the class x - 4
+        raw = bytearray(raw[: lat.rank])
+        coeffs = tuple(x - 4 for x in raw)
+        genus = table[raw[0]][raw[h]] - sum(raw.translate(_TRI))
+        assert genus == lat._genus(coeffs)
+        gram = oracles.family_gram(lat.family, lat.n, lat.r)
+        k = oracles.family_canonical(lat.family, lat.n, lat.r)
+        dd, kd = oracles.gram_pairing(gram, coeffs, coeffs), oracles.gram_pairing(gram, k, coeffs)
+        assert genus == 1 + (dd + kd) // 2
+
+    def test_tail_weights(self):
+        # C(e + 1, 2) for a coefficient e = x - 4, and nothing past the draws' range
+        assert list(_TRI[:9]) == [(e + 1) * e // 2 for e in range(-4, 5)]
+        assert list(_TRI[:9]) == [6, 3, 1, 0, 0, 1, 3, 6, 10]
+        assert _TRI[9:] == bytes(247)
 
 
 class TestRandomClassStream:
