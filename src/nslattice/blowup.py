@@ -207,16 +207,21 @@ class Report:
 INCOMPLETE_VERDICT = "witness set provably incomplete or surface not anticanonical-nef"
 
 
+def _of_model(model: SurfaceModel, name: str):
+    """``model``'s attribute ``name``, or the refusal of a model that has none."""
+    try:
+        return getattr(model, name)
+    except AttributeError:
+        raise _refuse(model, "model", "a SurfaceModel") from None
+
+
 def nef_against_witnesses(model: SurfaceModel, d: DivisorClass) -> NefVerdict:
     """Test D against every witness; the verdict is relative to the list.
 
     Returns the first witness (in list order) pairing negatively with D.  An
     empty witness list yields a vacuous nef verdict flagged as empty evidence.
     """
-    try:
-        lat = model.lattice
-    except AttributeError:
-        raise _refuse(model, "model", "a SurfaceModel") from None
+    lat = _of_model(model, "lattice")
     c = lat._check(d)
     if not model.curves:
         return NefVerdict(True, empty_evidence=True)
@@ -236,10 +241,7 @@ def forced_fixed_components(model: SurfaceModel) -> list[CurveWitness]:
     ``asserted_prime`` is not read: on F_3 a witness 2C_3 (p_a = -4) marked
     not prime is listed, though the fixed part of |-K| is C_3 once.
     """
-    try:
-        forced = model._forced
-    except AttributeError:
-        raise _refuse(model, "model", "a SurfaceModel") from None
+    forced = _of_model(model, "_forced")
     return [w for w, _ in forced()]
 
 
@@ -251,10 +253,7 @@ def _prime_class(model: SurfaceModel, witness: CurveWitness, user: str) -> tuple
         raise _refuse(witness, "witness", "a CurveWitness") from None
     if not prime:
         raise PreconditionError(f"{user} requires a witness asserted to be prime")
-    try:
-        lat = model.lattice
-    except AttributeError:
-        raise _refuse(model, "model", "a SurfaceModel") from None
+    lat = _of_model(model, "lattice")
     c = lat._check(witness.cls)
     return lat, c, lat._pair(c, c)
 
@@ -302,10 +301,7 @@ def anticanonical_consequence_check(model: SurfaceModel, witness_complete: bool)
     a theorem violation.  ``witness_complete`` is true or false, nothing else.
     """
     json_bool(witness_complete, "witness_complete")
-    try:
-        lat = model.lattice
-    except AttributeError:
-        raise _refuse(model, "model", "a SurfaceModel") from None
+    lat = _of_model(model, "lattice")
     k2 = 10 - lat.rank  # Noether's formula on a rational surface
     forced = model._forced()
     details: list[str] = []

@@ -143,14 +143,8 @@ class SurfaceLattice:
         return self._k_dot(self._check(d))
 
     def arithmetic_genus(self, d: DivisorClass) -> int:
-        """Adjunction genus p_a(D) = 1 + (D.D + K.D)/2, by ``_genus`` once d is checked."""
-        try:
-            c = d.coeffs
-        except AttributeError:
-            raise _refuse(d, "d", "a DivisorClass") from None
-        if len(c) != self.rank or type(d) is not DivisorClass:
-            self._check(d)  # raises its DimensionError, or refuses a class of another n
-        return self._genus(c)
+        """Adjunction genus p_a(D) = 1 + (D.D + K.D)/2, by ``_genus`` on d as ``_check`` reads it."""
+        return self._genus(self._check(d))
 
     def _genus(self, c: tuple[int, ...]) -> int:
         """p_a for checked coefficients c, a tuple of rank ints, where
@@ -169,13 +163,15 @@ class SurfaceLattice:
         return 1 + total // 2
 
     def euler_characteristic(self, d: DivisorClass) -> int:
-        """chi(O(D)) = 1 + (D.D - K.D)/2 = p_a(D) - K.D on a rational surface."""
-        return self.arithmetic_genus(d) - self._k_dot(d.coeffs)  # the genus checks d
+        """chi(O(D)) = 1 + (D.D - K.D)/2 = p_a(D) - K.D on a rational surface, by
+        ``_genus`` and ``_k_dot`` on d as ``_check`` reads it."""
+        c = self._check(d)
+        return self._genus(c) - self._k_dot(c)
 
     def h0_lower_bound(self, d: DivisorClass) -> int:
         """max(0, chi(O(D))) when K - D is certified not effective, else 0."""
-        chi = self.euler_characteristic(d)  # refuses a d that is no class
-        return self._h0_bound(d.coeffs, chi)
+        c = self._check(d)
+        return self._h0_bound(c, self._genus(c) - self._k_dot(c))
 
     def _h0_bound(self, c: tuple[int, ...], chi: int) -> int:
         """The bound of ``h0_lower_bound`` for checked coefficients c of chi(D) = chi.

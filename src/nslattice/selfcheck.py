@@ -40,7 +40,7 @@ from .lattice import (
     blowup_p2_lattice,
     hirzebruch_lattice,
 )
-from .values import DivisorClass, _exact_class, _new, _refuse, _set, _shown, json_object
+from .values import DivisorClass, _exact_class, _refuse, _shown, json_object
 
 _TRI = bytes((x - 4) * (x - 3) // 2 if x < 9 else 0 for x in range(256))  # C(e + 1, 2), e = x - 4 <= 4
 
@@ -273,40 +273,20 @@ def check_adjunction_parity(cfg: SelfcheckConfig) -> CheckResult:
     )
 
 
-def _determinant(rows) -> int:
-    """Exact integer determinant of a square matrix (fraction-free Bareiss elimination)."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _signature(rows) -> tuple[int, int, int]:
-    """Inertia (positive, negative, zero) of a symmetric integer matrix.
+def _inertia(rows) -> tuple[int, int, int, int]:
+    """Inertia (positive, negative, zero) and determinant of a symmetric integer matrix.
 
     Symmetric congruence reduction over the integers: the elimination step
-    rescales a basis vector by the pivot, which multiplies its diagonal entry
-    by a positive square and therefore preserves all signs.  No floating
-    point and no rationals are involved.
+    rescales a basis vector by the pivot p, which multiplies its diagonal entry
+    by a positive square and therefore preserves all signs, and multiplies the
+    determinant by p^2.  The reduced matrix is diagonal, so the determinant is
+    the product of the pivots over those squares, an exact division, and 0
+    once a row has no pivot.  No floating point and no rationals are involved.
     """
     m = [list(row) for row in rows]
     n = len(m)
     pos = neg = zero = 0
+    det = scale = 1
     for i in range(n):
         if m[i][i] == 0:
             j = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
@@ -326,6 +306,7 @@ def _signature(rows) -> tuple[int, int, int]:
                 for k in range(n):
                     m[k][i] += m[k][j]
         p = m[i][i]
+        det *= p
         if p > 0:
             pos += 1
         else:
@@ -334,11 +315,12 @@ def _signature(rows) -> tuple[int, int, int]:
             f = m[i][j]
             if f == 0:
                 continue
+            scale *= p * p
             for k in range(n):
                 m[j][k] = p * m[j][k] - f * m[i][k]
             for k in range(n):
                 m[k][j] = p * m[k][j] - f * m[k][i]
-    return pos, neg, zero
+    return pos, neg, zero, 0 if zero else det // scale
 
 
 def check_lattice_invariants(cfg: SelfcheckConfig) -> CheckResult:
@@ -347,10 +329,10 @@ def check_lattice_invariants(cfg: SelfcheckConfig) -> CheckResult:
     count = 0
     for lat in _family_sweep(cfg):
         count += 1
-        gram = lat.gram
-        if abs(_determinant(gram)) != 1:
+        pos, neg, zero, det = _inertia(lat.gram)
+        if abs(det) != 1:
             failures.append(f"Gram determinant not unimodular for {lat.to_json_dict()}")
-        if _signature(gram) != (1, lat.rank - 1, 0):
+        if (pos, neg, zero) != (1, lat.rank - 1, 0):
             failures.append(f"signature not (1, rank-1) for {lat.to_json_dict()}")
         k2 = lat.self_intersection(lat.canonical)
         expected = 10 - lat.rank  # Noether's formula: K.K + rho = 10 on a rational surface
@@ -507,8 +489,7 @@ def check_negative_curve_adjunction(cfg: SelfcheckConfig) -> CheckResult:
             raw.append(x)
         if table[raw[0]][raw[h]] != sum(raw.translate(_TRI)):
             continue
-        d = _new(DivisorClass)
-        _set(d, "coeffs", tuple([x - 4 for x in raw]))
+        d = _exact_class(tuple([x - 4 for x in raw]))
         s = lat.self_intersection(d)
         kd = lat.canonical_pairing(d)
         if s != -2 - kd:

@@ -28,7 +28,7 @@ from nslattice import (
     nef_decompose,
 )
 from nslattice.cli import main
-from nslattice.selfcheck import _determinant, _signature
+from nslattice.selfcheck import _inertia
 from test_cli import GOLDEN, MODEL_B9, MODEL_BH51
 
 
@@ -111,12 +111,16 @@ def test_criterion_4_lattice_invariants():
                 blowup_p2_lattice(r),
                 blowup_hirzebruch_lattice(n, r),
             ):
-                if abs(_determinant(lat.gram)) != 1:
+                gram = lat.gram
+                *signature, det = _inertia(gram)
+                if abs(det) != 1:
                     failures.append(f"not unimodular: {lat.to_json_dict()}")
-                if _signature(lat.gram) != (1, lat.rank - 1, 0):
+                if signature != [1, lat.rank - 1, 0]:
                     failures.append(f"wrong signature: {lat.to_json_dict()}")
-                if _signature(lat.gram) != oracles.fraction_signature(lat.gram):
+                if signature != list(oracles.fraction_signature(gram)):
                     failures.append(f"signature routes disagree: {lat.to_json_dict()}")
+                if det != oracles.fraction_determinant(gram):
+                    failures.append(f"determinant routes disagree: {lat.to_json_dict()}")
             k2 = {
                 hirzebruch_lattice(n): 8,
                 blowup_p2_lattice(r): 9 - r,

@@ -48,7 +48,8 @@ def exceptional_model(r):
 
 class TestWitnessValidation:
     def test_rank_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
+        # the message names the witness, as the CLI prints it (test_cli.py)
+        with pytest.raises(DimensionError, match=r"^witness \[1, 0, 0\] does not match lattice rank 2$"):
             SurfaceModel(hirzebruch_lattice(1), (CurveWitness(DivisorClass((1, 0, 0))),))
 
     def test_negative_genus_prime_rejected(self):

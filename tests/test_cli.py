@@ -296,6 +296,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["genus", "--family", "hirzebruch", "--n", "2", "--d="])
         assert (code, err) == (1, "nslattice: class of length 0 on a lattice of rank 2\n")
 
+    def test_witness_of_another_rank_is_one(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        model = {"lattice": {"family": "hirzebruch", "n": 1}, "curves": [{"coeffs": [1, 0, 0]}]}
+        path.write_text(json.dumps(model))
+        code, out, err = run_cli(capsys, ["blowup", "forced-fixed", "--json", str(path)])
+        assert (code, out, err) == (1, "", "nslattice: witness [1, 0, 0] does not match lattice rank 2\n")
+
     def test_negative_parameter_is_one(self, capsys):
         code, _, err = run_cli(capsys, ["hirzebruch", "anticanonical", "--n=-2"])
         assert code == 1

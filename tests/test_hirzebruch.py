@@ -68,6 +68,11 @@ def test_classes_on_different_surfaces_do_not_add():
         HirzebruchClass(1, 1, 0) + HirzebruchClass(2, 1, 0)
 
 
+def test_class_json_names_n():
+    # the document perfbench's api_query check reads
+    assert HirzebruchClass(3, 1, 0).to_json_dict() == {"n": 3, "a": 1, "b": 0}
+
+
 class TestEffective:
     def test_examples(self):
         assert is_effective(3, 2, 5)

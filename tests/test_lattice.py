@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -21,7 +21,7 @@ from nslattice import (
     lattice_from_json,
     make_lattice,
 )
-from nslattice.selfcheck import _determinant, _signature
+from nslattice.selfcheck import _inertia
 
 coeff = st.integers(min_value=-30, max_value=30)
 
@@ -106,6 +106,9 @@ class TestConstruction:
         d = DivisorClass((3, -1))
         assert divisor_from_json(d.to_json_dict()) == d
         assert divisor_from_json([3, -1]) == d
+
+    def test_divisor_length(self):
+        assert len(DivisorClass((1, 2, 3))) == 3
 
 
 class TestIntersect:
@@ -371,6 +374,16 @@ class TestEnumeration:
             enumerate_negative_rational_classes(lat, -1, 0)
 
 
+def _by_fractions(matrix):
+    return (*oracles.fraction_signature(matrix), oracles.fraction_determinant(matrix))
+
+
+# a symmetric matrix of small entries, so that many are singular
+symmetric = st.integers(min_value=0, max_value=7).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+).map(lambda m: [[m[min(i, j)][max(i, j)] for j in range(len(m))] for i in range(len(m))])
+
+
 class TestMatrixHelpers:
     @pytest.mark.parametrize("n", range(6))
     @pytest.mark.parametrize("r", range(6))
@@ -380,18 +393,27 @@ class TestMatrixHelpers:
             blowup_p2_lattice(r),
             blowup_hirzebruch_lattice(n, r),
         ):
-            assert abs(_determinant(lat.gram)) == 1
-            assert _determinant(lat.gram) == oracles.fraction_determinant(lat.gram)
-            assert _signature(lat.gram) == (1, lat.rank - 1, 0)
-            assert _signature(lat.gram) == oracles.fraction_signature(lat.gram)
+            pos, neg, zero, det = _inertia(lat.gram)
+            assert (pos, neg, zero) == (1, lat.rank - 1, 0) and abs(det) == 1
+            assert _inertia(lat.gram) == _by_fractions(lat.gram)
 
     def test_degenerate_matrix(self):
-        assert _determinant([[2, 1], [4, 2]]) == 0
-        # the empty matrix, a zero column (no pivot) and a row swap
-        for matrix in ((), [[0, 1], [0, 2]], [[0, 3, 1], [3, 0, 2], [1, 2, 1]]):
-            assert _determinant(matrix) == oracles.fraction_determinant(matrix)
-        assert _signature([[0, 0], [0, 0]]) == (0, 0, 2)
-        assert _signature([[0, 1], [1, 0]]) == (1, 1, 0)
+        # the empty matrix, a zero row (no pivot), a row swap and a singular
+        # matrix whose pivots are all nonzero until its last row
+        for matrix in ((), [[0, 0], [0, 2]], [[0, 3, 1], [3, 0, 2], [1, 2, 1]], [[2, 4], [4, 8]]):
+            assert _inertia(matrix) == _by_fractions(matrix)
+        assert _inertia([[0, 0], [0, 0]]) == (0, 0, 2, 0)
+        # all-zero diagonal: the pivot comes from adding a basis vector
+        assert _inertia([[0, 1], [1, 0]]) == (1, 1, 0, -1)
+        assert _inertia([[2, 4], [4, 8]]) == (1, 0, 1, 0)
+
+    @seed(20260808)
+    @settings(deadline=None)
+    @example([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+    @example([[0, 2, 0], [2, 0, 0], [0, 0, 0]])
+    @given(symmetric)
+    def test_symmetric_matrices_by_fractions(self, matrix):
+        assert _inertia(matrix) == _by_fractions(matrix)
 
     def test_k_squared_by_family(self):
         for n in range(21):

@@ -60,6 +60,14 @@ def test_all_checks_pass_quick_config():
     assert failed == [], failed
 
 
+def test_no_config_runs_the_default(monkeypatch):
+    # recorders in place of the checks, so that the default config is not run
+    seen = []
+    monkeypatch.setattr(selfcheck, "ALL_CHECKS", (seen.append, seen.append))
+    assert run_selfcheck() == [None, None]
+    assert seen == [SelfcheckConfig(), SelfcheckConfig()]
+
+
 def test_results_are_deterministic():
     first = run_selfcheck(QUICK)
     second = run_selfcheck(QUICK)
@@ -141,8 +149,10 @@ WRONG = {
          ["odd adjunction"]),
     ],
     "lattice_invariants": [
-        (selfcheck, "_determinant", lambda f: lambda gram: 2, ["Gram determinant not unimodular"]),
-        (selfcheck, "_signature", lambda f: lambda gram: (1, 0, 0), ["signature not (1, rank-1)"]),
+        (selfcheck, "_inertia", lambda f: lambda gram: (*f(gram)[:3], 2),
+         ["Gram determinant not unimodular"]),
+        (selfcheck, "_inertia", lambda f: lambda gram: (1, 0, 0, f(gram)[3]),
+         ["signature not (1, rank-1)"]),
         (SurfaceLattice, "self_intersection", lambda f: lambda lat, d: f(lat, d) + 1, ["K.K = "]),
     ],
     "canonical_convention": [
