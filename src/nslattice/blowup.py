@@ -77,16 +77,17 @@ def witness_from_json(doc: dict) -> CurveWitness:
 class SurfaceModel:
     """A lattice plus a (possibly incomplete) list of known prime classes.
 
-    Each witness's length is checked and its K.C computed once, here; ``_kc``
-    holds those values in list order, and the verdicts below read them.
+    Each witness's length, and p_a >= 0 by the lattice's ``_genus`` if it is asserted
+    prime, are checked once, here; ``_forced`` holds the pairs (witness, K.C) with
+    K.C > 0 in list order, and the verdicts below read it.
     """
 
     lattice: SurfaceLattice
     curves: tuple[CurveWitness, ...] = ()
-    _kc: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _forced: tuple[tuple[CurveWitness, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        lat, kcs = self.lattice, []
+        lat, forced = self.lattice, []
         if not isinstance(lat, SurfaceLattice):
             raise _refuse(lat, "lattice", "a SurfaceLattice")
         # a witness's class and flag are checked, so only a non-witness raises these here;
@@ -102,22 +103,17 @@ class SurfaceModel:
                     raise DimensionError(f"witness {list(c)} does not match lattice rank {lat.rank}")
                 if type(d) is not DivisorClass:
                     lat._check(d)  # refuses a class of another n
-                kc = lat._k_dot(c)
-                # p_a = 1 + (C.C + K.C)/2 >= 0 by adjunction
-                if w.asserted_prime and lat._pair(c, c) + kc < -2:
+                if w.asserted_prime and lat._genus(c) < 0:
                     raise PreconditionError(
                         f"class {list(c)} has negative arithmetic genus and "
                         "cannot contain a prime divisor"
                     )
-                kcs.append(kc)
+                if (kc := lat._k_dot(c)) > 0:
+                    forced.append((w, kc))
         except (TypeError, AttributeError):
             raise _refuse(self.curves, "curves", "a list of CurveWitness values") from None
         _set(self, "curves", curves)
-        _set(self, "_kc", tuple(kcs))
-
-    def _forced(self) -> list[tuple[CurveWitness, int]]:
-        """The pairs (witness, K.C) with K.C > 0, in list order."""
-        return [(w, kc) for w, kc in zip(self.curves, self._kc) if kc > 0]
+        _set(self, "_forced", tuple(forced))
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,10 +203,10 @@ class Report:
 INCOMPLETE_VERDICT = "witness set provably incomplete or surface not anticanonical-nef"
 
 
-def _of_model(model: SurfaceModel, name: str):
-    """``model``'s attribute ``name``, or the refusal of a model that has none."""
+def _read(model: SurfaceModel) -> tuple:
+    """``model``'s lattice, curves and forced pairs, or the refusal of a model lacking one."""
     try:
-        return getattr(model, name)
+        return model.lattice, model.curves, model._forced
     except AttributeError:
         raise _refuse(model, "model", "a SurfaceModel") from None
 
@@ -221,11 +217,11 @@ def nef_against_witnesses(model: SurfaceModel, d: DivisorClass) -> NefVerdict:
     Returns the first witness (in list order) pairing negatively with D.  An
     empty witness list yields a vacuous nef verdict flagged as empty evidence.
     """
-    lat = _of_model(model, "lattice")
+    lat, curves, _ = _read(model)
     c = lat._check(d)
-    if not model.curves:
+    if not curves:
         return NefVerdict(True, empty_evidence=True)
-    for w in model.curves:
+    for w in curves:
         pairing = lat._pair(c, w.cls.coeffs)
         if pairing < 0:
             return NefVerdict(False, violator=w, pairing=pairing)
@@ -241,8 +237,7 @@ def forced_fixed_components(model: SurfaceModel) -> list[CurveWitness]:
     ``asserted_prime`` is not read: on F_3 a witness 2C_3 (p_a = -4) marked
     not prime is listed, though the fixed part of |-K| is C_3 once.
     """
-    forced = _of_model(model, "_forced")
-    return [w for w, _ in forced()]
+    return [w for w, _ in _read(model)[2]]
 
 
 def _prime_class(model: SurfaceModel, witness: CurveWitness, user: str) -> tuple:
@@ -253,7 +248,7 @@ def _prime_class(model: SurfaceModel, witness: CurveWitness, user: str) -> tuple
         raise _refuse(witness, "witness", "a CurveWitness") from None
     if not prime:
         raise PreconditionError(f"{user} requires a witness asserted to be prime")
-    lat = _of_model(model, "lattice")
+    lat = _read(model)[0]
     c = lat._check(witness.cls)
     return lat, c, lat._pair(c, c)
 
@@ -267,8 +262,8 @@ def classify_fixed_component(model: SurfaceModel, witness: CurveWitness) -> Fixe
     other combination is impossible and reported as a theorem violation.
     """
     lat, c, s = _prime_class(model, witness, "classification")
-    # adjunction, and Noether's formula K.K = 10 - rho on a rational surface
-    pa, k2 = 1 + (s + lat._k_dot(c)) // 2, 10 - lat.rank
+    # Noether's formula K.K = 10 - rho on a rational surface
+    pa, k2 = lat._genus(c), 10 - lat.rank
     if pa == 0 and s <= -1:
         return FixedComponentKind(NEGATIVE_RATIONAL, n=-s)
     if pa != 1 or s > 0:
@@ -301,16 +296,15 @@ def anticanonical_consequence_check(model: SurfaceModel, witness_complete: bool)
     a theorem violation.  ``witness_complete`` is true or false, nothing else.
     """
     json_bool(witness_complete, "witness_complete")
-    lat = _of_model(model, "lattice")
+    lat, curves, forced = _read(model)
     k2 = 10 - lat.rank  # Noether's formula on a rational surface
-    forced = model._forced()
     details: list[str] = []
 
     if not forced:
-        if not model.curves:
+        if not curves:
             details.append("no witnesses supplied; the nef verdict is vacuous")
         else:
-            details.append(f"-K pairs >= 0 with all {len(model.curves)} witnesses")
+            details.append(f"-K pairs >= 0 with all {len(curves)} witnesses")
         details.append(
             "witness list asserted complete: -K is nef"
             if witness_complete
@@ -337,10 +331,9 @@ def anticanonical_consequence_check(model: SurfaceModel, witness_complete: bool)
         return Report("inconclusive", tuple(details), ())
 
     details.append(f"K.K = {k2} >= 0 and -K is not nef against the witnesses")
-    for w, kc in forced:
+    for w, _ in forced:
         c = w.cls.coeffs
-        s = lat._pair(c, c)
-        pa = 1 + (s + kc) // 2
+        s, pa = lat._pair(c, c), lat._genus(c)
         if pa == 0:
             # adjunction: K.C >= 1 and p_a = 0 give C.C = -2 - K.C <= -3
             details.append(
@@ -368,12 +361,10 @@ def lemma_move_check(model: SurfaceModel, witness: CurveWitness) -> Report:
             (f"self-intersection {s} <= 0: no conclusion about moving",),
             (),
         )
-    kd = lat._k_dot(c)
-    # Riemann-Roch: chi(O(G)) = 1 + (G.G - K.G)/2
-    bound = lat._h0_bound(c, 1 + (s - kd) // 2)
+    bound = lat.h0_lower_bound(witness.cls)
     details = (
         f"self-intersection {s} > 0",
-        f"K pairing {kd}",
+        f"K pairing {lat._k_dot(c)}",
         f"h^0 lower bound {bound}",
     )
     if bound >= 2:

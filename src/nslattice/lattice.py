@@ -169,12 +169,8 @@ class SurfaceLattice:
         return self._genus(c) - self._k_dot(c)
 
     def h0_lower_bound(self, d: DivisorClass) -> int:
-        """max(0, chi(O(D))) when K - D is certified not effective, else 0."""
-        c = self._check(d)
-        return self._h0_bound(c, self._genus(c) - self._k_dot(c))
-
-    def _h0_bound(self, c: tuple[int, ...], chi: int) -> int:
-        """The bound of ``h0_lower_bound`` for checked coefficients c of chi(D) = chi.
+        """max(0, chi(O(D))) when K - D is certified not effective, else 0; the
+        Riemann-Roch bound that ``lemma_move_check`` reads too.
 
         h^0(D) = chi(D) + h^1(D) - h^0(K - D) by Serre duality, so chi(D) <= h^0(D)
         once N.(K - D) < 0 for a nef N certifies that K - D is not effective.
@@ -182,6 +178,8 @@ class SurfaceLattice:
         it does not certify, N.D <= N.K < 0, so D is not effective and 0 is
         exact: on F_1, D = -5C - 5F has chi(D) = 6 but h^0(D) = 0.
         """
+        c = self._check(d)
+        chi = self._genus(c) - self._k_dot(c)
         if chi > 0 and self.canonical.coeffs[0] < c[0]:
             return chi
         return 0

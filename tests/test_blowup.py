@@ -41,6 +41,12 @@ def hirzebruch_model(n):
     )
 
 
+def public_forced_pairs(model):
+    """The pairs (witness, K.C) with K.C > 0 in list order, by the public canonical_pairing."""
+    lat = model.lattice
+    return tuple((w, kc) for w in model.curves if (kc := lat.canonical_pairing(w.cls)) > 0)
+
+
 def exceptional_model(r):
     lat = blowup_p2_lattice(r)
     return SurfaceModel(lat, tuple(CurveWitness(lat.basis_class(i)) for i in range(1, r + 1)))
@@ -88,16 +94,18 @@ class TestWitnessValidation:
 
     def test_stored_pairings_are_no_part_of_the_value(self):
         model = hirzebruch_model(3)
-        assert model._kc == (1, -2)  # K = -2C_3 - 5F
+        # K = -2C_3 - 5F: K.C_3 = 1 is forced, K.F = -2 is not
+        assert model._forced == public_forced_pairs(model) == ((model.curves[0], 1),)
         twin = hirzebruch_model(3)
-        object.__setattr__(twin, "_kc", (0, 0))
+        object.__setattr__(twin, "_forced", ())
         assert twin == model and hash(twin) == hash(model)
-        assert repr(twin) == repr(model) and "_kc" not in repr(model)
+        assert repr(twin) == repr(model) and "_forced" not in repr(model)
         assert twin.to_json_dict() == model.to_json_dict()
-        # replace builds the model anew, so the pairings follow the new curves
-        lat = model.lattice
-        moved = dataclasses.replace(model, curves=[CurveWitness(DivisorClass((1, 1)))])
-        assert moved._kc == (lat.canonical_pairing(DivisorClass((1, 1))),) == (-1,)
+        # replace builds the model anew, so the forced pairs follow the new curves
+        section, curve = CurveWitness(DivisorClass((1, 1))), CurveWitness(DivisorClass((1, 0)))
+        moved = dataclasses.replace(model, curves=[section, curve])
+        assert moved._forced == public_forced_pairs(moved) == ((curve, 1),)  # K.(C_3 + F) = -1
+        assert dataclasses.replace(model, curves=[section])._forced == ()
         assert type(moved.curves) is tuple
 
     @pytest.mark.parametrize(
@@ -399,10 +407,9 @@ def models_with_large_witnesses(draw):
 
 @given(models_with_large_witnesses(), st.booleans())
 def test_verdicts_match_the_reference_formulas(case, witness_complete):
-    # the verdicts read each witness's stored K.C and take K.K = 10 - rank
+    # the verdicts read the stored forced pairs and take K.K = 10 - rank
     model, extra = case
-    lat = model.lattice
-    assert model._kc == tuple(lat.canonical_pairing(w.cls) for w in model.curves)
+    assert model._forced == public_forced_pairs(model)
     assert forced_fixed_components(model) == oracles.reference_forced_fixed_components(model)
     assert anticanonical_consequence_check(model, witness_complete).to_json_dict() == (
         oracles.reference_anticanonical_consequence_check(model, witness_complete)

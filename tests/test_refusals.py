@@ -6,6 +6,7 @@ is also the TypeError the Python API documents."""
 import sys
 from dataclasses import fields
 from operator import neg
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -104,6 +105,13 @@ MODEL_CALLS = (
     lambda m: classify_fixed_component(m, ZERO_WITNESS),
     lambda m: lemma_move_check(m, ZERO_WITNESS),
 )
+# objects with a lattice that are no model: nef, consequences, classify and lemma-move
+# took them, or ended in a bare AttributeError on 'curves' or '_forced'
+LATTICE_ONLY = (
+    SimpleNamespace(lattice=LAT),
+    SimpleNamespace(lattice=F3),
+    SimpleNamespace(lattice=LAT, curves=()),
+)
 LATTICE_CALLS = (
     lambda lat: enumerate_negative_rational_classes(lat, -1, 1),
     lambda lat: basis_change_to_p2(lat, LAT.zero_class()),
@@ -129,7 +137,9 @@ CASES = [
      lambda b: enumerate_negative_rational_classes(LAT, -1, b)),
     # these failed with AttributeError on '_forced', 'lattice', 'family' or 'n'
     ("verdict-model", InputError,
-     st.tuples(st.sampled_from(MODEL_CALLS), not_int | st.lists(any_int)), lambda t: t[0](t[1])),
+     st.tuples(st.sampled_from(MODEL_CALLS),
+               not_int | st.lists(any_int) | st.sampled_from(LATTICE_ONLY)),
+     lambda t: t[0](t[1])),
     ("lattice-argument", InputError,
      st.tuples(st.sampled_from(LATTICE_CALLS), not_int | st.lists(any_int)), lambda t: t[0](t[1])),
     # C_5 was paired on F_3 as C_3, and Bl_1 P^2, whose n is None, took a class of any F_n
@@ -286,6 +296,14 @@ def test_refusal_names_the_shape_or_the_parameter(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call", MODEL_CALLS)
+@pytest.mark.parametrize("model", LATTICE_ONLY)
+def test_a_lattice_alone_is_no_model(call, model):
+    with pytest.raises(InputError) as info:
+        call(model)
+    assert str(info.value).startswith("model must be a SurfaceModel, got namespace(lattice=")
 
 
 def test_input_error_is_a_domain_error_and_a_type_error():
