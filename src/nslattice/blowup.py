@@ -87,31 +87,30 @@ class SurfaceModel:
     _forced: tuple[tuple[CurveWitness, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        lat, forced = self.lattice, []
+        lat, curves, forced = self.lattice, self.curves, []
         if not isinstance(lat, SurfaceLattice):
             raise _refuse(lat, "lattice", "a SurfaceLattice")
-        # a witness's class and flag are checked, so only a non-witness raises these here;
-        # curves must be a list or tuple, as in model_from_json: "" and {} are no witnesses
-        try:
-            if not isinstance(self.curves, (list, tuple)):
-                raise TypeError
-            curves = tuple(self.curves)
-            for w in curves:
-                d = w.cls
-                c = d.coeffs
-                if len(c) != lat.rank:
-                    raise DimensionError(f"witness {list(c)} does not match lattice rank {lat.rank}")
-                if type(d) is not DivisorClass:
-                    lat._check(d)  # refuses a class of another n
-                if w.asserted_prime and lat._genus(c) < 0:
-                    raise PreconditionError(
-                        f"class {list(c)} has negative arithmetic genus and "
-                        "cannot contain a prime divisor"
-                    )
-                if (kc := lat._k_dot(c)) > 0:
-                    forced.append((w, kc))
-        except (TypeError, AttributeError):
-            raise _refuse(self.curves, "curves", "a list of CurveWitness values") from None
+        # a list or tuple of witnesses, as in model_from_json: "" and {} are no witnesses;
+        # a witness's class and flag were checked when it was built
+        if not isinstance(curves, (list, tuple)):
+            raise _refuse(curves, "curves", "a list of CurveWitness values")
+        curves = tuple(curves)
+        for w in curves:
+            if not isinstance(w, CurveWitness):
+                raise _refuse(self.curves, "curves", "a list of CurveWitness values")
+            d = w.cls
+            c = d.coeffs
+            if len(c) != lat.rank:
+                raise DimensionError(f"witness {list(c)} does not match lattice rank {lat.rank}")
+            if type(d) is not DivisorClass:
+                lat._check(d)  # refuses a class of another n
+            if w.asserted_prime and lat._genus(c) < 0:
+                raise PreconditionError(
+                    f"class {list(c)} has negative arithmetic genus and "
+                    "cannot contain a prime divisor"
+                )
+            if (kc := lat._k_dot(c)) > 0:
+                forced.append((w, kc))
         _set(self, "curves", curves)
         _set(self, "_forced", tuple(forced))
 
@@ -204,11 +203,10 @@ INCOMPLETE_VERDICT = "witness set provably incomplete or surface not anticanonic
 
 
 def _read(model: SurfaceModel) -> tuple:
-    """``model``'s lattice, curves and forced pairs, or the refusal of a model lacking one."""
-    try:
-        return model.lattice, model.curves, model._forced
-    except AttributeError:
-        raise _refuse(model, "model", "a SurfaceModel") from None
+    """``model``'s lattice, curves and forced pairs, or the refusal of a non-model."""
+    if not isinstance(model, SurfaceModel):
+        raise _refuse(model, "model", "a SurfaceModel")
+    return model.lattice, model.curves, model._forced
 
 
 def nef_against_witnesses(model: SurfaceModel, d: DivisorClass) -> NefVerdict:
@@ -242,11 +240,9 @@ def forced_fixed_components(model: SurfaceModel) -> list[CurveWitness]:
 
 def _prime_class(model: SurfaceModel, witness: CurveWitness, user: str) -> tuple:
     """The lattice, coefficients and square of a witness that ``user`` requires asserted prime."""
-    try:
-        prime = witness.asserted_prime
-    except AttributeError:
-        raise _refuse(witness, "witness", "a CurveWitness") from None
-    if not prime:
+    if not isinstance(witness, CurveWitness):
+        raise _refuse(witness, "witness", "a CurveWitness")
+    if not witness.asserted_prime:
         raise PreconditionError(f"{user} requires a witness asserted to be prime")
     lat = _read(model)[0]
     c = lat._check(witness.cls)

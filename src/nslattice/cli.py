@@ -2,8 +2,10 @@
 
 One subcommand per invocation, one JSON document on standard output.  Inputs
 come as flags or through ``--json FILE``, whose keys fill in anything not
-given as a flag.  A flag's text is read as the JSON its payload key would
-hold (``--d=null`` is absent), and a class flag's as the list's entries:
+given as a flag, and from nowhere else: the selfcheck config is a ``--json``
+payload like any other, and no command reads the environment.  A flag's text
+is read as the JSON its payload key would hold (``--d=null`` is absent), and
+a class flag's as the list's entries:
 ``--d=-2,-5`` is ``"d": [-2, -5]``.  The library types each value where it
 uses it and names it by its payload key: a float or string where an integer
 belongs (``--r 1.5``, ``--r 07``), or anything but ``true``/``false`` where a
@@ -30,8 +32,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
-
-CONFIG_ENV = "NSLATTICE_CONFIG"
 
 
 def _read_json(path: str) -> dict:
@@ -63,15 +63,9 @@ def _json_text(text: str, vector: bool = False):
 
 
 def _inputs(args: argparse.Namespace) -> dict:
-    """The ``--json`` payload with every input flag that was given laid over it.
-
-    ``json_object`` drops the payload's nulls.  Without ``--json``, selfcheck
-    reads its config file from the environment.
-    """
-    path = args.json
-    if path is None and args.handler is cmd_selfcheck:
-        path = os.environ.get(CONFIG_ENV)
-    payload = _read_json(path) if path else {}
+    """The ``--json`` payload with every input flag that was given laid over it;
+    ``json_object`` drops the payload's nulls."""
+    payload = _read_json(args.json) if args.json else {}
     flags = {k: getattr(args, k) for k in args.dests if getattr(args, k) is not None}
     return {**payload, **flags}
 

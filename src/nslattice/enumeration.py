@@ -155,6 +155,8 @@ def enumerate_negative_rational_classes(
     coefficients of every class listed, charged before any class is built);
     a request beyond it raises InvalidParameterError.
     """
+    # probed, not tested by type: SurfaceLattice belongs to the lazy lattice module,
+    # which can be loaded twice, while family is compared with the eager Family
     try:
         family = lattice.family
     except AttributeError:

@@ -39,9 +39,9 @@ class HirzebruchClass(DivisorClass):
     b = property(lambda self: self.coeffs[1], doc="The multiple of F.")
 
     def _match(self, other: DivisorClass) -> None:
+        super()._match(other)
         if getattr(other, "n", self.n) != self.n:
             raise InvalidParameterError("classes live on different Hirzebruch surfaces")
-        super()._match(other)
 
     def to_json_dict(self) -> dict:
         a, b = self.coeffs

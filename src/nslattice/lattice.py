@@ -106,17 +106,18 @@ class SurfaceLattice:
         return tuple(map(tuple, rows))
 
     def _check(self, d: DivisorClass) -> tuple[int, ...]:
-        try:
-            c = d.coeffs
-        except AttributeError:
-            raise _refuse(d, "d", "a DivisorClass") from None
+        if type(d) is not DivisorClass:
+            # anything else must be a subclass, which may name its F_n, as a
+            # HirzebruchClass does: C_5 is no C_3
+            if not isinstance(d, DivisorClass):
+                raise _refuse(d, "d", "a DivisorClass")
+            if getattr(d, "n", self.n) != self.n:
+                raise InvalidParameterError(
+                    f"class with n = {_shown(d.n)} on a lattice with n = {_shown(self.n)}"
+                )
+        c = d.coeffs
         if len(c) != self.rank:
             raise DimensionError(f"class of length {len(c)} on a lattice of rank {self.rank}")
-        # a subclass may name its F_n, as a HirzebruchClass does: C_5 is no C_3
-        if type(d) is not DivisorClass and getattr(d, "n", self.n) != self.n:
-            raise InvalidParameterError(
-                f"class with n = {_shown(d.n)} on a lattice with n = {_shown(self.n)}"
-            )
         return c
 
     def _pair(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
@@ -259,10 +260,9 @@ def basis_change_to_p2(lattice: SurfaceLattice, d: DivisorClass) -> DivisorClass
     points; for n >= 2, C_n maps to no curve, so numerical only.  FamilyError on
     Bl_r P^2, already a plane model, and on F_n with n even and no point: U is even.
     """
-    try:
-        n, r = lattice.n, lattice.r
-    except AttributeError:
-        raise _refuse(lattice, "lattice", "a SurfaceLattice") from None
+    if not isinstance(lattice, SurfaceLattice):
+        raise _refuse(lattice, "lattice", "a SurfaceLattice")
+    n, r = lattice.n, lattice.r
     if n is None or not (n & 1 or r):
         raise FamilyError("basis change needs F_n with n odd or a blowup of F_n at r >= 1 points")
     if r == MAX_BLOWUP_POINTS:

@@ -61,6 +61,8 @@ class DivisorClass:
         return len(self.coeffs)
 
     def _match(self, other: "DivisorClass") -> None:
+        if not isinstance(other, DivisorClass):
+            raise _refuse(other, "a class's operand", "a DivisorClass")
         if len(self.coeffs) != len(other.coeffs):
             raise DimensionError(
                 f"coefficient vectors of lengths {len(self.coeffs)} and "

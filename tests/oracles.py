@@ -5,8 +5,9 @@ bilinear expansion instead of Gram-matrix products, exhaustive generator sums
 instead of inequality tests, multiset enumeration with multinomial counting
 instead of the pruned lexicographic search, rational elimination instead of
 integer congruence reduction, plain randint/randrange calls instead of the
-selfcheck's inlined sampler, and sections counted on P^1 instead of
-Riemann-Roch.  Only the reference witness reader imports the package, to
+selfcheck's inlined sampler, and sections counted on P^1, or as the
+polynomials through concrete points of the plane over a prime field, instead
+of Riemann-Roch.  Only the reference witness reader imports the package, to
 compose the library's own readers as they were first composed.
 """
 
@@ -54,6 +55,76 @@ def h0_hirzebruch(n, a, b):
     Algebraic Geometry, V.2), a sum of the O(b - i n) for i = 0..a, and a
     class with a < 0 has no sections."""
     return sum(max(0, b - i * n + 1) for i in range(a + 1))
+
+
+# -- sections through concrete points of the plane, over GF(P) --------------
+
+P = 2**61 - 1  # a Mersenne prime
+
+
+def _rank_mod_p(rows, width):
+    """The rank of a list of rows of length ``width`` over GF(P), by elimination."""
+    rows, rank = [row[:] for row in rows], 0
+    for col in range(width):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], P - 2, P)
+        head = [x * inv % P for x in rows[rank]]
+        rows[rank] = head
+        for i in range(rank + 1, len(rows)):
+            if f := rows[i][col]:
+                rows[i] = [(x - f * h) % P for x, h in zip(rows[i], head)]
+        rank += 1
+    return rank
+
+
+def h0_through_points(points, coeffs):
+    """h^0(dH + sum e_i E_i) on P^2 blown up at the distinct affine points
+    ``points`` over GF(P), for ``coeffs`` = (d, e_1..e_r): the dimension of the
+    polynomials of degree <= d in x, y that vanish to order m_i = max(0, -e_i)
+    at the i-th point (an E_i with e_i > 0 is a fixed part and adds nothing).
+    Order m at (a, b) means that every coefficient of (x - a)^j (y - b)^k with
+    j + k < m is 0; for the monomial x^u y^v that coefficient is
+    C(u, j) a^(u - j) C(v, k) b^(v - k)."""
+    d, *e = coeffs
+    if d < 0:
+        return 0
+    monomials = [(u, t - u) for t in range(d + 1) for u in range(t + 1)]
+    rows = [
+        [math.comb(u, j) * pow(a, u - j, P) * math.comb(v, k) * pow(b, v - k, P) % P
+         if u >= j and v >= k else 0
+         for u, v in monomials]
+        for (a, b), ei in zip(points, e)
+        for j in range(-ei)
+        for k in range(-ei - j)
+    ]
+    return len(monomials) - _rank_mod_p(rows, len(monomials))
+
+
+def _affine(rng, xy):
+    """A random invertible affine map of GF(P)^2 applied to each point of ``xy``."""
+    while True:
+        a, b, c, d, s, t = (rng.randrange(P) for _ in range(6))
+        if (a * d - b * c) % P:
+            return [((a * x + b * y + s) % P, (c * x + d * y + t) % P) for x, y in xy]
+
+
+def plane_points(kind, r, rng):
+    """r distinct points of GF(P)^2: in general position (with high probability),
+    on one line, on two lines (alternately), or on a conic, the image of the
+    parabola (t, t^2) under an affine map."""
+    ts = rng.sample(range(1, P), r)
+    if kind == "general":
+        return [(rng.randrange(P), rng.randrange(P)) for _ in range(r)]
+    if kind == "line":
+        return _affine(rng, [(t, 0) for t in ts])
+    if kind == "two lines":
+        # the lines y = 0 and y = x, which meet at the origin, never drawn
+        return _affine(rng, [(t, t * (i % 2)) for i, t in enumerate(ts)])
+    assert kind == "conic"
+    return _affine(rng, [(t, t * t % P) for t in ts])
 
 
 def generated_monoid(g1, g2, copies):

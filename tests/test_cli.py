@@ -252,14 +252,6 @@ class TestSelfcheck:
         code, out2, _ = run_cli(capsys, ["selfcheck", "--json", str(path)])
         assert code == 0 and out2 == out
 
-    def test_config_env_var(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(SMALL_SELFCHECK))
-        monkeypatch.setenv("NSLATTICE_CONFIG", str(path))
-        code, out, _ = run_cli(capsys, ["selfcheck"])
-        assert code == 0
-        assert out == SELFCHECK_GOLDEN
-
     def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"bogus_key": 3}')
@@ -686,17 +678,12 @@ def test_selfcheck_config_past_the_blowup_bound_is_usage_error(capsys, tmp_path)
     assert "family_r_max" in err and "10,000" in err
 
 
-@pytest.mark.parametrize("via", ["--json", "env"])
-def test_too_deeply_nested_payload_is_usage_error(capsys, tmp_path, monkeypatch, via):
+@pytest.mark.parametrize("via", ["--json"])
+def test_too_deeply_nested_payload_is_usage_error(capsys, tmp_path, via):
     # json.load raises RecursionError long before this depth is reached
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)
-    if via == "env":
-        monkeypatch.setenv("NSLATTICE_CONFIG", str(path))
-        argv = ["selfcheck"]
-    else:
-        argv = ["intersect", "--json", str(path)]
-    code, out, err = run_cli(capsys, argv)
+    code, out, err = run_cli(capsys, ["intersect", via, str(path)])
     assert code == 2
     assert out == ""
     assert err.startswith("nslattice: malformed JSON payload") and err.count("\n") == 1
@@ -840,8 +827,7 @@ NULL_OPTIONAL = {
 
 
 @pytest.mark.parametrize("argv,absent,null", NULL_OPTIONAL.values(), ids=NULL_OPTIONAL.keys())
-def test_null_optional_key_takes_its_default(capsys, tmp_path, monkeypatch, argv, absent, null):
-    monkeypatch.delenv("NSLATTICE_CONFIG", raising=False)
+def test_null_optional_key_takes_its_default(capsys, tmp_path, argv, absent, null):
     runs = []
     for doc in (absent, null):
         path = tmp_path / "payload.json"
@@ -858,22 +844,22 @@ def test_null_required_key_is_missing(capsys, tmp_path):
     assert (code, out, err) == (2, "", "nslattice: blowup_p2 lattice requires r\n")
 
 
-def test_explicit_json_wins_over_config_env(capsys, tmp_path, monkeypatch):
+def test_selfcheck_reads_no_config_from_the_environment(capsys, tmp_path, monkeypatch):
+    # the config comes through --json alone: a file the variable once named is not read
     import nslattice.selfcheck as sc
 
     configs = []
     monkeypatch.setattr(sc, "run_selfcheck", lambda config: configs.append(config) or [])
     (tmp_path / "bad.json").write_text('{"bogus": 1}')
-    (tmp_path / "empty.json").write_text("{}")
     monkeypatch.setenv("NSLATTICE_CONFIG", str(tmp_path / "bad.json"))
-    code, out, err = run_cli(capsys, ["selfcheck", "--json", str(tmp_path / "empty.json")])
-    assert (code, err) == (0, "")
+    assert run_cli(capsys, ["selfcheck"]) == (0, '{"passed": true, "checks": []}\n', "")
     assert configs == [sc.SelfcheckConfig()]
 
 
 @pytest.mark.parametrize("argv,expected", GOLDEN, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_config_env_is_read_by_selfcheck_only(capsys, tmp_path, monkeypatch, argv, expected):
-    # any other command that read the missing file would exit 2
+    # no command reads the variable, selfcheck included (the test above);
+    # any command that read the missing file would exit 2
     monkeypatch.setenv("NSLATTICE_CONFIG", str(tmp_path / "missing.json"))
     assert run_cli(capsys, argv) == (0, expected, "")
 

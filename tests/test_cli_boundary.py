@@ -39,7 +39,6 @@ PAST_BUDGET = ["enumerate", "--r", str(POINTS), "--self-int=-3", "--degree-bound
 def low_bounds(monkeypatch):
     monkeypatch.setattr(lattice, "MAX_BLOWUP_POINTS", POINTS)
     monkeypatch.setattr(enumeration, "ENUMERATION_BUDGET", BUDGET)
-    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
 
 
 def run(argv):

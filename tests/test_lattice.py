@@ -213,6 +213,41 @@ class TestH0Bound:
         lat = blowup_p2_lattice(2)
         assert lat.h0_lower_bound(DivisorClass((1, 0, 0))) == 3
 
+    @pytest.mark.parametrize(
+        "kind,coeffs,h0",
+        [
+            ("general", (2, 0), 6),
+            ("general", (1, 1), 3),  # E_1 is a fixed part
+            ("general", (-1, 0), 0),
+            ("general", (2, -2), 3),  # the line pairs through the point
+            ("general", (1, -1, -1, -1), 0),
+            ("line", (1, -1, -1, -1), 1),
+            ("general", (2, -1, -1, -1, -1, -1), 1),
+            ("general", (2, -1, -1, -1, -1, -1, -1), 0),
+            ("conic", (2, -1, -1, -1, -1, -1, -1), 1),
+            ("two lines", (2, -1, -1, -1, -1, -1, -1), 1),
+            ("line", (2, -1, -1, -1, -1), 3),  # the line plus any line
+        ],
+    )
+    def test_points_oracle_counts_known_systems(self, kind, coeffs, h0):
+        import random
+
+        points = oracles.plane_points(kind, len(coeffs) - 1, random.Random(7))
+        assert oracles.h0_through_points(points, coeffs) == h0
+
+    @seed(20261020)
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(("general", "line", "two lines", "conic")), st.integers(1, 6),
+           st.integers(0, 2**32), st.data())
+    def test_bound_never_exceeds_the_sections_through_points(self, kind, r, points_seed, data):
+        import random
+
+        lat = blowup_p2_lattice(r)
+        points = oracles.plane_points(kind, r, random.Random(points_seed))
+        classes = st.tuples(st.integers(0, 5), *[st.integers(-3, 1)] * r)
+        for coeffs in data.draw(st.lists(classes, min_size=5, max_size=5)):
+            assert lat.h0_lower_bound(DivisorClass(coeffs)) <= oracles.h0_through_points(points, coeffs)
+
 
 class TestBasisChanges:
     def test_f1_examples(self):

@@ -5,7 +5,7 @@ is also the TypeError the Python API documents."""
 
 import sys
 from dataclasses import fields
-from operator import neg
+from operator import add, neg, sub
 from types import SimpleNamespace
 
 import pytest
@@ -117,6 +117,32 @@ LATTICE_CALLS = (
     lambda lat: basis_change_to_p2(lat, LAT.zero_class()),
 )
 
+
+def look_alike(rank):
+    """An object with the ``coeffs`` of a class of this rank, of floats, strings or
+    ints, which is no DivisorClass."""
+    entries = st.lists(st.floats() | st.text(max_size=2) | st.integers(), min_size=rank, max_size=rank)
+    return entries.map(lambda c: SimpleNamespace(coeffs=tuple(c)))
+
+
+# an object with a real class and a flag that is no bool, which is no CurveWitness
+look_alike_witness = st.lists(st.integers(-3, 3), min_size=3, max_size=3).map(
+    lambda c: SimpleNamespace(cls=DivisorClass(c), asserted_prime="yes")
+)
+
+
+def naming(arg, call):
+    """``call``, whose InputError must name ``arg``: another refusal fails the test."""
+
+    def named(value):
+        try:
+            call(value)
+        except InputError as exc:
+            assert str(exc).startswith(f"{arg} must be "), exc
+            raise
+
+    return named
+
 # (name, error, strategy of the refused arguments, the call)
 CASES = [
     ("class-coeffs", InputError, with_non_int, DivisorClass),
@@ -154,6 +180,27 @@ CASES = [
          lambda d, method=method: getattr(LAT, method)(*[d] * (method == "intersect"), d))
         for method in CLASS_METHODS
     ],
+    # look-alikes are refused by type, whatever their attributes hold
+    *[
+        (f"{method}-look-alike", InputError, look_alike(LAT.rank),
+         naming("d", lambda d, method=method: getattr(LAT, method)(*[d] * (method == "intersect"), d)))
+        for method in CLASS_METHODS
+    ],
+    ("basis_change_to_p2-look-alike", InputError, look_alike(2),
+     naming("d", lambda d: basis_change_to_p2(hirzebruch_lattice(1), d))),
+    ("basis_change_to_p2-lattice-look-alike", InputError,
+     st.builds(SimpleNamespace, n=st.integers(0, 5), r=st.none() | st.integers(0, 3)),
+     naming("lattice", lambda lat: basis_change_to_p2(lat, DivisorClass((1, 0))))),
+    ("operand-look-alike", InputError,
+     st.tuples(st.sampled_from((DivisorClass((1, 0)), HirzebruchClass(1, 1, 0))),
+               st.sampled_from((add, sub)), look_alike(2)),
+     naming("a class's operand", lambda t: t[1](t[0], t[2]))),
+    ("SurfaceModel-witness-look-alike", InputError, look_alike_witness,
+     naming("curves", lambda w: SurfaceModel(LAT, [w]))),
+    ("classify_fixed_component-look-alike", InputError, look_alike_witness,
+     naming("witness", lambda w: classify_fixed_component(SurfaceModel(LAT), w))),
+    ("lemma_move_check-look-alike", InputError, look_alike_witness,
+     naming("witness", lambda w: lemma_move_check(SurfaceModel(LAT), w))),
     *[
         (f"{call.__name__}-type", InputError, one_non_int(), lambda args, call=call: call(*args))
         for call in HIRZEBRUCH_CALLS
