@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
@@ -230,8 +232,6 @@ class TestH0Bound:
         ],
     )
     def test_points_oracle_counts_known_systems(self, kind, coeffs, h0):
-        import random
-
         points = oracles.plane_points(kind, len(coeffs) - 1, random.Random(7))
         assert oracles.h0_through_points(points, coeffs) == h0
 
@@ -240,8 +240,6 @@ class TestH0Bound:
     @given(st.sampled_from(("general", "line", "two lines", "conic")), st.integers(1, 6),
            st.integers(0, 2**32), st.data())
     def test_bound_never_exceeds_the_sections_through_points(self, kind, r, points_seed, data):
-        import random
-
         lat = blowup_p2_lattice(r)
         points = oracles.plane_points(kind, r, random.Random(points_seed))
         classes = st.tuples(st.integers(0, 5), *[st.integers(-3, 1)] * r)
