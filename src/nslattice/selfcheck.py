@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
+from itertools import chain, islice
 from math import inf
-from typing import Callable
+from struct import unpack
+from typing import Callable, Iterator
 
 from .blowup import (
     NEGATIVE_RATIONAL,
@@ -40,9 +42,10 @@ from .lattice import (
     blowup_p2_lattice,
     hirzebruch_lattice,
 )
-from .values import DivisorClass, _exact_class, _refuse, _shown, json_object
+from .values import _exact_class, _refuse, _shown, json_object
 
 _TRI = bytes((x - 4) * (x - 3) // 2 if x < 9 else 0 for x in range(256))  # C(e + 1, 2), e = x - 4 <= 4
+_BLOCK = 1 << 13  # bytes per rng.randbytes call of _uniform, unless one word is longer
 
 
 @dataclass(frozen=True)
@@ -212,27 +215,31 @@ def check_anticanonical_sweep(cfg: SelfcheckConfig) -> CheckResult:
     )
 
 
-def _random_class(rng: random.Random, rank: int, bound: int) -> DivisorClass:
-    """The class of ``rank`` calls of ``rng.randint(-bound, bound)``, made cheaply.
+def _uniform(rng: random.Random, m: int) -> Iterator[bytes | list[int]]:
+    """Blocks of values uniform in range(m), for any m >= 1, read from rng.randbytes alone.
 
-    On CPython ``randint(-b, b)`` is ``-b + _randbelow(2b + 1)``, and
-    ``_randbelow`` is ``Random._randbelow_with_getrandbits``: draw
-    ``m.bit_length()`` bits until the value is below m.  The loop below is
-    that function inlined, so it makes the same ``getrandbits`` calls in the
-    same order: the classes drawn and the generator state after them never
-    change.  The draws are plain ints, so no coefficient check is needed.
-    ``bound`` is at least 0, as every config's is.
+    A block is one randbytes call of _BLOCK bytes (or of one word, if longer), cut into
+    little-endian words of 1, 2, 4, 8, 16, ... bytes, the fewest that hold m - 1.  A
+    word x is kept, as x % m, only below the largest multiple of m under 256^width, so
+    each value has the same number of preimages.  Bytes (m <= 256) go through one
+    bytes.translate into a bytes block.  A block is drawn only when the consumer asks
+    for it, so streams sharing rng draw their blocks in the order their values are used.
     """
-    m = 2 * bound + 1
-    getrandbits = rng.getrandbits
-    k = m.bit_length()
-    coeffs = []
-    for _ in range(rank):
-        x = getrandbits(k)
-        while x >= m:
-            x = getrandbits(k)
-        coeffs.append(x - bound)
-    return _exact_class(tuple(coeffs))
+    width = 1
+    while 8 * width < (m - 1).bit_length():
+        width *= 2
+    keep, count = (1 << 8 * width) // m * m, max(1, _BLOCK // width)
+    table, delete = bytes(x % m for x in range(256)), bytes(range(keep, 256))  # read if m <= 256
+    while True:
+        block = rng.randbytes(count * width)
+        if width == 1:
+            yield block.translate(table, delete)
+            continue
+        if width <= 8:
+            words = unpack(f"<{count}{'HIQ'[width.bit_length() - 2]}", block)
+        else:
+            words = (int.from_bytes(block[i : i + width], "little") for i in range(0, len(block), width))
+        yield [x % m for x in words if x < keep]
 
 
 def _family_sweep(cfg: SelfcheckConfig) -> list[SurfaceLattice]:
@@ -247,24 +254,17 @@ def _family_sweep(cfg: SelfcheckConfig) -> list[SurfaceLattice]:
 
 
 def check_adjunction_parity(cfg: SelfcheckConfig) -> CheckResult:
-    """D.D + K.D is even for every class on every built-in lattice."""
-    rng = random.Random(cfg.seed)
-    randint = rng.randint
-    n_max, r_max = cfg.family_n_max, cfg.family_r_max
+    """D.D + K.D is even for every class on every built-in lattice: cfg.random_classes on
+    each family, a uniform pick from its lattices, then uniform coefficients in [-b, b]."""
+    rng, bound = random.Random(cfg.seed), cfg.random_coeff_bound
     pool = _family_sweep(cfg)
-    # one lattice draw per class, by the randint calls that pick the factory's
-    # arguments, n before r on Bl_r F_n, read at its family's offset in the pool
-    plane, blown_up, width = n_max + 1, n_max + r_max + 2, r_max + 1
-    draws = (
-        lambda: pool[randint(0, n_max)],
-        lambda: pool[plane + randint(0, r_max)],
-        lambda: pool[blown_up + randint(0, n_max) * width + randint(0, r_max)],
-    )
+    plane, blown_up = cfg.family_n_max + 1, cfg.family_n_max + cfg.family_r_max + 2
+    coeffs = chain.from_iterable(_uniform(rng, 2 * bound + 1))
     failures = []
-    for draw in draws:
-        for _ in range(cfg.random_classes):
-            lat = draw()
-            d = _random_class(rng, lat.rank, cfg.random_coeff_bound)
+    for family in (pool[:plane], pool[plane:blown_up], pool[blown_up:]):
+        for i in islice(chain.from_iterable(_uniform(rng, len(family))), cfg.random_classes):
+            lat = family[i]
+            d = _exact_class(tuple([x - bound for x in islice(coeffs, lat.rank)]))
             total = lat.self_intersection(d) + lat.canonical_pairing(d)
             if total % 2 != 0:
                 failures.append(f"odd adjunction on {lat.to_json_dict()} for {list(d.coeffs)}")
@@ -355,8 +355,10 @@ def check_canonical_convention(cfg: SelfcheckConfig) -> CheckResult:
 
 
 def check_basis_change_isometries(cfg: SelfcheckConfig) -> CheckResult:
-    """The rebasing map preserves all pairings and sends K to K from F_1 and Bl_1 F_0."""
-    rng = random.Random(cfg.seed + 1)
+    """The rebasing map preserves all pairings and sends K to K from F_1 and Bl_1 F_0,
+    on the basis pairs and on pairs of classes with uniform coefficients in [-b, b]."""
+    rng, bound = random.Random(cfg.seed + 1), cfg.random_coeff_bound
+    coeffs = chain.from_iterable(_uniform(rng, 2 * bound + 1))
     failures, fn = [], basis_change_to_p2
     for src in (hirzebruch_lattice(1), blowup_hirzebruch_lattice(0, 1)):
         dst, on = blowup_p2_lattice(src.rank - 1), f"from {src.to_json_dict()}"
@@ -368,8 +370,8 @@ def check_basis_change_isometries(cfg: SelfcheckConfig) -> CheckResult:
                 if src.intersect(bi, bj) != dst.intersect(fn(src, bi), fn(src, bj)):
                     failures.append(f"basis pairing broken {on}")
         for _ in range(cfg.isometry_random_classes):
-            d1 = _random_class(rng, src.rank, cfg.random_coeff_bound)
-            d2 = _random_class(rng, src.rank, cfg.random_coeff_bound)
+            d1 = _exact_class(tuple([x - bound for x in islice(coeffs, src.rank)]))
+            d2 = _exact_class(tuple([x - bound for x in islice(coeffs, src.rank)]))
             if src.intersect(d1, d2) != dst.intersect(fn(src, d1), fn(src, d2)):
                 failures.append(f"random pairing broken {on}")
     return _result(
@@ -452,7 +454,7 @@ def check_classifier_cases(cfg: SelfcheckConfig) -> CheckResult:
 
 
 def _genus_table(lat: SurfaceLattice) -> list[list[int]]:
-    """p_a(D) + sum(_TRI[x]) at [x_0][x_h] for a raw draw x = D + 4 (h = 1, or 0 on P^2): each
+    """p_a(D) + sum(_TRI[x]) at [x_0][x_h] for raw bytes x = D + 4 (h = 1, or 0 on P^2): each
     later d_i is on an E_i, orthogonal to the rest with E_i.E_i = K.E_i = -1: it adds -_TRI[x_i]."""
     if lat.rank == 1:
         return [[lat._genus((x - 4,)) + _TRI[x]] * 9 for x in range(9)]
@@ -461,32 +463,27 @@ def _genus_table(lat: SurfaceLattice) -> list[list[int]]:
 
 
 def check_negative_curve_adjunction(cfg: SelfcheckConfig) -> CheckResult:
-    """For p_a = 0 classes, self-int = -2 - K.D; K.D >= 1 then forces <= -3."""
+    """For p_a = 0 classes, self-int = -2 - K.D; K.D >= 1 then forces <= -3.  An attempt
+    picks a pool lattice uniformly, then reads its raw draw x = d + 4 as the next rank
+    bytes, uniform in 0..8, of a second stream; draws passing the table screen are paired."""
     rng = random.Random(cfg.seed + 2)
     failures = []
-    # each lattice with its genus table (one per n, built per call: d_1 is E_1 on Bl_r P^2),
-    # h = rank > 1 and its coordinates; randrange and randint are inlined as in _random_class
+    # each lattice with its genus table (one per n, built per call: d_1 is E_1 on
+    # Bl_r P^2), h = rank > 1 and its rank
     tables, pool = {}, []
     for lat in _family_sweep(cfg):
         table = tables[lat.n] = tables.get(lat.n) or _genus_table(lat)
-        pool.append((lat, table, lat.rank > 1, range(lat.rank)))
-    size = len(pool)
-    getrandbits = rng.getrandbits
-    k = size.bit_length()
+        pool.append((lat, table, lat.rank > 1, lat.rank))
+    picks, draws = chain.from_iterable(_uniform(rng, len(pool))), _uniform(rng, 9)
+    block, pos = b"", 0
     accepted = attempts = 0
-    cap = cfg.random_classes * 500
-    while accepted < cfg.random_classes and attempts < cap:
-        attempts += 1
-        i = getrandbits(k)
-        while i >= size:
-            i = getrandbits(k)
-        lat, table, h, coords = pool[i]
-        raw = bytearray()
-        for _ in coords:
-            x = getrandbits(4)
-            while x >= 9:
-                x = getrandbits(4)
-            raw.append(x)
+    for attempts, i in enumerate(islice(picks, cfg.random_classes * 500), 1):
+        lat, table, h, rank = pool[i]
+        end = pos + rank
+        while end > len(block):
+            block, pos, end = block[pos:] + next(draws), 0, rank
+        raw = block[pos:end]
+        pos = end
         if table[raw[0]][raw[h]] != sum(raw.translate(_TRI)):
             continue
         d = _exact_class(tuple([x - 4 for x in raw]))
@@ -499,6 +496,8 @@ def check_negative_curve_adjunction(cfg: SelfcheckConfig) -> CheckResult:
         accepted += 1
         if s > -3:
             failures.append(f"K.D = {kd} >= 1 but self-intersection {s} > -3")
+        if accepted == cfg.random_classes:
+            break
     if accepted < cfg.random_classes:
         failures.append(f"only {accepted} qualifying classes found in {attempts} samples")
     return _result(

@@ -4,8 +4,8 @@ Everything here recomputes library results by a different route: symbolic
 bilinear expansion instead of Gram-matrix products, exhaustive generator sums
 instead of inequality tests, multiset enumeration with multinomial counting
 instead of the pruned lexicographic search, rational elimination instead of
-integer congruence reduction, plain randint/randrange calls instead of the
-selfcheck's inlined sampler, and sections counted on P^1, or as the
+integer congruence reduction, a byte-by-byte reading of randbytes instead of
+the selfcheck's block sampler, and sections counted on P^1, or as the
 polynomials through concrete points of the plane over a prime field, instead
 of Riemann-Roch.  Only the reference witness reader imports the package, to
 compose the library's own readers as they were first composed.
@@ -113,8 +113,21 @@ def _affine(rng, xy):
 
 def plane_points(kind, r, rng):
     """r distinct points of GF(P)^2: in general position (with high probability),
-    on one line, on two lines (alternately), or on a conic, the image of the
-    parabola (t, t^2) under an affine map."""
+    on one line, on two lines (alternately), on a conic, the image of the
+    parabola (t, t^2) under an affine map, or on a smooth cubic
+    y^2 = x^3 + ax + b."""
+    if kind == "cubic":
+        a, b = rng.randrange(P), rng.randrange(P)
+        assert (4 * a**3 + 27 * b**2) % P, "a singular cubic"
+        points = {}
+        while len(points) < r:
+            x = rng.randrange(P)
+            z = (x**3 + a * x + b) % P
+            # P = 3 mod 4, so a square z has the root z^((P + 1) / 4)
+            y = pow(z, (P + 1) // 4, P)
+            if y * y % P == z:
+                points[x] = y
+        return list(points.items())
     ts = rng.sample(range(1, P), r)
     if kind == "general":
         return [(rng.randrange(P), rng.randrange(P)) for _ in range(r)]
@@ -294,7 +307,10 @@ def gram_pairing(gram, x, y):
     return sum(x[i] * g * y[j] for i, row in enumerate(gram) for j, g in enumerate(row))
 
 
-# -- the selfcheck's random draws, replayed with plain randint/randrange -----
+# -- the selfcheck's random draws, replayed byte by byte from randbytes -------
+
+RANDBYTES_BLOCK = 8192  # the bytes the selfcheck asks of each randbytes call
+
 
 def family_rank(family, r):
     """Rank of NS: 2 on F_n, 1 + r on Bl_r P^2, 2 + r on Bl_r F_n."""
@@ -303,41 +319,78 @@ def family_rank(family, r):
     return (1 if family == "blowup_p2" else 2) + r
 
 
+def word_width(m):
+    """The bytes of one word of a draw below m: the least power of two w with 256^w >= m."""
+    width = 1
+    while 256**width < m:
+        width *= 2
+    return width
+
+
+def uniform_draws(rng, m):
+    """Values uniform in range(m), read as the selfcheck reads them.
+
+    Each randbytes call asks for RANDBYTES_BLOCK bytes (one word, if a word is
+    longer), and only when a value is wanted and none is left.  The bytes are
+    read in order, word_width(m) at a time, each word little-endian: its first
+    byte is the lowest.  A word below the largest multiple of m under
+    256^width gives the value word mod m; any other word gives nothing."""
+    width = word_width(m)
+    top = 256**width // m * m
+    while True:
+        block = rng.randbytes(max(1, RANDBYTES_BLOCK // width) * width)
+        for start in range(0, len(block), width):
+            word = 0
+            for place, byte in enumerate(block[start : start + width]):
+                word += byte * 256**place
+            if word < top:
+                yield word % m
+
+
+def family_specs(n_max, r_max):
+    """The (family, n, r) of each pool lattice, F_n by n, Bl_r P^2 by r, Bl_r F_n
+    by n then r, as three lists."""
+    ns, rs = range(n_max + 1), range(r_max + 1)
+    return (
+        [("hirzebruch", n, None) for n in ns],
+        [("blowup_p2", None, r) for r in rs],
+        [("blowup_hirzebruch", n, r) for n in ns for r in rs],
+    )
+
+
 def replay_adjunction_parity_draws(seed, n_max, r_max, bound, per_family):
     """The ((family, n, r), coeffs) draws of the adjunction-parity check.
 
     ``per_family`` classes on F_n, then on Bl_r P^2, then on Bl_r F_n; each
-    lattice is drawn by randint for n, then r, and each coefficient by
-    randint(-bound, bound).  Returns the draws and the generator after them.
+    lattice is a uniform pick from its family's own stream, and each
+    coefficient is the next value below 2 * bound + 1 of one shared stream,
+    less bound.  Returns the draws and the generator after them.
     """
     rng = random.Random(seed)
+    coeffs = uniform_draws(rng, 2 * bound + 1)
     draws = []
-    for family in ("hirzebruch", "blowup_p2", "blowup_hirzebruch"):
+    for specs in family_specs(n_max, r_max):
+        picks = uniform_draws(rng, len(specs))
         for _ in range(per_family):
-            n = None if family == "blowup_p2" else rng.randint(0, n_max)
-            r = None if family == "hirzebruch" else rng.randint(0, r_max)
-            rank = family_rank(family, r)
-            draws.append(((family, n, r), tuple(rng.randint(-bound, bound) for _ in range(rank))))
+            spec = specs[next(picks)]
+            rank = family_rank(spec[0], spec[2])
+            draws.append((spec, tuple(next(coeffs) - bound for _ in range(rank))))
     return draws, rng
 
 
 def replay_negative_curve_draws(seed, n_max, r_max, attempts):
     """The first ``attempts`` ((family, n, r), coeffs) draws of the
-    negative-curve check: a randrange pick from the pool (F_n by n, Bl_r P^2
-    by r, Bl_r F_n by n then r), then coefficients by randint(-4, 4).
+    negative-curve check: a uniform pick from the whole pool, then each
+    coefficient the next value below 9 of a second stream, less 4.
     Returns the draws and the generator after them."""
-    ns, rs = range(n_max + 1), range(r_max + 1)
-    pool = (
-        [("hirzebruch", n, None) for n in ns]
-        + [("blowup_p2", None, r) for r in rs]
-        + [("blowup_hirzebruch", n, r) for n in ns for r in rs]
-    )
+    pool = [spec for specs in family_specs(n_max, r_max) for spec in specs]
     rng = random.Random(seed)
+    picks, coeffs = uniform_draws(rng, len(pool)), uniform_draws(rng, 9)
     draws = []
     for _ in range(attempts):
-        spec = pool[rng.randrange(len(pool))]
+        spec = pool[next(picks)]
         rank = family_rank(spec[0], spec[2])
-        draws.append((spec, tuple(rng.randint(-4, 4) for _ in range(rank))))
+        draws.append((spec, tuple(next(coeffs) - 4 for _ in range(rank))))
     return draws, rng
 
 

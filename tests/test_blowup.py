@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given
@@ -193,6 +194,23 @@ class TestClassifier:
         model = SurfaceModel(lat, ())
         verdict = classify_fixed_component(model, CurveWitness(-lat.canonical))
         assert verdict.kind == GENUS_ONE and verdict.self_int == 0
+
+    @pytest.mark.parametrize("r", [9, 10, 11, 12])
+    def test_anticanonical_through_points_on_a_cubic_is_genus_one(self, r):
+        # at r points of a smooth cubic, the cubic is the one curve of
+        # |-K| = |3H - E_1 - ... - E_r| (and of |-2K|), so it is the fixed part of
+        # |-K|: genus one, square 9 - r; at general points |-K| is empty from r = 10
+        anti = (3,) + (-1,) * r
+        points = oracles.plane_points("cubic", r, random.Random(r))
+        assert oracles.h0_through_points(points, anti) == 1
+        assert oracles.h0_through_points(points, tuple(2 * c for c in anti)) == 1
+        general = oracles.plane_points("general", r, random.Random(r))
+        assert oracles.h0_through_points(general, anti) == (r == 9)
+        lat = blowup_p2_lattice(r)
+        model = SurfaceModel(lat, (CurveWitness(-lat.canonical),))
+        assert model.curves[0].cls.coeffs == anti
+        verdict = classify_fixed_component(model, model.curves[0])
+        assert (verdict.kind, verdict.self_int) == (GENUS_ONE, 9 - r)
 
     def test_line_class_moves_so_it_violates(self):
         lat = blowup_p2_lattice(8)

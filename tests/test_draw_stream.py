@@ -1,13 +1,15 @@
 """The selfcheck's random checks draw exactly the classes, make exactly the
-getrandbits calls and leave exactly the generator state that plain
-randint/randrange calls give, and the negative-curve check's screen passes
-exactly the draws with p_a = 0."""
+randbytes calls and leave exactly the generator state of a byte-by-byte
+reading of randbytes, every value they draw is exactly uniform, and the
+negative-curve check's screen passes exactly the draws with p_a = 0."""
 
 import functools
 import random
 import types
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import oracles
 from nslattice import (
@@ -26,8 +28,8 @@ DEFAULT_CAPPED = SelfcheckConfig(random_classes=100)
 
 
 def logged_generators(monkeypatch, module):
-    """Make ``module``'s random.Random a generator that logs each getrandbits(k)
-    call as (k, value), and return the list of the generators it makes."""
+    """Make ``module``'s random.Random a generator that logs each randbytes(n)
+    call as (n, value), and return the list of the generators it makes."""
     generators = []
 
     class Logged(random.Random):
@@ -36,9 +38,9 @@ def logged_generators(monkeypatch, module):
             super().__init__(seed)
             generators.append(self)
 
-        def getrandbits(self, k):
-            value = super().getrandbits(k)
-            self.calls.append((k, value))
+        def randbytes(self, n):
+            value = super().randbytes(n)
+            self.calls.append((n, value))
             return value
 
     monkeypatch.setattr(module, "random", types.SimpleNamespace(Random=Logged))
@@ -73,9 +75,9 @@ def oracle_genus_and_k_dot(spec, coeffs):
 
 
 def replayed_attempts(cfg):
-    """How many draws the negative-curve check makes: replayed with plain
-    randrange and randint until cfg.random_classes of them have p_a = 0 and
-    K.D >= 1, or until its cap of 500 draws per class."""
+    """How many draws the negative-curve check makes: replayed from randbytes
+    until cfg.random_classes of them have p_a = 0 and K.D >= 1, or until its
+    cap of 500 draws per class."""
     cap, attempts = cfg.random_classes * 500, 64
     while True:
         draws, _ = oracles.replay_negative_curve_draws(
@@ -112,7 +114,7 @@ def test_adjunction_parity_draws(monkeypatch, cfg):
         # the two smallest valid pools: F_0, P^2 and Bl_0 F_0, then Bl_1 P^2 and Bl_1 F_0 too
         (SelfcheckConfig(family_n_max=0, family_r_max=0, random_classes=2), 3),
         (SelfcheckConfig(family_n_max=0, family_r_max=1, random_classes=2), 5),
-        # powers of two, where size.bit_length() and (size - 1).bit_length() differ
+        # powers of two, where a draw below the pool size keeps every byte
         (SelfcheckConfig(family_n_max=1, family_r_max=1, random_classes=20), 8),
         (SelfcheckConfig(family_n_max=1, family_r_max=9, random_classes=20), 32),
     ],
@@ -120,8 +122,8 @@ def test_adjunction_parity_draws(monkeypatch, cfg):
 )
 def test_negative_curve_draws(monkeypatch, cfg, pool_size):
     assert len(selfcheck._family_sweep(cfg)) == pool_size
-    # the check makes exactly the getrandbits calls of plain randrange and
-    # randint draws, and only the draws with p_a = 0 reach the pairings
+    # the check makes exactly the randbytes calls of the byte-by-byte replay,
+    # and only the draws with p_a = 0 reach the pairings
     screened, generators = record_draws(monkeypatch, "self_intersection")
     assert selfcheck.check_negative_curve_adjunction(cfg).passed
     attempts = replayed_attempts(cfg)
@@ -136,13 +138,89 @@ def test_negative_curve_draws(monkeypatch, cfg, pool_size):
     assert [g.getstate() for g in generators] == [plain.getstate()]
 
 
-@pytest.mark.parametrize("bound", [0, 4, 7, 8, 9])  # spans m = 1, 9, 15, 17, 19
-def test_random_class_matches_randint_at_edge_spans(bound):
-    ours, plain = random.Random(bound), random.Random(bound)
-    for rank in list(range(15)) * 10:
-        got = selfcheck._random_class(ours, rank, bound)
-        assert got.coeffs == tuple(plain.randint(-bound, bound) for _ in range(rank))
+# word widths 1, 2, 4 and 16 bytes, each at both ends of its range of m
+@pytest.mark.parametrize("m", [1, 9, 19, 256, 257, 65_536, 65_537, 2**64 + 1])
+def test_sampler_matches_the_byte_replay(m):
+    ours, plain = random.Random(m), random.Random(m)
+    blocks = selfcheck._uniform(ours, m)
+    got = [x for _ in range(3) for x in next(blocks)]
+    replay = oracles.uniform_draws(plain, m)
+    assert got == [next(replay) for _ in got]
+    if m <= 257:
+        assert set(got) == set(range(m))
     assert ours.getstate() == plain.getstate()
+
+
+class OneWord:
+    """A stand-in generator: each randbytes(n) gives one chosen word of ``width``
+    bytes, little-endian, then zero bytes, and notes how many words it gave."""
+
+    def __init__(self, word, width):
+        self.word, self.width = word, width
+
+    def randbytes(self, n):
+        self.words = n // self.width
+        return self.word.to_bytes(self.width, "little") + bytes(n - self.width)
+
+
+@functools.cache
+def least_dropped_word(m):
+    """The least word the sampler drops for m, or 256^width if it keeps them all,
+    by bisection on the first word of a block; the other words are 0, which is
+    always kept.  Each kept word must give its value mod m."""
+    width = oracles.word_width(m)
+    kept, dropped = 0, 256**width
+    while dropped - kept > 1:
+        mid = (kept + dropped) // 2
+        rng = OneWord(mid, width)
+        block = next(selfcheck._uniform(rng, m))
+        if len(block) == rng.words:
+            assert block[0] == mid % m
+            kept = mid
+        else:
+            assert len(block) == rng.words - 1
+            dropped = mid
+    return dropped
+
+
+@seed(20260808)
+@settings(max_examples=20, deadline=None)
+@given(
+    n_max=st.integers(0, 3),
+    r_max=st.integers(0, 3),
+    classes=st.integers(0, 30),
+    bound=st.sampled_from([8, 16, 32, 70]).flatmap(lambda bits: st.integers(0, 2**bits)),
+    rng_seed=st.integers(-(2**64), 2**64),
+)
+def test_random_checks_pass_on_uniform_draws(n_max, r_max, classes, bound, rng_seed):
+    cfg = SelfcheckConfig(
+        family_n_max=n_max,
+        family_r_max=r_max,
+        random_classes=classes,
+        isometry_random_classes=classes,
+        random_coeff_bound=bound,
+        seed=rng_seed,
+    )
+    spans, sampler = [], selfcheck._uniform
+
+    def recorded(rng, m):
+        spans.append(m)
+        return sampler(rng, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selfcheck, "_uniform", recorded)
+        for check in (
+            selfcheck.check_adjunction_parity,
+            selfcheck.check_basis_change_isometries,
+            selfcheck.check_negative_curve_adjunction,
+        ):
+            assert check(cfg).passed, check.__name__
+    assert 2 * bound + 1 in spans and 9 in spans
+    # the kept words are 0 up to a multiple of m, less than m short of all words:
+    # each value below m has the same number of words
+    for m in set(spans):
+        top, words = least_dropped_word(m), 256 ** oracles.word_width(m)
+        assert top % m == 0 and words - top < m
 
 
 def test_empty_ranges_raise_instead_of_looping():

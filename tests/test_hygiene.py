@@ -1,9 +1,15 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports and reads each
+private name it defines, and the selfcheck draws its random numbers in one
+place."""
 
 import ast
+import random
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from nslattice import SelfcheckConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nslattice"
 # __init__.py imports names to export them, not to use them
@@ -76,3 +82,50 @@ def test_an_unread_private_name_is_found():
 def test_every_private_name_is_read():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+# the public methods of a random generator; ``seed`` is also the selfcheck
+# config's field, which cfg.seed reads, so it is left out
+RANDOM_METHODS = {n for n in dir(random.Random) if not n.startswith("_")} - {
+    f.name for f in fields(SelfcheckConfig)
+}
+
+
+def random_method_uses(source: str) -> list[tuple[str, str]]:
+    """(function, name) for each attribute spelled as a random.Random method, called
+    or not, and each name imported from random, in source order; the function is
+    the innermost one around it, or "<module>"."""
+    uses = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr in RANDOM_METHODS:
+            uses.append((node.lineno, node.col_offset, where, node.attr))
+        if isinstance(node, ast.ImportFrom) and node.module == "random":
+            uses.extend((node.lineno, node.col_offset, where, alias.name) for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return [(where, name) for _, _, where, name in sorted(uses)]
+
+
+def test_a_random_method_use_is_found():
+    source = (
+        "import random\nfrom random import choice\n"
+        "def _one(rng: random.Random):\n    return rng.randbytes(8)\n"
+        "def two(cfg):\n    rng = random.Random(cfg.seed)\n"
+        "    draw = rng.getrandbits\n    return draw(3), random.random()\n"
+    )
+    assert random_method_uses(source) == [
+        ("<module>", "choice"),
+        ("_one", "randbytes"),
+        ("two", "getrandbits"),
+        ("two", "random"),
+    ]
+
+
+def test_the_selfcheck_draws_through_one_randbytes_call():
+    source = (PACKAGE / "selfcheck.py").read_text()
+    assert random_method_uses(source) == [("_uniform", "randbytes")]

@@ -5,6 +5,7 @@ drawn and screened by the selfcheck sampler."""
 import dataclasses
 import random
 import sys
+from itertools import chain, islice
 
 import pytest
 from hypothesis import example, given
@@ -22,7 +23,8 @@ from nslattice import (
     lattice_from_json,
     witness_from_json,
 )
-from nslattice.selfcheck import _TRI, _genus_table, _random_class
+from nslattice.selfcheck import _TRI, _genus_table, _uniform
+from nslattice.values import _exact_class
 
 coeff = st.integers(min_value=-30, max_value=30)
 
@@ -177,19 +179,24 @@ class TestScreenTable:
 class TestRandomClassStream:
     @pytest.mark.parametrize("seed", [0, 20260808, 20260810])
     @pytest.mark.parametrize("rank,bound", [(1, 4), (2, 9), (14, 9)])
-    def test_same_draws_as_randint(self, seed, rank, bound):
-        plain = random.Random(seed)
-        expected = [plain.randint(-bound, bound) for _ in range(rank)]
-        got = _random_class(random.Random(seed), rank, bound)
+    def test_same_draws_as_the_byte_replay(self, seed, rank, bound):
+        replay = oracles.uniform_draws(random.Random(seed), 2 * bound + 1)
+        expected = [next(replay) - bound for _ in range(rank)]
+        values = chain.from_iterable(_uniform(random.Random(seed), 2 * bound + 1))
+        got = _exact_class(tuple([x - bound for x in islice(values, rank)]))
         assert list(got.coeffs) == expected
         assert got == DivisorClass(expected) and hash(got) == hash(DivisorClass(expected))
 
     def test_generator_states_match_after_many_draws(self):
+        # two streams on one generator, as the checks keep them, each drawing a
+        # block only when it runs out
         ours, plain = random.Random(808), random.Random(808)
+        streams = [chain.from_iterable(_uniform(ours, m)) for m in (9, 19)]
+        replays = [oracles.uniform_draws(plain, m) for m in (9, 19)]
         for k in range(2_000):
-            rank, bound = 1 + k % 14, (4, 9)[k % 2]
-            got = _random_class(ours, rank, bound)
-            assert got.coeffs == tuple(plain.randint(-bound, bound) for _ in range(rank))
+            rank, side = 1 + k % 14, k % 2
+            got = list(islice(streams[side], rank))
+            assert got == [next(replays[side]) for _ in range(rank)]
         assert ours.getstate() == plain.getstate()
 
     def test_inexact_coefficients_still_refused(self):

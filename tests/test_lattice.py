@@ -237,7 +237,7 @@ class TestH0Bound:
 
     @seed(20261020)
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(("general", "line", "two lines", "conic")), st.integers(1, 6),
+    @given(st.sampled_from(("general", "line", "two lines", "conic", "cubic")), st.integers(1, 6),
            st.integers(0, 2**32), st.data())
     def test_bound_never_exceeds_the_sections_through_points(self, kind, r, points_seed, data):
         lat = blowup_p2_lattice(r)
