@@ -154,7 +154,7 @@ class SurfaceLattice:
 
         K is characteristic on every family, so the numerator is even: it is
         d(d - 3) - sum m_i(m_i - 1) on Bl_r P^2, and -n a(a - 1) + 2ab - 2a - 2b on F_n.
-        The selfcheck sampler builds the genus tables that screen its raw draws with it.
+        The negative-curve selfcheck builds its head screen from it, one call per head.
         """
         a, b, e, k0, k1 = self._head
         d0 = c[0]

@@ -59,7 +59,7 @@ class SelfcheckConfig:
     monoid_coeff_bound: int = 8
     monoid_copies: int = 16
     random_classes: int = 10_000
-    random_coeff_bound: int = 9
+    random_coeff_bound: int = 9  # parity and isometry draws' [-b, b]; the negative-curve box is [-4, 4]
     family_n_max: int = 20
     family_r_max: int = 12
     isometry_random_classes: int = 1_000
@@ -453,42 +453,42 @@ def check_classifier_cases(cfg: SelfcheckConfig) -> CheckResult:
     )
 
 
-def _genus_table(lat: SurfaceLattice) -> list[list[int]]:
-    """p_a(D) + sum(_TRI[x]) at [x_0][x_h] for raw bytes x = D + 4 (h = 1, or 0 on P^2): each
-    later d_i is on an E_i, orthogonal to the rest with E_i.E_i = K.E_i = -1: it adds -_TRI[x_i]."""
-    if lat.rank == 1:
-        return [[lat._genus((x - 4,)) + _TRI[x]] * 9 for x in range(9)]
-    tail = (0,) * (lat.rank - 2)
-    return [[lat._genus((x - 4, y - 4, *tail)) + _TRI[x] + _TRI[y] for y in range(9)] for x in range(9)]
+def _head_screen(pool: list[SurfaceLattice]) -> bytes:
+    """need[81 i + 9 x + y] = p_a(head) + 1 for pool[i] and head (x - 4, y - 4), or (x - 4) on P^2,
+    if 0 <= p_a(head) <= 10 (rank - 2), else 0.  Each later d_i is on an E_i, orthogonal to the
+    rest with E_i.E_i = K.E_i = -1: it takes C(d_i + 1, 2), in 0..10, off p_a."""
+    heads = [(k // 9 - 4, k % 9 - 4) for k in range(81)]
+    codes, chunks = {}, []  # p_a + 1 of the 81 heads (at most 26), or 0, per (n, rank > 1)
+    for lat in pool:
+        rank, tail = lat.rank, max(lat.rank - 2, 0)
+        if (key := (lat.n, rank > 1)) not in codes:
+            genera = (lat._genus((*d, *(0,) * tail)[:rank]) for d in heads)
+            codes[key] = bytes(p + 1 if 0 <= p < 255 else 0 for p in genera)
+        chunks.append(codes[key].translate(bytes(range(min(10 * tail + 2, 256))).ljust(256, b"\0")))
+    return b"".join(chunks)
 
 
 def check_negative_curve_adjunction(cfg: SelfcheckConfig) -> CheckResult:
-    """For p_a = 0 classes, self-int = -2 - K.D; K.D >= 1 then forces <= -3.  An attempt
-    picks a pool lattice uniformly, then reads its raw draw x = d + 4 as the next rank
-    bytes, uniform in 0..8, of a second stream; draws passing the table screen are paired."""
-    rng = random.Random(cfg.seed + 2)
-    failures = []
-    # each lattice with its genus table (one per n, built per call: d_1 is E_1 on
-    # Bl_r P^2), h = rank > 1 and its rank
-    tables, pool = {}, []
-    for lat in _family_sweep(cfg):
-        table = tables[lat.n] = tables.get(lat.n) or _genus_table(lat)
-        pool.append((lat, table, lat.rank > 1, lat.rank))
-    picks, draws = chain.from_iterable(_uniform(rng, len(pool))), _uniform(rng, 9)
-    block, pos = b"", 0
-    accepted = attempts = 0
-    for attempts, i in enumerate(islice(picks, cfg.random_classes * 500), 1):
-        lat, table, h, rank = pool[i]
-        end = pos + rank
+    """For p_a = 0 classes, self-int = -2 - K.D; K.D >= 1 then forces <= -3.  An attempt is a
+    uniform pool lattice and head in [-4, 4]^2; a head that passes _head_screen draws its tail,
+    the next rank - 2 bytes x = d + 4 of a second stream, and each p_a = 0 draw is paired."""
+    rng, cap, failures = random.Random(cfg.seed + 2), cfg.random_classes * 500, []
+    lattices = _family_sweep(cfg)
+    need, pool = _head_screen(lattices), [(lat, max(lat.rank - 2, 0)) for lat in lattices]
+    picks, draws = chain.from_iterable(_uniform(rng, len(need))), _uniform(rng, 9)
+    block, pos, accepted = b"", 0, 0
+    for v in filter(need.__getitem__, islice(picks, cap)):
+        lat, tail = pool[v // 81]
+        end = pos + tail
         while end > len(block):
-            block, pos, end = block[pos:] + next(draws), 0, rank
+            block, pos, end = block[pos:] + next(draws), 0, tail
         raw = block[pos:end]
         pos = end
-        if table[raw[0]][raw[h]] != sum(raw.translate(_TRI)):
+        if sum(raw.translate(_TRI)) != need[v] - 1:
             continue
-        d = _exact_class(tuple([x - 4 for x in raw]))
-        s = lat.self_intersection(d)
-        kd = lat.canonical_pairing(d)
+        x0, xh = divmod(v % 81, 9)
+        d = _exact_class((x0 - 4, xh - 4)[: lat.rank] + tuple([x - 4 for x in raw]))
+        s, kd = lat.self_intersection(d), lat.canonical_pairing(d)
         if s != -2 - kd:
             failures.append(f"adjunction identity broken for {list(d.coeffs)}")
         if kd < 1:
@@ -499,7 +499,7 @@ def check_negative_curve_adjunction(cfg: SelfcheckConfig) -> CheckResult:
         if accepted == cfg.random_classes:
             break
     if accepted < cfg.random_classes:
-        failures.append(f"only {accepted} qualifying classes found in {attempts} samples")
+        failures.append(f"only {accepted} qualifying classes found in {cap} samples")
     return _result(
         "negative_curve_adjunction", failures, f"{accepted} classes with p_a = 0 and K.D >= 1"
     )

@@ -11,6 +11,7 @@ of Riemann-Roch.  Only the reference witness reader imports the package, to
 compose the library's own readers as they were first composed.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -378,19 +379,48 @@ def replay_adjunction_parity_draws(seed, n_max, r_max, bound, per_family):
     return draws, rng
 
 
+@functools.cache
+def family_form(spec):
+    """G and K of the lattice ``spec`` = (family, n, r), once per spec."""
+    return family_gram(*spec), family_canonical(*spec)
+
+
+@functools.cache
+def head_genus(spec, head):
+    """p_a of the class whose first coefficients are ``head`` and whose others
+    are 0, on the lattice ``spec``: 1 + (D.D + K.D) / 2 from the family's
+    Gram matrix and K."""
+    gram, k = family_form(spec)
+    d = head + (0,) * (len(gram) - len(head))
+    return 1 + (gram_pairing(gram, d, d) + gram_pairing(gram, k, d)) // 2
+
+
 def replay_negative_curve_draws(seed, n_max, r_max, attempts):
-    """The first ``attempts`` ((family, n, r), coeffs) draws of the
-    negative-curve check: a uniform pick from the whole pool, then each
-    coefficient the next value below 9 of a second stream, less 4.
-    Returns the draws and the generator after them."""
+    """The first ``attempts`` attempts of the negative-curve check, as
+    ((family, n, r), coeffs) pairs, head first.
+
+    An attempt is the next value v below 81 times the pool size of one
+    stream: the lattice pool[v // 81] and the head digits (x_0, x_h) =
+    divmod(v % 81, 9), so the head is (x_0 - 4, x_h - 4), or (x_0 - 4) alone
+    on P^2.  Each later coefficient d_i is on an E_i and takes C(d_i + 1, 2),
+    0 to 10, off p_a, so a class can have p_a = 0 only if 0 <= p_a(head) <=
+    10 * (rank - 2).  Only then are its rank - 2 later coefficients drawn,
+    each the next value below 9 of a second stream, less 4; otherwise coeffs
+    is None.  Returns the draws and the generator after them."""
     pool = [spec for specs in family_specs(n_max, r_max) for spec in specs]
     rng = random.Random(seed)
-    picks, coeffs = uniform_draws(rng, len(pool)), uniform_draws(rng, 9)
+    picks, coeffs = uniform_draws(rng, 81 * len(pool)), uniform_draws(rng, 9)
     draws = []
     for _ in range(attempts):
-        spec = pool[next(picks)]
+        v = next(picks)
+        spec, (x0, xh) = pool[v // 81], divmod(v % 81, 9)
         rank = family_rank(spec[0], spec[2])
-        draws.append((spec, tuple(next(coeffs) - 4 for _ in range(rank))))
+        head = (x0 - 4, xh - 4)[:rank]
+        tail = max(rank - 2, 0)
+        if 0 <= head_genus(spec, head) <= 10 * tail:
+            draws.append((spec, head + tuple(next(coeffs) - 4 for _ in range(tail))))
+        else:
+            draws.append((spec, None))
     return draws, rng
 
 

@@ -4,6 +4,7 @@ reading of randbytes, every value they draw is exactly uniform, and the
 negative-curve check's screen passes exactly the draws with p_a = 0."""
 
 import functools
+import itertools
 import random
 import types
 
@@ -61,15 +62,9 @@ def record_draws(monkeypatch, method):
     return draws, logged_generators(monkeypatch, selfcheck)
 
 
-@functools.cache
-def oracle_form(spec):
-    """G and K of a family's lattice, as oracles builds them, once per (family, n, r)."""
-    return oracles.family_gram(*spec), oracles.family_canonical(*spec)
-
-
 def oracle_genus_and_k_dot(spec, coeffs):
     """p_a and K.D of a replayed draw, from the family's own Gram matrix and K."""
-    gram, k = oracle_form(spec)
+    gram, k = oracles.family_form(spec)
     dd, kd = oracles.gram_pairing(gram, coeffs, coeffs), oracles.gram_pairing(gram, k, coeffs)
     return 1 + (dd + kd) // 2, kd
 
@@ -77,7 +72,8 @@ def oracle_genus_and_k_dot(spec, coeffs):
 def replayed_attempts(cfg):
     """How many draws the negative-curve check makes: replayed from randbytes
     until cfg.random_classes of them have p_a = 0 and K.D >= 1, or until its
-    cap of 500 draws per class."""
+    cap of 500 draws per class.  A draw whose tail was never drawn has no
+    p_a = 0 class."""
     cap, attempts = cfg.random_classes * 500, 64
     while True:
         draws, _ = oracles.replay_negative_curve_draws(
@@ -85,6 +81,8 @@ def replayed_attempts(cfg):
         )
         accepted = 0
         for i, (spec, coeffs) in enumerate(draws):
+            if coeffs is None:
+                continue
             genus, kd = oracle_genus_and_k_dot(spec, coeffs)
             accepted += genus == 0 and kd >= 1
             if accepted == cfg.random_classes:
@@ -123,7 +121,8 @@ def test_adjunction_parity_draws(monkeypatch, cfg):
 def test_negative_curve_draws(monkeypatch, cfg, pool_size):
     assert len(selfcheck._family_sweep(cfg)) == pool_size
     # the check makes exactly the randbytes calls of the byte-by-byte replay,
-    # and only the draws with p_a = 0 reach the pairings
+    # which draws a tail only for a head that can reach p_a = 0, and only the
+    # draws with p_a = 0 reach the pairings
     screened, generators = record_draws(monkeypatch, "self_intersection")
     assert selfcheck.check_negative_curve_adjunction(cfg).passed
     attempts = replayed_attempts(cfg)
@@ -133,9 +132,97 @@ def test_negative_curve_draws(monkeypatch, cfg, pool_size):
     )
     assert replays == [plain]
     assert [g.calls for g in generators] == [plain.calls]
-    assert screened == [(s, c) for s, c in expected if oracle_genus_and_k_dot(s, c)[0] == 0]
-    assert screened
+    tails = [(s, c) for s, c in expected if c is not None]
+    assert screened == [(s, c) for s, c in tails if oracle_genus_and_k_dot(s, c)[0] == 0]
+    assert screened and len(tails) < len(expected)
     assert [g.getstate() for g in generators] == [plain.getstate()]
+
+
+def chosen_draws(attempts):
+    """A stand-in for selfcheck._uniform that hands the negative-curve check the
+    chosen ``attempts``, (v, tail bytes) pairs: each v as a block of its own on
+    the pick stream, and its tail as the next block of the tail stream if the
+    check asks for one before its next pick.  Returns the stand-in and the list
+    of the attempts whose tails were asked for."""
+    asked, current = [], [None]
+
+    def picks():
+        for attempt in attempts:
+            current[0] = attempt
+            yield [attempt[0]]
+
+    def tails():
+        while True:
+            asked.append(current[0])
+            yield current[0][1]
+
+    return (lambda rng, m: tails() if m == 9 else picks()), asked
+
+
+def head_and_tail(lat, x0, xh):
+    """The head (d_0, d_h), or (d_0) on P^2, of raw head digits, and the length
+    of the tail after it."""
+    return (x0 - 4, xh - 4)[: lat.rank], max(lat.rank - 2, 0)
+
+
+def test_head_screen_is_exact_on_every_small_draw(monkeypatch):
+    # every lattice with n <= 2 and r <= 2, so of rank <= 4, every head and every
+    # tail: the check pairs exactly the draws with p_a = 0, and asks for the tail
+    # of exactly the heads with 0 <= p_a(head) <= 10 (rank - 2)
+    cfg = SelfcheckConfig(family_n_max=2, family_r_max=2, random_classes=10**6)
+    pool = selfcheck._family_sweep(cfg)
+    attempts, zero, reachable = [], [], []
+    for v in range(81 * len(pool)):
+        lat = pool[v // 81]
+        spec, (head, tail) = (lat.family.value, lat.n, lat.r), head_and_tail(lat, *divmod(v % 81, 9))
+        for raw in itertools.product(range(9), repeat=tail):
+            coeffs = head + tuple(x - 4 for x in raw)
+            attempts.append((v, bytes(raw)))
+            genus, kd = oracle_genus_and_k_dot(spec, coeffs)
+            assert lat._genus(coeffs) == genus
+            if genus == 0:
+                zero.append((v, (spec, coeffs), kd))
+            if tail and 0 <= oracles.head_genus(spec, head) <= 10 * tail:
+                reachable.append(attempts[-1])
+    assert len(attempts) == 3 * 9**4 + 4 * 9**3 + 8 * 9**2
+    screened, _ = record_draws(monkeypatch, "self_intersection")
+    stand_in, asked = chosen_draws(attempts)
+    monkeypatch.setattr(selfcheck, "_uniform", stand_in)
+    result = selfcheck.check_negative_curve_adjunction(cfg)
+    assert screened == [draw for _, draw, _ in zero]
+    assert asked == reachable
+    # no head the screen rejects has a draw with p_a = 0
+    assert {v for v, (_, coeffs), _ in zero if len(coeffs) > 2} <= {v for v, _ in asked}
+    # the stand-in runs out long before 10**6 classes: that is the only failure
+    accepted, cap = sum(kd >= 1 for _, _, kd in zero), 500 * cfg.random_classes
+    assert result.detail == f"1 failures; first: only {accepted} qualifying classes found in {cap} samples"
+
+
+@seed(20260808)
+@settings(max_examples=150, deadline=None)
+@given(
+    lat=st.one_of(
+        st.builds(hirzebruch_lattice, st.integers(0, 20)),
+        st.builds(blowup_p2_lattice, st.integers(0, 13)),
+        st.builds(blowup_hirzebruch_lattice, st.integers(0, 20), st.integers(0, 12)),
+    ),
+    raw=st.lists(st.integers(0, 8), min_size=14, max_size=14),
+)
+def test_head_screen_is_exact_up_to_rank_14(lat, raw):
+    # one attempt on a pool of one lattice: the same property on every family
+    spec, (head, tail) = (lat.family.value, lat.n, lat.r), head_and_tail(lat, raw[0], raw[1])
+    coeffs = head + tuple(x - 4 for x in raw[2 : 2 + tail])
+    attempt = (9 * raw[0] + raw[1], bytes(raw[2 : 2 + tail]))
+    with pytest.MonkeyPatch.context() as mp:
+        screened, _ = record_draws(mp, "self_intersection")
+        stand_in, asked = chosen_draws([attempt])
+        mp.setattr(selfcheck, "_family_sweep", lambda cfg: [lat])
+        mp.setattr(selfcheck, "_uniform", stand_in)
+        selfcheck.check_negative_curve_adjunction(SelfcheckConfig(random_classes=1))
+    genus = oracle_genus_and_k_dot(spec, coeffs)[0]
+    assert lat._genus(coeffs) == genus
+    assert screened == ([(spec, coeffs)] if genus == 0 else [])
+    assert asked == ([attempt] if tail and 0 <= oracles.head_genus(spec, head) <= 10 * tail else [])
 
 
 # word widths 1, 2, 4 and 16 bytes, each at both ends of its range of m

@@ -23,7 +23,7 @@ from nslattice import (
     lattice_from_json,
     witness_from_json,
 )
-from nslattice.selfcheck import _TRI, _genus_table, _uniform
+from nslattice.selfcheck import _TRI, _head_screen, _uniform
 from nslattice.values import _exact_class
 
 coeff = st.integers(min_value=-30, max_value=30)
@@ -54,7 +54,7 @@ def assert_kernel_matches_oracle(lat, x, y):
     assert lat.self_intersection(d1) == dd
     assert lat.canonical_pairing(d1) == kd
     # the unchecked kernel, on a tuple as the public genus and the selfcheck's
-    # genus tables pass it
+    # head screen pass it
     assert lat._genus(tuple(x)) == 1 + (dd + kd) // 2
     for method, total in (
         (lat.arithmetic_genus, dd + kd),
@@ -134,7 +134,7 @@ class TestH0Duality:
 
 
 # every family with n <= 12 and r <= 14, beside an r' for a lattice of the same
-# n, whose genus table the negative-curve check may share
+# n, whose head values the negative-curve check's screen may share
 screened_lattices = st.one_of(
     st.builds(hirzebruch_lattice, st.integers(0, 12)),
     st.builds(blowup_p2_lattice, st.integers(0, 14)),
@@ -151,23 +151,38 @@ class TestScreenTable:
     @example(blowup_p2_lattice(1), 1, [5, 3] * 8)
     @example(hirzebruch_lattice(0), 14, [5, 2] * 8)
     def test_table_less_tail_sum_is_the_genus(self, lat, other_r, raw):
-        h = lat.rank > 1
-        if lat.n is None:  # d_1 is E_1 on Bl_r P^2, so P^2 shares its table too
+        if lat.n is None:
             sibling = blowup_p2_lattice(other_r)
         else:
             sibling = blowup_hirzebruch_lattice(lat.n, other_r)
-        table = _genus_table(lat)
-        assert table == _genus_table(sibling)
-        assert len(table) == 9 and all(len(row) == 9 for row in table)
-        # a raw draw x in 0..8 is the class x - 4
-        raw = bytearray(raw[: lat.rank])
-        coeffs = tuple(x - 4 for x in raw)
-        genus = table[raw[0]][raw[h]] - sum(raw.translate(_TRI))
-        assert genus == lat._genus(coeffs)
+        # one chunk of 81 heads per lattice, in pool order, whichever lattice of
+        # the same n the head values were first taken from
+        need = _head_screen([lat])
+        assert _head_screen([lat, sibling]) == need + _head_screen([sibling])
+        assert _head_screen([sibling, lat]) == _head_screen([sibling]) + need
         gram = oracles.family_gram(lat.family, lat.n, lat.r)
         k = oracles.family_canonical(lat.family, lat.n, lat.r)
-        dd, kd = oracles.gram_pairing(gram, coeffs, coeffs), oracles.gram_pairing(gram, k, coeffs)
-        assert genus == 1 + (dd + kd) // 2
+
+        def genus(coeffs):
+            dd, kd = oracles.gram_pairing(gram, coeffs, coeffs), oracles.gram_pairing(gram, k, coeffs)
+            return 1 + (dd + kd) // 2
+
+        # entry 9 x_0 + x_h: p_a + 1 of the head (x_0 - 4, x_h - 4), or (x_0 - 4) on
+        # P^2, where the tail's C(d_i + 1, 2), each 0..10, can bring p_a to 0
+        tail = max(lat.rank - 2, 0)
+        for v in range(81):
+            head = (v // 9 - 4, v % 9 - 4)[: lat.rank]
+            p = genus(head + (0,) * tail)
+            assert need[v] == (p + 1 if 0 <= p <= 10 * tail else 0)
+        # a raw draw x in 0..8 is the class x - 4; a head the table passes
+        # leaves p_a(D) = need - 1 less the tail's sum
+        raw = bytes(raw[: max(lat.rank, 2)])
+        coeffs = tuple(x - 4 for x in raw[: lat.rank])
+        v = 9 * raw[0] + raw[1]
+        if need[v]:
+            assert need[v] - 1 - sum(raw[2:].translate(_TRI)) == lat._genus(coeffs) == genus(coeffs)
+        else:
+            assert genus(coeffs) != 0
 
     def test_tail_weights(self):
         # C(e + 1, 2) for a coefficient e = x - 4, and nothing past the draws' range

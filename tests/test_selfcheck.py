@@ -68,6 +68,25 @@ def test_no_config_runs_the_default(monkeypatch):
     assert seen == [SelfcheckConfig(), SelfcheckConfig()]
 
 
+def test_coeff_bound_bounds_the_parity_and_isometry_draws_only(monkeypatch):
+    # random_coeff_bound is the box [-b, b] of adjunction_parity and
+    # basis_change_isometries; negative_curve_adjunction draws from [-4, 4]
+    # whatever it is.  Every random class of the three is built by _exact_class
+    cfg = SelfcheckConfig(random_coeff_bound=0, random_classes=50)
+    drawn, exact = [], selfcheck._exact_class
+    monkeypatch.setattr(selfcheck, "_exact_class", lambda c: drawn.append(c) or exact(c))
+    for check, count in (
+        (selfcheck.check_adjunction_parity, 3 * 50),
+        (selfcheck.check_basis_change_isometries, 2 * 2 * cfg.isometry_random_classes),
+    ):
+        drawn.clear()
+        assert check(cfg).passed
+        assert len(drawn) == count and not any(map(any, drawn))
+    drawn.clear()
+    assert selfcheck.check_negative_curve_adjunction(cfg).passed
+    assert max(abs(x) for c in drawn for x in c) == 4
+
+
 def test_results_are_deterministic():
     first = run_selfcheck(QUICK)
     second = run_selfcheck(QUICK)
@@ -188,8 +207,8 @@ WRONG = {
         (SurfaceLattice, "canonical_pairing", lambda f: lambda lat, d: f(lat, d) + 1,
          ["adjunction identity broken", "K.D = "]),
         # no class qualifies, so the sampler stops at its cap of 500 draws per class:
-        # the genus fills the screen's table, whose entries no tail sum (at most
-        # 10 per coordinate) reaches once they are 10**6
+        # every head's genus is 10**6, which no tail (at most 10 per coordinate)
+        # brings to 0, so the head screen passes none
         (SurfaceLattice, "_genus", lambda f: lambda lat, c: 10**6, ["only 0 qualifying"]),
         # the screening kernel is off by one: the public pairings it hands on disagree
         (SurfaceLattice, "_genus", lambda f: lambda lat, c: f(lat, c) - 1,
