@@ -458,7 +458,7 @@ def _head_screen(pool: list[SurfaceLattice]) -> bytes:
     if 0 <= p_a(head) <= 10 (rank - 2), else 0.  Each later d_i is on an E_i, orthogonal to the
     rest with E_i.E_i = K.E_i = -1: it takes C(d_i + 1, 2), in 0..10, off p_a."""
     heads = [(k // 9 - 4, k % 9 - 4) for k in range(81)]
-    codes, chunks = {}, []  # p_a + 1 of the 81 heads (at most 26), or 0, per (n, rank > 1)
+    codes, chunks = {}, []  # per (n, rank > 1); a head's p_a is at most 25 unless _genus is wrong
     for lat in pool:
         rank, tail = lat.rank, max(lat.rank - 2, 0)
         if (key := (lat.n, rank > 1)) not in codes:
