@@ -14,7 +14,7 @@ an anticanonical system, and the classifier reports that as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .errors import DimensionError, PreconditionError
 from .lattice import SurfaceLattice, lattice_from_json
@@ -22,6 +22,8 @@ from .values import (
     DivisorClass,
     Family,
     _new,
+    _Record,
+    _record,
     _refuse,
     _set,
     divisor_from_json,
@@ -34,8 +36,8 @@ GENUS_ONE = "genus_one"
 THEOREM_VIOLATION = "theorem_violation"
 
 
-@dataclass(frozen=True, init=False)
-class CurveWitness:
+@_record
+class CurveWitness(_Record):
     """A divisor class the caller asserts to contain a prime divisor.
 
     Primality is not decidable from a class, so it stays a caller-side
@@ -47,7 +49,6 @@ class CurveWitness:
     asserted_prime: bool = True
 
     def __init__(self, cls: DivisorClass, asserted_prime: bool = True) -> None:
-        # written out, as DivisorClass's is, so that the check costs no __post_init__ call
         if not isinstance(cls, DivisorClass):
             raise _refuse(cls, "cls", "a DivisorClass")
         _set(self, "cls", cls)
@@ -73,8 +74,8 @@ def witness_from_json(doc: dict) -> CurveWitness:
     return w
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+@_record
+class SurfaceModel(_Record):
     """A lattice plus a (possibly incomplete) list of known prime classes.
 
     Each witness's length, and p_a >= 0 by the lattice's ``_genus`` if it is asserted
@@ -86,18 +87,17 @@ class SurfaceModel:
     curves: tuple[CurveWitness, ...] = ()
     _forced: tuple[tuple[CurveWitness, int], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        lat, curves, forced = self.lattice, self.curves, []
+    def __init__(self, lattice: SurfaceLattice, curves: tuple[CurveWitness, ...] = ()) -> None:
+        lat, forced = lattice, []
         if not isinstance(lat, SurfaceLattice):
             raise _refuse(lat, "lattice", "a SurfaceLattice")
         # a list or tuple of witnesses, as in model_from_json: "" and {} are no witnesses;
         # a witness's class and flag were checked when it was built
         if not isinstance(curves, (list, tuple)):
             raise _refuse(curves, "curves", "a list of CurveWitness values")
-        curves = tuple(curves)
         for w in curves:
             if not isinstance(w, CurveWitness):
-                raise _refuse(self.curves, "curves", "a list of CurveWitness values")
+                raise _refuse(curves, "curves", "a list of CurveWitness values")
             d = w.cls
             c = d.coeffs
             if len(c) != lat.rank:
@@ -111,7 +111,8 @@ class SurfaceModel:
                 )
             if (kc := lat._k_dot(c)) > 0:
                 forced.append((w, kc))
-        _set(self, "curves", curves)
+        _set(self, "lattice", lat)
+        _set(self, "curves", tuple(curves))
         _set(self, "_forced", tuple(forced))
 
     def to_json_dict(self) -> dict:
@@ -130,8 +131,8 @@ def model_from_json(doc: dict) -> SurfaceModel:
     return SurfaceModel(lattice, tuple(map(witness_from_json, curves)))
 
 
-@dataclass(frozen=True)
-class FixedComponentKind:
+@_record
+class FixedComponentKind(_Record):
     """Tagged verdict for a fixed component of an anticanonical system.
 
     ``negative_rational`` carries n >= 1 (the component is a (-n)-curve),
@@ -144,13 +145,19 @@ class FixedComponentKind:
     self_int: int | None = None
     reason: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind == NEGATIVE_RATIONAL and (self.n is None or self.n < 1):
+    def __init__(
+        self, kind: str, n: int | None = None, self_int: int | None = None, reason: str | None = None
+    ) -> None:
+        if kind == NEGATIVE_RATIONAL and (n is None or n < 1):
             raise PreconditionError("negative_rational verdict requires n >= 1")
-        if self.kind == GENUS_ONE and (self.self_int is None or self.self_int > 0):
+        if kind == GENUS_ONE and (self_int is None or self_int > 0):
             raise PreconditionError("genus_one verdict requires self-intersection <= 0")
-        if self.kind == THEOREM_VIOLATION and not self.reason:
+        if kind == THEOREM_VIOLATION and not reason:
             raise PreconditionError("theorem_violation verdict requires a reason")
+        _set(self, "kind", kind)
+        _set(self, "n", n)
+        _set(self, "self_int", self_int)
+        _set(self, "reason", reason)
 
     def to_json_dict(self) -> dict:
         if self.kind == NEGATIVE_RATIONAL:
@@ -160,14 +167,23 @@ class FixedComponentKind:
         return {"kind": self.kind, "reason": self.reason}
 
 
-@dataclass(frozen=True)
-class NefVerdict:
+@_record
+class NefVerdict(_Record):
     """Outcome of a witness-relative nef test."""
 
     nef_relative: bool
     violator: CurveWitness | None = None
     pairing: int | None = None
     empty_evidence: bool = False
+
+    def __init__(
+        self, nef_relative: bool, violator: CurveWitness | None = None,
+        pairing: int | None = None, empty_evidence: bool = False,
+    ) -> None:
+        _set(self, "nef_relative", nef_relative)
+        _set(self, "violator", violator)
+        _set(self, "pairing", pairing)
+        _set(self, "empty_evidence", empty_evidence)
 
     def __bool__(self) -> bool:
         return self.nef_relative
@@ -183,13 +199,18 @@ class NefVerdict:
         }
 
 
-@dataclass(frozen=True)
-class Report:
+@_record
+class Report(_Record):
     """Diagnostic outcome with a verdict, readable detail lines and violators."""
 
     verdict: str
     details: tuple[str, ...] = ()
     violators: tuple = ()
+
+    def __init__(self, verdict: str, details: tuple[str, ...] = (), violators: tuple = ()) -> None:
+        _set(self, "verdict", verdict)
+        _set(self, "details", details)
+        _set(self, "violators", violators)
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,10 +8,8 @@ the fixed multiple is computed here in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidParameterError, NotEffectiveError
-from .values import DivisorClass, _indexed, _new, _refuse, _set, _shown
+from .values import DivisorClass, _indexed, _new, _Record, _record, _refuse, _set, _shown
 
 
 def _checked(n: int, a: int, b: int) -> None:
@@ -23,7 +21,7 @@ def _checked(n: int, a: int, b: int) -> None:
         raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {_shown(n)}")
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class HirzebruchClass(DivisorClass):
     """The class a*C_n + b*F on F_n: the class (a, b) of ``hirzebruch_lattice(n)``
     that also names n, so == and hash compare (coeffs, n)."""
@@ -57,8 +55,8 @@ def _exact(n: int, a: int, b: int) -> HirzebruchClass:
     return h
 
 
-@dataclass(frozen=True)
-class EffectiveWitness:
+@_record
+class EffectiveWitness(_Record):
     """Membership verdict for the effective monoid N*C_n + N*F.
 
     When the class is effective, ``multiplicities`` holds the generator
@@ -68,6 +66,10 @@ class EffectiveWitness:
     effective: bool
     multiplicities: tuple[int, int] | None
 
+    def __init__(self, effective: bool, multiplicities: tuple[int, int] | None) -> None:
+        _set(self, "effective", effective)
+        _set(self, "multiplicities", multiplicities)
+
     def __bool__(self) -> bool:
         return self.effective
 
@@ -76,23 +78,31 @@ class EffectiveWitness:
         return {"effective": self.effective, "multiplicities": multiplicities}
 
 
-@dataclass(frozen=True)
-class NefDecomposition:
+@_record
+class NefDecomposition(_Record):
     """x = s*(C_n + n*F) + t*F with s, t >= 0."""
 
     s: int
     t: int
 
+    def __init__(self, s: int, t: int) -> None:
+        _set(self, "s", s)
+        _set(self, "t", t)
+
     def to_json_dict(self) -> dict:
         return {"nef": True, "s": self.s, "t": self.t}
 
 
-@dataclass(frozen=True)
-class NotNef:
+@_record
+class NotNef(_Record):
     """Failure verdict naming the effective generator that pairs negatively."""
 
     violator: str
     pairing: int
+
+    def __init__(self, violator: str, pairing: int) -> None:
+        _set(self, "violator", violator)
+        _set(self, "pairing", pairing)
 
     def __bool__(self) -> bool:
         return False
@@ -101,13 +111,18 @@ class NotNef:
         return {"nef": False, "violator": self.violator, "pairing": self.pairing}
 
 
-@dataclass(frozen=True)
-class FixedMobileDecomposition:
+@_record
+class FixedMobileDecomposition(_Record):
     """Fixed part j*C_n and mobile part of a complete linear system."""
 
     fixed: HirzebruchClass
     mobile: HirzebruchClass
     j: int
+
+    def __init__(self, fixed: HirzebruchClass, mobile: HirzebruchClass, j: int) -> None:
+        _set(self, "fixed", fixed)
+        _set(self, "mobile", mobile)
+        _set(self, "j", j)
 
     def to_json_dict(self) -> dict:
         (fa, fb), (ma, mb) = self.fixed.coeffs, self.mobile.coeffs

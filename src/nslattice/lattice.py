@@ -14,15 +14,17 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from operator import mul
 
 from .errors import DimensionError, FamilyError, InputError, InvalidParameterError
-from .values import DivisorClass, Family, _exact_class, _indexed, _refuse, _set, _shown, json_object
+from .values import (
+    DivisorClass, Family, _exact_class, _indexed, _Record, _record, _refuse, _set, _shown, json_object,
+)
 
 
-@dataclass(frozen=True, init=False)
-class SurfaceLattice:
+@_record
+class SurfaceLattice(_Record):
     """The Neron-Severi lattice of a built-in family, with its canonical class.
 
     A lattice is named by (family, n, r) and by nothing else: every other

@@ -1,7 +1,7 @@
 """Brute-force oracle suite backing the ``selfcheck`` CLI command.
 
 Every check re-derives a result of the library by exhaustive search or by an
-independent formula and compares.  Bounds live in a config dataclass whose
+independent formula and compares.  Bounds live in a config record whose
 defaults match the acceptance suite; a JSON config file can override them for
 quicker smoke runs.  All randomness is seeded, so output is reproducible.
 """
@@ -9,7 +9,6 @@ quicker smoke runs.  All randomness is seeded, so output is reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
 from itertools import chain, islice
 from math import inf
 from struct import unpack
@@ -42,15 +41,16 @@ from .lattice import (
     blowup_p2_lattice,
     hirzebruch_lattice,
 )
-from .values import _exact_class, _refuse, _shown, json_object
+from .values import _exact_class, _Record, _record, _refuse, _set, _shown, json_object
 
 _TRI = bytes((x - 4) * (x - 3) // 2 if x < 9 else 0 for x in range(256))  # C(e + 1, 2), e = x - 4 <= 4
 _BLOCK = 1 << 13  # bytes per rng.randbytes call of _uniform, unless one word is longer
 
 
-@dataclass(frozen=True)
-class SelfcheckConfig:
-    """Scan ranges and sample sizes; defaults match the acceptance suite."""
+@_record
+class SelfcheckConfig(_Record):
+    """Scan ranges and sample sizes; defaults match the acceptance suite.  Built
+    from keywords only, each a field's name: any other is refused."""
 
     anticanonical_n_max: int = 50
     uniqueness_n_max: int = 10
@@ -68,10 +68,14 @@ class SelfcheckConfig:
     enum_stability_bound: int = 12
     seed: int = 20260808
 
-    def __post_init__(self) -> None:
-        for f in fields(self):  # every field is an int before any limit reads one
-            if type(value := getattr(self, f.name)) is not int:
-                raise _refuse(value, f.name, "an integer")
+    def __init__(self, **given: int) -> None:
+        names = self.__dataclass_fields__
+        if unknown := given.keys() - names:
+            raise InputError(f"unknown selfcheck config keys: {_shown(sorted(unknown))}")
+        for name, f in names.items():  # every field is an int before any limit reads one
+            if type(value := given.get(name, f.default)) is not int:
+                raise _refuse(value, name, "an integer")
+            _set(self, name, value)
         # (-1)-classes are finite only up to r = 8, and the stability check needs both
         # degree bounds at the largest degree of one at enum_r_max (a value out of
         # range is refused before they are read); the enumeration refuses 0
@@ -91,30 +95,33 @@ class SelfcheckConfig:
             "enum_stability_bound": degree,
             "seed": (-inf, inf, ""),
         }
-        for f in fields(self):
-            least, most, why = limits.get(f.name, (0, inf, ""))
-            value = getattr(self, f.name)
+        for name in names:
+            least, most, why = limits.get(name, (0, inf, ""))
+            value = getattr(self, name)
             if not least <= value <= most:
                 limit = f">= {_shown(least)}{why}" if value < least else f"<= {most:,}"
-                raise InputError(f"selfcheck config {f.name} must be {limit}, got {_shown(value)}")
+                raise InputError(f"selfcheck config {name} must be {limit}, got {_shown(value)}")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SelfcheckConfig":
-        doc = json_object(doc, "selfcheck config")
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise InputError(f"unknown selfcheck config keys: {_shown(sorted(unknown))}")
-        return cls(**doc)
+        return cls(**json_object(doc, "selfcheck config"))
 
     def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+@_record
+class CheckResult(_Record):
+    """One check's outcome: its name, whether it passed, and its detail line."""
+
     name: str
     passed: bool
     detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "detail", detail)
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
-from operator import add, neg, sub
+from operator import add, attrgetter, neg, sub
 
 from .errors import DimensionError, InputError
 
@@ -35,8 +35,41 @@ _new, _set = object.__new__, object.__setattr__
 _INT = frozenset((int,))
 
 
-@dataclass(frozen=True, init=False)
-class DivisorClass:
+class _Record:
+    """What a frozen dataclass generates, written once: == and hash by the fields
+    that compare, repr by the fields shown, and no assignment or deletion of an
+    attribute.  Each record's own ``__init__`` stores its fields with ``_set``."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._compared(self) == self._compared(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._compared(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_names)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+def _record(cls: type) -> type:
+    """``cls``, a ``_Record``, made a dataclass without generating a method, so that
+    ``dataclasses.fields`` and ``dataclasses.replace`` read its fields."""
+    dataclass(cls, init=False, repr=False, eq=False)
+    cls._compared = attrgetter(*[f.name for f in fields(cls) if f.compare])
+    cls._repr_names = tuple(f.name for f in fields(cls) if f.repr)
+    return cls
+
+
+@_record
+class DivisorClass(_Record):
     """Integer coefficient vector relative to a lattice basis.
 
     The universal currency of all operations: a class is nothing but its
@@ -48,7 +81,6 @@ class DivisorClass:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int]) -> None:
-        # written out so that each class costs one store, not __init__ plus __post_init__
         try:
             coeffs = tuple(coeffs)
             if not _INT.issuperset(map(type, coeffs)):

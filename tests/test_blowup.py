@@ -183,6 +183,12 @@ class TestForcedFixedComponents:
 
 
 class TestClassifier:
+    def test_exceptional_curve_is_a_minus_one_curve(self):
+        # the paper's n >= 1 includes n = 1: E_1 on Bl_1 P^2 is no theorem violation
+        lat = blowup_p2_lattice(1)
+        verdict = classify_fixed_component(SurfaceModel(lat, ()), CurveWitness(lat.basis_class(1)))
+        assert (verdict.kind, verdict.n) == (NEGATIVE_RATIONAL, 1)
+
     def test_pulled_back_section_is_negative_rational(self):
         lat = blowup_hirzebruch_lattice(5, 1)
         model = SurfaceModel(lat, ())
@@ -335,6 +341,16 @@ class TestLemmaMoveCheck:
         assert lat.h0_lower_bound(probe) == 0
         report = lemma_move_check(SurfaceModel(lat, ()), CurveWitness(probe))
         assert report.verdict == THEOREM_VIOLATION
+
+    def test_bound_one_is_a_violation(self):
+        # G = 5H - 2(E_1 + ... + E_4) - (E_5 + ... + E_12): G.G = 1 and K.G = 1, so
+        # p_a = 2, chi = 1 and the bound is 1, one short of moving
+        lat = blowup_p2_lattice(12)
+        probe = DivisorClass((5,) + (-2,) * 4 + (-1,) * 8)
+        assert (lat.self_intersection(probe), lat.arithmetic_genus(probe)) == (1, 2)
+        report = lemma_move_check(SurfaceModel(lat, ()), CurveWitness(probe))
+        assert report.verdict == THEOREM_VIOLATION
+        assert report.details[2] == "h^0 lower bound 1"
 
     def test_preconditions_enforced(self):
         model = hirzebruch_model(1)

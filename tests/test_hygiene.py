@@ -123,3 +123,40 @@ def test_a_random_method_use_is_found():
 def test_the_selfcheck_draws_through_one_randbytes_call():
     source = (PACKAGE / "selfcheck.py").read_text()
     assert random_method_uses(source) == [("_uniform", "randbytes")]
+
+
+def dataclass_uses(source: str) -> list[str]:
+    """The function around each read of the name ``dataclass``, called or as a
+    decorator, plain or as ``dataclasses.dataclass``, in source order; "<module>"
+    outside any function."""
+    uses = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Name) and node.id == "dataclass") or (
+            isinstance(node, ast.Attribute) and node.attr == "dataclass"
+        ):
+            uses.append((node.lineno, node.col_offset, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return [where for _, _, where in sorted(uses)]
+
+
+def test_a_dataclass_use_is_found():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass, fields\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n"
+        "def _make(cls):\n    return dataclasses.dataclass(cls)\n"
+        "def names(cls):\n    return fields(cls)\n"
+    )
+    assert dataclass_uses(source) == ["<module>", "_make"]
+
+
+def test_only_record_makes_a_dataclass():
+    # every record is a values._Record, whose methods are written once, not
+    # generated for each class at import
+    uses = [(path.name, where) for path in MODULES for where in dataclass_uses(path.read_text())]
+    assert uses == [("values.py", "_record")]

@@ -251,6 +251,7 @@ UNCHECKABLE = {
     "string-r": ({"enum_r_max": "x"}, "enum_r_max"),
     "enum-budget": ({"enum_r_max": 11}, "enum_r_max"),
     "blowup-bound": ({"family_n_max": 0, "family_r_max": 20_000}, "family_r_max"),
+    "unknown-key": ({"random_clases": 50}, "unknown selfcheck config keys: \\['random_clases'\\]"),
 }
 
 
