@@ -193,3 +193,11 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
             delattr(ref, name)
         assert str(got.value) == str(want.value) == f"cannot delete field {name!r}"
     assert repr(record) == shown
+
+
+def test_a_record_equals_no_record_of_another_class():
+    # as with frozen dataclasses, a subclass's record is another value, though
+    # the fields it shares compare equal: C_1 on F_3 is no plain class (1, 0)
+    plain, on_f3 = DivisorClass((1, 0)), HirzebruchClass(3, 1, 0)
+    assert plain.__eq__(on_f3) is NotImplemented and on_f3.__eq__(plain) is NotImplemented
+    assert plain != on_f3 and on_f3 != plain
