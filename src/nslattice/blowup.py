@@ -14,16 +14,14 @@ an anticanonical system, and the classifier reports that as a
 
 from __future__ import annotations
 
-from dataclasses import field
-
 from .errors import DimensionError, PreconditionError
 from .lattice import SurfaceLattice, lattice_from_json
 from .values import (
+    _HIDDEN,
     DivisorClass,
     Family,
     _new,
     _Record,
-    _record,
     _refuse,
     _set,
     divisor_from_json,
@@ -36,7 +34,6 @@ GENUS_ONE = "genus_one"
 THEOREM_VIOLATION = "theorem_violation"
 
 
-@_record
 class CurveWitness(_Record):
     """A divisor class the caller asserts to contain a prime divisor.
 
@@ -74,7 +71,6 @@ def witness_from_json(doc: dict) -> CurveWitness:
     return w
 
 
-@_record
 class SurfaceModel(_Record):
     """A lattice plus a (possibly incomplete) list of known prime classes.
 
@@ -85,11 +81,12 @@ class SurfaceModel(_Record):
 
     lattice: SurfaceLattice
     curves: tuple[CurveWitness, ...] = ()
-    _forced: tuple[tuple[CurveWitness, int], ...] = field(init=False, repr=False, compare=False)
+    _forced: tuple[tuple[CurveWitness, int], ...] = _HIDDEN
 
     def __init__(self, lattice: SurfaceLattice, curves: tuple[CurveWitness, ...] = ()) -> None:
         lat, forced = lattice, []
-        if not isinstance(lat, SurfaceLattice):
+        # a lattice by its eager names: a second copy of the lattice module has its own class
+        if not (isinstance(lat, _Record) and type(getattr(lat, "family", None)) is Family):
             raise _refuse(lat, "lattice", "a SurfaceLattice")
         # a list or tuple of witnesses, as in model_from_json: "" and {} are no witnesses;
         # a witness's class and flag were checked when it was built
@@ -131,7 +128,6 @@ def model_from_json(doc: dict) -> SurfaceModel:
     return SurfaceModel(lattice, tuple(map(witness_from_json, curves)))
 
 
-@_record
 class FixedComponentKind(_Record):
     """Tagged verdict for a fixed component of an anticanonical system.
 
@@ -167,7 +163,6 @@ class FixedComponentKind(_Record):
         return {"kind": self.kind, "reason": self.reason}
 
 
-@_record
 class NefVerdict(_Record):
     """Outcome of a witness-relative nef test."""
 
@@ -199,7 +194,6 @@ class NefVerdict(_Record):
         }
 
 
-@_record
 class Report(_Record):
     """Diagnostic outcome with a verdict, readable detail lines and violators."""
 

@@ -9,7 +9,7 @@ the fixed multiple is computed here in closed form.
 from __future__ import annotations
 
 from .errors import InvalidParameterError, NotEffectiveError
-from .values import DivisorClass, _indexed, _new, _Record, _record, _refuse, _set, _shown
+from .values import DivisorClass, _indexed, _new, _Record, _refuse, _set, _shown
 
 
 def _checked(n: int, a: int, b: int) -> None:
@@ -21,7 +21,6 @@ def _checked(n: int, a: int, b: int) -> None:
         raise InvalidParameterError(f"Hirzebruch parameter n must be >= 0, got {_shown(n)}")
 
 
-@_record
 class HirzebruchClass(DivisorClass):
     """The class a*C_n + b*F on F_n: the class (a, b) of ``hirzebruch_lattice(n)``
     that also names n, so == and hash compare (coeffs, n)."""
@@ -55,7 +54,6 @@ def _exact(n: int, a: int, b: int) -> HirzebruchClass:
     return h
 
 
-@_record
 class EffectiveWitness(_Record):
     """Membership verdict for the effective monoid N*C_n + N*F.
 
@@ -78,7 +76,6 @@ class EffectiveWitness(_Record):
         return {"effective": self.effective, "multiplicities": multiplicities}
 
 
-@_record
 class NefDecomposition(_Record):
     """x = s*(C_n + n*F) + t*F with s, t >= 0."""
 
@@ -93,7 +90,6 @@ class NefDecomposition(_Record):
         return {"nef": True, "s": self.s, "t": self.t}
 
 
-@_record
 class NotNef(_Record):
     """Failure verdict naming the effective generator that pairs negatively."""
 
@@ -111,7 +107,6 @@ class NotNef(_Record):
         return {"nef": False, "violator": self.violator, "pairing": self.pairing}
 
 
-@_record
 class FixedMobileDecomposition(_Record):
     """Fixed part j*C_n and mobile part of a complete linear system."""
 

@@ -14,16 +14,15 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import field
 from operator import mul
 
 from .errors import DimensionError, FamilyError, InputError, InvalidParameterError
 from .values import (
-    DivisorClass, Family, _exact_class, _indexed, _Record, _record, _refuse, _set, _shown, json_object,
+    _DERIVED, _HIDDEN, DivisorClass, Family, _exact_class, _indexed, _Record, _refuse, _set, _shown,
+    json_object,
 )
 
 
-@_record
 class SurfaceLattice(_Record):
     """The Neron-Severi lattice of a built-in family, with its canonical class.
 
@@ -53,9 +52,9 @@ class SurfaceLattice(_Record):
     family: Family
     n: int | None
     r: int | None
-    rank: int = field(init=False, compare=False)
-    canonical: DivisorClass = field(init=False, compare=False)
-    _head: tuple[int, int, int, int, int] = field(init=False, repr=False, compare=False)
+    rank: int = _DERIVED
+    canonical: DivisorClass = _DERIVED
+    _head: tuple[int, int, int, int, int] = _HIDDEN
 
     def __init__(self, family: Family | str, n: int | None = None, r: int | None = None) -> None:
         # which parameters are given, then their types, then n, then r: all
@@ -86,7 +85,7 @@ class SurfaceLattice(_Record):
         # one store per field, in declaration order: filling vars(self) at once
         # makes the kernel's later attribute reads slower
         values = (family, n, r, len(k), _exact_class(k), head)
-        for name, value in zip(self.__dataclass_fields__, values):
+        for name, value in zip(self._fields, values):
             _set(self, name, value)
 
     @property

@@ -41,13 +41,12 @@ from .lattice import (
     blowup_p2_lattice,
     hirzebruch_lattice,
 )
-from .values import _exact_class, _Record, _record, _refuse, _set, _shown, json_object
+from .values import _exact_class, _Record, _refuse, _set, _shown, json_object
 
 _TRI = bytes((x - 4) * (x - 3) // 2 if x < 9 else 0 for x in range(256))  # C(e + 1, 2), e = x - 4 <= 4
 _BLOCK = 1 << 13  # bytes per rng.randbytes call of _uniform, unless one word is longer
 
 
-@_record
 class SelfcheckConfig(_Record):
     """Scan ranges and sample sizes; defaults match the acceptance suite.  Built
     from keywords only, each a field's name: any other is refused."""
@@ -69,11 +68,11 @@ class SelfcheckConfig(_Record):
     seed: int = 20260808
 
     def __init__(self, **given: int) -> None:
-        names = self.__dataclass_fields__
+        names = self._fields
         if unknown := given.keys() - names:
             raise InputError(f"unknown selfcheck config keys: {_shown(sorted(unknown))}")
-        for name, f in names.items():  # every field is an int before any limit reads one
-            if type(value := given.get(name, f.default)) is not int:
+        for name in names:  # every field is an int before any limit reads one
+            if type(value := given.get(name, getattr(self, name))) is not int:
                 raise _refuse(value, name, "an integer")
             _set(self, name, value)
         # (-1)-classes are finite only up to r = 8, and the stability check needs both
@@ -107,10 +106,9 @@ class SelfcheckConfig(_Record):
         return cls(**json_object(doc, "selfcheck config"))
 
     def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+        return {name: getattr(self, name) for name in self._fields}
 
 
-@_record
 class CheckResult(_Record):
     """One check's outcome: its name, whether it passed, and its detail line."""
 
@@ -429,6 +427,12 @@ def check_classifier_cases(cfg: SelfcheckConfig) -> CheckResult:
     verdict = classify_fixed_component(model9, model9.curves[0])
     if (verdict.kind, verdict.self_int) != ("genus_one", 0):
         failures.append("anticanonical class on the 9-fold blowup misclassified")
+
+    # E_1 on Bl_1 P^2 is a (-1)-curve: n = 1 is the least n of a negative_rational verdict
+    lat1 = blowup_p2_lattice(1)
+    verdict = classify_fixed_component(SurfaceModel(lat1, ()), CurveWitness(lat1.basis_class(1)))
+    if (verdict.kind, verdict.n) != (NEGATIVE_RATIONAL, 1):
+        failures.append("exceptional curve on the 1-fold blowup misclassified")
 
     # on K.K > 0 the only class with p_a = 1 and self-intersection 0 is zero,
     # and the classifier must reject it

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 from operator import add, attrgetter, neg, sub
 
@@ -35,16 +34,65 @@ _new, _set = object.__new__, object.__setattr__
 _INT = frozenset((int,))
 
 
+# the class value of a field that __init__ derives, the dataclasses.field arguments
+# it stands for: given to no constructor, compared by no ==, and hidden by repr or not
+_DERIVED = {"init": False, "compare": False}
+_HIDDEN = {**_DERIVED, "repr": False}
+
+
+class _Fields:
+    """A record's ``__dataclass_fields__``, built on first read, so that no import of
+    the package loads ``dataclasses``: those of a dataclass, made without a method,
+    of the record's fields.  Each record has its own; threads reading it first keep one."""
+
+    def __init__(self, cls: type) -> None:
+        self.cls, self.kept = cls, {}
+
+    def __get__(self, instance, owner=None) -> dict:
+        if not self.kept:
+            from dataclasses import MISSING, dataclass, field
+
+            cls = self.cls
+            notes = {n: t for c in cls.__mro__[::-1] for n, t in vars(c).get("__annotations__", {}).items()}
+            spec = {name: field(default=getattr(cls, name, MISSING), **cls._marks[name]) for name in notes}
+            # with a docstring, dataclass() calls no inspect.signature
+            shadow = type(cls.__name__, (), {**spec, "__annotations__": notes, "__doc__": cls.__doc__})
+            shadow = dataclass(shadow, init=False, repr=False, eq=False)
+            self.kept.setdefault("fields", shadow.__dataclass_fields__)
+        return self.kept["fields"]
+
+
 class _Record:
     """What a frozen dataclass generates, written once: == and hash by the fields
     that compare, repr by the fields shown, and no assignment or deletion of an
     attribute.  Each record's own ``__init__`` stores its fields with ``_set``."""
 
+    def __init_subclass__(cls) -> None:
+        """The fields the annotations name, after a base record's, in ``_fields``, and each
+        one's marker, taken off the class, or {} in ``_marks``."""
+        marks = dict(getattr(cls, "_marks", {}))
+        for name in cls.__dict__.get("__annotations__", {}):
+            marks[name] = {}
+            if (mark := cls.__dict__.get(name)) is _DERIVED or mark is _HIDDEN:
+                marks[name] = mark
+                delattr(cls, name)
+        cls._marks, cls._fields = marks, tuple(marks)
+        cls._compared = attrgetter(*[name for name in marks if not marks[name]])
+        cls._repr_names = tuple(name for name in marks if marks[name] is not _HIDDEN)
+        cls.__match_args__ = tuple(name for name in marks if not marks[name])
+        cls.__dataclass_fields__ = _Fields(cls)
+
     def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __replace__(self, **changes):  # copy.replace, CPython >= 3.13
+        from dataclasses import replace
+        return replace(self, **changes)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -59,16 +107,6 @@ class _Record:
         return f"{self.__class__.__qualname__}({shown})"
 
 
-def _record(cls: type) -> type:
-    """``cls``, a ``_Record``, made a dataclass without generating a method, so that
-    ``dataclasses.fields`` and ``dataclasses.replace`` read its fields."""
-    dataclass(cls, init=False, repr=False, eq=False)
-    cls._compared = attrgetter(*[f.name for f in fields(cls) if f.compare])
-    cls._repr_names = tuple(f.name for f in fields(cls) if f.repr)
-    return cls
-
-
-@_record
 class DivisorClass(_Record):
     """Integer coefficient vector relative to a lattice basis.
 

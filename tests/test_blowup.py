@@ -1,6 +1,9 @@
 import copy
 import dataclasses
+import importlib
 import random
+import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -11,6 +14,7 @@ from nslattice import (
     CurveWitness,
     DimensionError,
     DivisorClass,
+    Family,
     FixedComponentKind,
     GENUS_ONE,
     InputError,
@@ -108,6 +112,30 @@ class TestWitnessValidation:
         assert moved._forced == public_forced_pairs(moved) == ((curve, 1),)  # K.(C_3 + F) = -1
         assert dataclasses.replace(model, curves=[section])._forced == ()
         assert type(moved.curves) is tuple
+
+    def test_a_lattice_from_a_second_copy_of_its_module_is_taken(self, monkeypatch):
+        # a caller that drops the lazy lattice module and imports it again gets a
+        # second SurfaceLattice class; the model tells a lattice by eager names
+        import nslattice
+        import nslattice.lattice as first
+
+        monkeypatch.setattr(nslattice, "lattice", first)  # the import rebinds it
+        monkeypatch.delitem(sys.modules, "nslattice.lattice")
+        second = importlib.import_module("nslattice.lattice")
+        assert second is not first and second.SurfaceLattice is not first.SurfaceLattice
+        witness = CurveWitness(DivisorClass((0, 1)))
+        model = SurfaceModel(second.blowup_p2_lattice(1), (witness,))
+        assert type(model.lattice) is second.SurfaceLattice and model._forced == ()
+        verdict = classify_fixed_component(model, witness)
+        assert (verdict.kind, verdict.n) == (NEGATIVE_RATIONAL, 1)
+        assert not nef_against_witnesses(model, DivisorClass((0, 1))).nef_relative
+
+    def test_a_look_alike_lattice_is_refused(self):
+        lat = blowup_p2_lattice(1)
+        fake = SimpleNamespace(**vars(lat))
+        assert fake.family is Family.BLOWUP_P2
+        with pytest.raises(InputError, match=r"^lattice must be a SurfaceLattice, got namespace\("):
+            SurfaceModel(fake, ())
 
     @pytest.mark.parametrize(
         "fields",

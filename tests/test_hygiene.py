@@ -3,10 +3,12 @@ private name it defines, and the selfcheck draws its random numbers in one
 place."""
 
 import ast
+import json
 import random
 from pathlib import Path
 
 import pytest
+from test_cli import LOADED_BY, MODEL_BH51, SMALL_SELFCHECK, run_fresh
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nslattice"
 # __init__.py imports names to export them, not to use them
@@ -157,6 +159,25 @@ def test_a_dataclass_use_is_found():
 
 def test_only_record_makes_a_dataclass():
     # every record is a values._Record, whose methods are written once, not
-    # generated for each class at import
+    # generated for each class at import; the one dataclass() call is in
+    # _Fields.__get__, on the first read of a record's __dataclass_fields__
     uses = [(path.name, where) for path in MODULES for where in dataclass_uses(path.read_text())]
-    assert uses == [("values.py", "_record")]
+    assert uses == [("values.py", "__get__")]
+
+
+def test_no_command_imports_dataclasses_or_inspect(tmp_path):
+    # dataclasses imports inspect, ast, dis and tokenize, about a fifth of an
+    # interpreter's start-up: one process runs every subcommand, the selfcheck too
+    files = {"MODEL": MODEL_BH51, "CONFIG": SMALL_SELFCHECK}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argvs = [[str(tmp_path / arg) if arg in files else arg for arg in argv] for argv, _ in LOADED_BY.values()]
+    lines = run_fresh(
+        "import contextlib, io, sys\n"
+        "bare = set(sys.modules)\n"
+        "import nslattice, nslattice.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [nslattice.cli.main(argv) for argv in {argvs!r}]\n"
+        "print(len(codes), set(codes), sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))\n"
+    )
+    assert lines == [f"{len(LOADED_BY)} {{0}} []"]

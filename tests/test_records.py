@@ -4,8 +4,12 @@ compares, hashes and shows itself, and refuses assignment and deletion, as a
 frozen dataclass of the same fields would."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +164,20 @@ def test_replace_round_trips(cls):
 
 
 @CASES
+def test_the_replace_protocol_is_dataclasses_replace(cls):
+    # copy.replace (CPython >= 3.13) calls __replace__, as on a dataclass
+    _, first, second = RECORDS[cls]
+    a, b = first(), second()
+    given = {f.name: getattr(b, f.name) for f in dataclasses.fields(cls) if f.init}
+    if cls is HirzebruchClass:
+        with pytest.raises(TypeError, match="unexpected keyword argument 'coeffs'"):
+            a.__replace__()
+        return
+    moved = a.__replace__(**given)
+    assert type(moved) is cls and moved == dataclasses.replace(a, **given) == b
+
+
+@CASES
 def test_compares_hashes_and_shows_as_a_frozen_dataclass(cls):
     _, first, second = RECORDS[cls]
     records = [first(), first(), second()]
@@ -201,3 +219,67 @@ def test_a_record_equals_no_record_of_another_class():
     plain, on_f3 = DivisorClass((1, 0)), HirzebruchClass(3, 1, 0)
     assert plain.__eq__(on_f3) is NotImplemented and on_f3.__eq__(plain) is NotImplemented
     assert plain != on_f3 and on_f3 != plain
+
+
+@CASES
+def test_match_args_are_the_fields_given_to_the_constructor(cls):
+    # as a dataclass sets them, so a class pattern takes the fields by position
+    assert cls.__match_args__ == tuple(f.name for f in dataclasses.fields(cls) if f.init)
+
+
+def test_every_record_is_a_dataclass_and_the_base_is_not():
+    for cls in RECORDS:
+        assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(RECORDS[cls][1]())
+    assert not dataclasses.is_dataclass(_Record)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str) -> list[str]:
+    """Run ``code`` in a new interpreter, where no record's fields have been read,
+    and return its stdout lines."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("base_first", [False, True])
+def test_a_subclass_has_its_own_fields_whichever_is_read_first(base_first):
+    # HirzebruchClass inherits from DivisorClass, but not its fields
+    lines = run_fresh(
+        "import dataclasses\n"
+        "from nslattice import DivisorClass, HirzebruchClass\n"
+        f"base = dataclasses.fields(DivisorClass) if {base_first} else None\n"
+        "names = lambda cls: [f.name for f in dataclasses.fields(cls)]\n"
+        "print(names(HirzebruchClass), names(DivisorClass), names(HirzebruchClass(3, 1, 0)))\n"
+    )
+    assert lines == ["['coeffs', 'n'] ['coeffs'] ['coeffs', 'n']"]
+
+
+def test_threads_reading_the_fields_first_get_the_same_fields():
+    # each thread reads every record's fields in its own order, all starting at once
+    # and switching as often as the interpreter allows
+    names = ", ".join(cls.__name__ for cls in RECORDS)
+    lines = run_fresh(
+        "import dataclasses, sys, threading\n"
+        "sys.setswitchinterval(1e-6)\n"
+        f"from nslattice import {names}\n"
+        f"records = [{names}]\n"
+        "start, got = threading.Barrier(8), [None] * 8\n"
+        "def read(i):\n"
+        "    start.wait()\n"
+        "    order = records[i:] + records[:i]\n"
+        "    got[i] = {cls: dataclasses.fields(cls) for cls in order}\n"
+        "threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(60)\n"
+        "print(not any(t.is_alive() for t in threads), all(g == got[0] for g in got), len(got[0]))\n"
+        "for cls in records:\n"
+        "    print(cls.__name__, *[f.name for f in got[0][cls]])\n"
+    )
+    assert lines[0] == "True True 14"
+    assert lines[1:] == [" ".join((cls.__name__, *RECORDS[cls][0])) for cls in RECORDS]
